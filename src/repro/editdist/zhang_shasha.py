@@ -17,17 +17,34 @@ The implementation follows the classic formulation:
 4. for every keyroot pair, run the forest-distance dynamic program, recording
    subtree distances in the ``treedist`` table as they become available.
 
-A unit-cost fast path avoids per-cell cost-callback dispatch, which matters
-for a pure-Python inner loop.
+Unit costs run one integer kernel without per-cell cost callbacks.  It takes
+a *budget* ``k`` — the largest distance the caller still cares about — and
+returns the exact distance whenever that distance is ``≤ k``, otherwise some
+value ``> k``.  Three things make it cheaper than the textbook DP:
+
+* a leaf keyroot's ``treedist`` row (or column) has the closed form
+  ``TED(x, T) = |T| − 1 + [label(x) ∉ T]``, so the forest DP runs only over
+  pairs of non-leaf keyroots;
+* each keyroot pair runs with its shorter span as the rows, DP border rows
+  come from list slices, and rows are built with C-level list operations
+  around one tight ``zip`` loop;
+* with a finite budget that is small next to the trees (:func:`_bands`),
+  the *k-strip* (Touzet, CPM 2005) applies: keyroot pairs whose spans
+  start more than ``k`` apart are skipped, and only cells with
+  ``|i₁ − j₁| ≤ k`` and ``|dᵢ − dⱼ| ≤ k`` are evaluated; every other cell
+  stays pinned above any real distance.  ``docs/THEORY.md`` proves both
+  exact.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.editdist.costs import UNIT_COSTS, CostModel
+from repro.exceptions import InvalidParameterError
 from repro.obs import tracing
 from repro.trees.node import Label, TreeNode
 
@@ -76,53 +93,183 @@ def prepare_tree(tree: TreeNode) -> PreparedTree:
     return PreparedTree(labels, lml, keyroots)
 
 
-def _distance_unit(a: PreparedTree, b: PreparedTree) -> float:
-    """Unit-cost Zhang–Shasha DP (fast path)."""
-    lml1, lml2 = a.lml, b.lml
-    labels1, labels2 = a.labels, b.labels
+def _bands(k: int, n: int, m: int) -> bool:
+    """Whether the k-strip pays at budget ``k`` on an ``n``×``m`` pair.
+
+    The strip keeps at most ``2k + 1`` cells of a DP row and skips keyroot
+    pairs whose spans start far apart, at the price of per-row bookkeeping.
+    Measured on §5 synthetic pairs (27–33 nodes) the full DP catches up
+    near ``k ≈ 0.45·min(n, m)``, on DBLP records (9–15 nodes) near
+    ``k ≈ 0.3·min(n, m)``; the rule stays at or below both crossovers
+    (``docs/PERF.md``).
+    """
+    return 3 * k < min(n, m)
+
+
+def _leaf_table(label: Label, labels: List[Label], lml: List[int]) -> List[int]:
+    """``TED(x, T[j])`` for one node ``x`` labelled ``label`` and every
+    subtree ``T[j]`` of a prepared tree: ``|T[j]| − 1 + [label ∉ T[j]]``.
+
+    ``T[j]`` spans postorder ``lml[j]..j``, so ``label`` occurs in it iff
+    its last occurrence at or before ``j`` is at or after ``lml[j]``.
+    """
+    table = []
+    last = -1
+    for j, (own, left) in enumerate(zip(labels, lml)):
+        if own == label:
+            last = j
+        table.append(j - left + (last < left))
+    return table
+
+
+def _fill_leaf_keyroots(
+    a: PreparedTree, b: PreparedTree, rows: List[List[int]], mirror: List[List[int]]
+) -> None:
+    """Closed-form ``rows[x]`` (and ``mirror[·][x]``) for every leaf keyroot
+    ``x`` of ``a``, against every subtree of ``b``."""
+    tables: Dict[Label, List[int]] = {}
+    for x in a.keyroots:
+        if a.lml[x] == x:
+            label = a.labels[x]
+            if label not in tables:
+                tables[label] = _leaf_table(label, b.labels, b.lml)
+            table = tables[label]
+            rows[x] = table[:]
+            for mirror_row, value in zip(mirror, table):
+                mirror_row[x] = value
+
+
+def _inner_spans(tree: PreparedTree) -> List[Tuple[int, int, List[int], List[Label]]]:
+    """``(keyroot, lml, lml offsets, labels)`` over the span of every
+    non-leaf keyroot: what one side of a forest DP reads."""
+    spans = []
+    for kr in tree.keyroots:
+        left = tree.lml[kr]
+        if left != kr:
+            offsets = [lml - left for lml in tree.lml[left : kr + 1]]
+            spans.append((kr, left, offsets, tree.labels[left : kr + 1]))
+    return spans
+
+
+def _distance_unit(
+    a: PreparedTree, b: PreparedTree, budget: float
+) -> Tuple[float, bool, int]:
+    """Budgeted unit-cost Zhang–Shasha: ``(value, banded, dp_pairs)``.
+
+    ``value`` is the exact distance when that is ``≤ budget``, otherwise
+    some value ``> budget``; ``banded`` tells whether the k-strip ran and
+    ``dp_pairs`` counts the keyroot pairs whose forest DP ran.
+    """
     n, m = a.size, b.size
-    treedist = [[0.0] * m for _ in range(n)]
-    for kr1 in a.keyroots:
-        l1 = lml1[kr1]
-        rows = kr1 - l1 + 2
-        for kr2 in b.keyroots:
-            l2 = lml2[kr2]
-            cols = kr2 - l2 + 2
-            # forest distance matrix fd[di][dj]; fd[0][0] = empty vs empty
-            fd = [[0.0] * cols for _ in range(rows)]
-            fd0 = fd[0]
-            for dj in range(1, cols):
-                fd0[dj] = fd0[dj - 1] + 1.0
-            for di in range(1, rows):
-                fd[di][0] = fd[di - 1][0] + 1.0
-            for di in range(1, rows):
-                i1 = l1 + di - 1
-                row = fd[di]
-                above = fd[di - 1]
-                label1 = labels1[i1]
-                left1 = lml1[i1]
-                whole_left = left1 == l1
-                tdrow = treedist[i1]
-                for dj in range(1, cols):
-                    j1 = l2 + dj - 1
-                    best = above[dj] + 1.0  # delete i1
-                    other = row[dj - 1] + 1.0  # insert j1
-                    if other < best:
-                        best = other
-                    if whole_left and lml2[j1] == l2:
-                        other = above[dj - 1] + (
-                            0.0 if label1 == labels2[j1] else 1.0
-                        )
-                        if other < best:
-                            best = other
-                        row[dj] = best
-                        tdrow[j1] = best
-                    else:
-                        other = fd[left1 - l1][lml2[j1] - l2] + tdrow[j1]
-                        if other < best:
-                            best = other
-                        row[dj] = best
-    return treedist[n - 1][m - 1]
+    gap = abs(n - m)
+    if gap > budget:
+        return float(gap), False, 0  # |n − m| ≤ TED: nothing to refine
+    # "infinity": above every forest distance of the pair (all ≤ n + m)
+    big = n + m + 1
+    banded = budget < big and _bands(int(budget), n, m)
+    k = int(budget) if banded else big
+
+    # treedist[i][j] = TED(T1[i], T2[j]) and mirror[j][i] = the same value,
+    # so every keyroot pair can run its DP with the shorter span as rows
+    treedist = [[big] * m for _ in range(n)]
+    mirror = [[big] * n for _ in range(m)]
+    _fill_leaf_keyroots(a, b, treedist, mirror)
+    _fill_leaf_keyroots(b, a, mirror, treedist)
+    if n == 1 or m == 1:
+        return float(treedist[n - 1][m - 1]), False, 0
+
+    spans2 = _inner_spans(b)
+    ramp = list(range(max(n, m) + 1))
+    pairs = 0
+    for span1 in _inner_spans(a):
+        kr1, l1 = span1[0], span1[1]
+        for span2 in spans2:
+            kr2, l2 = span2[0], span2[1]
+            if banded and abs(l1 - l2) > k:
+                continue  # the nodes left of both spans differ by > k
+            pairs += 1
+            # rows walk the row side's span, columns the other side's
+            if kr1 - l1 <= kr2 - l2:
+                rl, rkr = l1, kr1
+                _, cl, offsets, span_labels = span2
+                last = kr2 - l2 + 1
+                table, cross, lml, labels = treedist, mirror, a.lml, a.labels
+            else:
+                rl, rkr = l2, kr2
+                _, cl, offsets, span_labels = span1
+                last = kr1 - l1 + 1
+                table, cross, lml, labels = mirror, treedist, b.lml, b.labels
+            # row di evaluates dj in [di + lo_shift, di + hi_shift]:
+            # |i₁ − j₁| ≤ k and |di − dj| ≤ k (one of them binds per side);
+            # |shift| ≤ k keeps hi_shift ≥ 0, so a row is never empty
+            shift = rl - cl
+            lo_shift = -k + max(shift, 0)
+            hi_shift = k + min(shift, 0)
+            lo, hi = 1, last
+            # forest distances fd[di][dj]; fd[0][0] = empty vs empty
+            fd0 = ramp[: last + 1]
+            fd = [fd0]
+            above = fd0
+            for di in range(1, rkr - rl + 2):
+                if banded:
+                    lo = max(di + lo_shift, 1)
+                    if lo > last:
+                        break  # the strip has left the matrix for good
+                    hi = min(di + hi_shift, last)
+                i1 = rl + di - 1
+                tdrow = table[i1]
+                left1 = lml[i1]
+                if lo == 1:
+                    row = [di]
+                    prev = di
+                    offs, labs, diags = offsets, span_labels, above
+                else:
+                    row = [di] + [big] * (lo - 1)
+                    prev = big
+                    offs = offsets[lo - 1 : hi]
+                    labs = span_labels[lo - 1 : hi]
+                    diags = above[lo - 1 : hi]
+                append = row.append
+                j1 = cl + lo - 1
+                if left1 != rl:
+                    # i₁'s subtree lies whole inside the forest: match it
+                    # as a unit against each whole subtree (treedist)
+                    base = fd[left1 - rl]
+                    ups, subs = above[lo : hi + 1], tdrow[j1 : cl + hi]
+                    for up, off, sub in zip(ups, offs, subs):
+                        if up < prev:
+                            prev = up
+                        prev += 1  # min(delete i₁, insert j₁)
+                        sub += base[off]
+                        if sub < prev:
+                            prev = sub
+                        append(prev)
+                else:
+                    label1 = labels[i1]
+                    for up, diag, off, sub, label2 in zip(
+                        above[lo : hi + 1], diags, offs, tdrow[j1 : cl + hi], labs
+                    ):
+                        if up < prev:
+                            prev = up
+                        prev += 1
+                        if off:
+                            sub += fd0[off]
+                            if sub < prev:
+                                prev = sub
+                        else:  # both forests are whole trees: relabel step
+                            if label2 != label1:
+                                diag += 1
+                            if diag < prev:
+                                prev = diag
+                            tdrow[j1] = prev
+                            cross[j1][i1] = prev
+                        append(prev)
+                        j1 += 1
+                if hi < last:
+                    row += [big] * (last - hi)
+                fd.append(row)
+                above = row
+    return float(treedist[n - 1][m - 1]), banded, pairs
 
 
 def _distance_general(a: PreparedTree, b: PreparedTree, costs: CostModel) -> float:
@@ -177,22 +324,41 @@ def tree_edit_distance(
     t1: "TreeNode | PreparedTree",
     t2: "TreeNode | PreparedTree",
     costs: CostModel = UNIT_COSTS,
+    budget: float = math.inf,
 ) -> float:
-    """Exact tree edit distance ``EDist(T1, T2)``.
+    """Tree edit distance ``EDist(T1, T2)``, exact up to ``budget``.
 
     Accepts either :class:`~repro.trees.node.TreeNode` roots or
     :class:`PreparedTree` objects (prepare once when computing many
     distances against the same tree).
 
+    The result is the exact distance whenever that distance is
+    ``≤ budget``, and otherwise some value ``> budget`` — all a range
+    query (``budget = τ``) or a full k-NN heap (``budget`` = the current
+    k-th distance) needs to decide.  The default budget is unbounded.
+    General cost models always compute the full distance.
+
     >>> from repro.trees import parse_bracket
     >>> tree_edit_distance(parse_bracket("a(b,c)"), parse_bracket("a(b,d)"))
     1.0
+    >>> tree_edit_distance(parse_bracket("a"), parse_bracket("a(b,c,d)"), budget=1) > 1
+    True
     """
     a = t1 if isinstance(t1, PreparedTree) else prepare_tree(t1)
     b = t2 if isinstance(t2, PreparedTree) else prepare_tree(t2)
+    return _distance(a, b, costs, budget)[0]
+
+
+def _distance(
+    a: PreparedTree, b: PreparedTree, costs: CostModel, budget: float
+) -> Tuple[float, bool, int]:
+    """Dispatch on the cost model: ``(value, banded, dp_pairs)``."""
+    if math.isnan(budget):
+        raise InvalidParameterError("distance budget must not be NaN")
     if costs.is_unit:
-        return _distance_unit(a, b)
-    return _distance_general(a, b, costs)
+        return _distance_unit(a, b, budget)
+    pairs = len(a.keyroots) * len(b.keyroots)
+    return _distance_general(a, b, costs), False, pairs
 
 
 class PreparedTreeCache:
@@ -267,21 +433,26 @@ class EditDistanceCounter:
         """Return (and cache) the prepared form of ``tree``."""
         return self._prepared.get(tree)
 
-    def distance(self, t1: TreeNode, t2: TreeNode) -> float:
-        """Exact distance with call counting and preparation caching."""
+    def distance(
+        self, t1: TreeNode, t2: TreeNode, budget: float = math.inf
+    ) -> float:
+        """Distance with call counting and preparation caching.
+
+        Exact up to ``budget`` — see :func:`tree_edit_distance`.
+        """
         self.calls += 1
         a = self.prepared(t1)
         b = self.prepared(t2)
         if not tracing.enabled():  # keep the hot path allocation-free
-            return tree_edit_distance(a, b, self.costs)
+            return tree_edit_distance(a, b, self.costs, budget)
         with tracing.span(
             "editdist.zhang_shasha",
             n1=a.size,
             n2=b.size,
-            keyroot_pairs=len(a.keyroots) * len(b.keyroots),
+            budget=budget if budget < math.inf else None,
         ) as sp:
-            result = tree_edit_distance(a, b, self.costs)
-            sp.set(distance=result)
+            result, banded, pairs = _distance(a, b, self.costs, budget)
+            sp.set(distance=result, banded=banded, dp_pairs=pairs)
         return result
 
     def reset(self) -> None:

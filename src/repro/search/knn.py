@@ -19,6 +19,7 @@ BiBranch against histogram filtration.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
@@ -137,7 +138,9 @@ def knn_query(
             for bound_value, row in scan:
                 if len(heap) == k and bound_value > -heap[0][0]:
                     break  # optimal stopping: no unseen object can improve the result
-                distance = counter.distance(query, trees[row])
+                # only a distance below the k-th can enter a full heap
+                budget = -heap[0][0] if len(heap) == k else math.inf
+                distance = counter.distance(query, trees[row], budget)
                 refined += 1
                 if len(heap) < k:
                     heapq.heappush(heap, (-distance, -row))

@@ -10,6 +10,7 @@ the integration tests verify against a sequential scan.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -47,7 +48,8 @@ def range_query(
     query:
         The query tree ``Tq``.
     threshold:
-        The range ``τ`` (≥ 0).
+        The range ``τ`` (finite, ≥ 0); also the refine budget — each
+        candidate's distance is exact whenever it is ``≤ τ``.
     flt:
         A fitted lower-bound filter.
     counter:
@@ -77,6 +79,9 @@ def range_query(
         ``matches`` — ``(index, distance)`` pairs in index order;
         ``stats`` — filtering/refinement metrics for this query.
     """
+    if not math.isfinite(threshold):
+        # caught here, before τ can become a filter bound or a DP budget
+        raise QueryError(f"range threshold must be finite, got {threshold}")
     if threshold < 0:
         raise QueryError(f"range threshold must be >= 0, got {threshold}")
     if flt.size != len(trees):
@@ -190,7 +195,7 @@ def range_query(
         start = time.perf_counter()
         with tracing.span("search.refine", candidates=len(survivors)) as refine_span:
             for row in survivors:
-                distance = counter.distance(query, trees[row])
+                distance = counter.distance(query, trees[row], threshold)
                 if distance <= threshold:
                     matches.append((row, distance))
             refine_span.set(results=len(matches))

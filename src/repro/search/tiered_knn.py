@@ -30,6 +30,7 @@ workloads with expensive signatures and as a documented design ablation.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
@@ -174,7 +175,8 @@ def tiered_knn_query(
                     if tight > -heap[0][0]:
                         tight_skips += 1
                         continue  # skip this object; the scan goes on
-                distance = counter.distance(query, trees[row])
+                budget = -heap[0][0] if len(heap) == k else math.inf
+                distance = counter.distance(query, trees[row], budget)
                 refined += 1
                 if len(heap) < k:
                     heapq.heappush(heap, (-distance, -row))

@@ -38,6 +38,7 @@ from __future__ import annotations
 import contextvars
 import heapq
 import itertools
+import math
 import multiprocessing
 import threading
 import time
@@ -513,6 +514,8 @@ class ShardedTreeService:
         return self._knn(request.query, request.k)
 
     def _range(self, query: TreeNode, threshold: float) -> QueryAnswer:
+        if not math.isfinite(threshold):
+            raise QueryError(f"range threshold must be finite, got {threshold}")
         if threshold < 0:
             raise QueryError(f"range threshold must be >= 0, got {threshold}")
         bracket = to_bracket(query)
@@ -607,7 +610,11 @@ class ShardedTreeService:
                 bound, global_index, shard, local = heapq.heappop(frontier_heap)
                 if len(heap) == k and bound > -heap[0][0]:
                     break  # optimal stopping, globally: no shard can improve
-                reply = self._call(shard, ("knn_refine", qid, local), "knn")
+                # the merge heap's k-th distance bounds what can still enter
+                budget = -heap[0][0] if len(heap) == k else math.inf
+                reply = self._call(
+                    shard, ("knn_refine", qid, local, budget), "knn"
+                )
                 distance = reply["distance"]
                 refined += 1
                 if len(heap) < k:

@@ -20,7 +20,9 @@ tuples ``(op, *operands)``; replies are ``("ok", result)`` or
 ``knn_begin``      compute + sort this shard's lower bounds, stream the
                    first frontier chunk of ``(bound, local_index)`` pairs
 ``knn_more``       next frontier chunk for an open k-NN cursor
-``knn_refine``     exact edit distance to one local tree
+``knn_refine``     edit distance to one local tree, exact up to the
+                   caller's budget (the coordinator's current k-th
+                   distance, or ``inf`` while its heap is not full)
 ``knn_end``        drop a k-NN cursor
 ``add``            insert one tree (bracket form) into the shard
 ``info``           counters for diagnostics
@@ -271,10 +273,10 @@ class _ShardState:
     def _chunk(self, qid: int, start: int) -> List[Tuple[float, int]]:
         return self._cursor(qid).window(start, FRONTIER_CHUNK)
 
-    def knn_refine(self, qid: int, local: int) -> Dict[str, Any]:
+    def knn_refine(self, qid: int, local: int, budget: float) -> Dict[str, Any]:
         query = self._cursor(qid).query
         start = time.perf_counter()
-        distance = self.counter.distance(query, self.db.trees[local])
+        distance = self.counter.distance(query, self.db.trees[local], budget)
         self.stage_seconds["refine"] += time.perf_counter() - start
         return {"distance": distance}
 

@@ -16,6 +16,10 @@ Each oracle audits one class of invariant over a
     The reference distance itself, checked without a second
     implementation: ``EDist(T, apply_script(T, k ops)) ≤ k`` by
     construction, symmetry, and identity on clones.
+``refine:cutoff-equivalence``
+    The budgeted unit-cost kernel keeps its contract against the
+    independent memoized forest DP: exact whenever the distance is within
+    the budget, strictly above the budget otherwise.
 ``metric:bdist``
     Metric properties of the binary branch distance (symmetry, identity,
     triangle inequality) — what makes BDist usable inside index structures.
@@ -66,13 +70,15 @@ lets the runner shrink their violations to minimal counterexamples.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.vectors import branch_distance
 from repro.core.positional import search_lower_bound
 from repro.core.qlevel import qlevel_bound_factor
 from repro.editdist.costs import weighted_costs
-from repro.editdist.zhang_shasha import tree_edit_distance
+from repro.editdist.mapping import memoized_edit_distance
+from repro.editdist.zhang_shasha import prepare_tree, tree_edit_distance
 from repro.exceptions import InvalidParameterError
 from repro.features.store import FeatureStore
 from repro.filters.base import LowerBoundFilter
@@ -378,6 +384,38 @@ class EditScriptOracle(PairOracle):
                     )
                 )
         return outcome
+
+
+# ----------------------------------------------------------------------
+# refine:cutoff-equivalence — the budgeted kernel against an independent DP
+# ----------------------------------------------------------------------
+class RefineCutoffOracle(PairOracle):
+    """``tree_edit_distance(..., budget=b)`` keeps its contract.
+
+    With ``d`` from the independent memoized forest DP, every budget
+    ``b ∈ {0, 0.5, 1, d−1, d, d+1, ∞}`` must give exactly ``d`` when
+    ``d ≤ b`` and some value ``> b`` otherwise.  Small budgets exercise the
+    k-strip and the size-gap exit, ``d`` itself the tightest strip that must
+    still be exact, and ``∞`` the full DP.
+    """
+
+    name = "refine:cutoff-equivalence"
+    description = "budgeted Zhang–Shasha is exact within its budget"
+
+    def check_pair(self, t1: TreeNode, t2: TreeNode) -> Optional[Tuple[str, Dict]]:
+        reference = memoized_edit_distance(t1, t2)
+        a, b = prepare_tree(t1), prepare_tree(t2)
+        budgets = (0.0, 0.5, 1.0, reference - 1, reference, reference + 1, math.inf)
+        for budget in budgets:
+            value = tree_edit_distance(a, b, budget=budget)
+            within = reference <= budget
+            if value != reference if within else not value > budget:
+                expected = f"{reference:g}" if within else f"> {budget:g}"
+                return (
+                    f"budget {budget:g}: got {value:g}, expected {expected}",
+                    {"budget": budget, "value": value, "edist": reference},
+                )
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -1603,6 +1641,7 @@ for _label, _factory in _STORE_FILTERS:
 ORACLE_FACTORIES["bound:CostScaled"] = CostScaledBoundOracle
 ORACLE_FACTORIES["bound:dominance"] = DominanceOracle
 ORACLE_FACTORIES["editdist:metamorphic"] = EditScriptOracle
+ORACLE_FACTORIES["refine:cutoff-equivalence"] = RefineCutoffOracle
 ORACLE_FACTORIES["metric:bdist"] = BranchMetricOracle
 ORACLE_FACTORIES["features:packed-l1"] = PackedVectorOracle
 ORACLE_FACTORIES["store:identity"] = lambda: StoreIdentityOracle(_STORE_FILTERS)

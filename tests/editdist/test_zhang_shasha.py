@@ -1,5 +1,6 @@
 """Unit and property tests for the Zhang–Shasha edit distance."""
 
+import math
 import random
 
 import pytest
@@ -15,14 +16,31 @@ from repro.editdist import (
     tree_edit_distance,
     weighted_costs,
 )
+from repro.exceptions import InvalidParameterError
+from repro.obs import tracing
+from repro.obs.tracing import Tracer
 from repro.trees import parse_bracket, random_edit_script
 from tests.strategies import tree_pairs, trees
 
 LABELS = ["a", "b", "c"]
 
+#: budgets the kernel must honour: integral, fractional and unbounded
+BUDGETS = st.one_of(
+    st.integers(0, 9), st.floats(0, 9, allow_nan=False), st.just(math.inf)
+)
+
 
 def ted(a, b):
     return tree_edit_distance(parse_bracket(a), parse_bracket(b))
+
+
+def assert_within_budget(t1, t2, budget, reference):
+    """The budget contract: exact when ``reference ≤ budget``, else above."""
+    value = tree_edit_distance(t1, t2, budget=budget)
+    if reference <= budget:
+        assert value == reference
+    else:
+        assert value > budget
 
 
 class TestKnownDistances:
@@ -68,11 +86,13 @@ class TestKnownDistances:
 class TestAgainstOracle:
     """Cross-check the keyroot DP against the memoized forest DP."""
 
-    @given(tree_pairs(max_leaves=7))
+    @given(tree_pairs(max_leaves=7), BUDGETS)
     @settings(max_examples=80, deadline=None)
-    def test_matches_memoized_dp(self, pair):
+    def test_matches_memoized_dp(self, pair, budget):
         t1, t2 = pair
-        assert tree_edit_distance(t1, t2) == memoized_edit_distance(t1, t2)
+        reference = memoized_edit_distance(t1, t2)
+        assert tree_edit_distance(t1, t2) == reference
+        assert_within_budget(t1, t2, budget, reference)
 
     @given(tree_pairs(max_leaves=6))
     @settings(max_examples=40, deadline=None)
@@ -82,6 +102,77 @@ class TestAgainstOracle:
         fast = tree_edit_distance(t1, t2, costs)
         oracle = memoized_edit_distance(t1, t2, costs)
         assert fast == pytest.approx(oracle)
+
+
+class TestBudget:
+    """Fixed cases that drive each branch of the budgeted kernel."""
+
+    STAR = "r(a,b,c,d,e,f,g)"
+    DBLP = "record(author(x),title(y),year(z),venue(w),pages(v))"
+
+    @staticmethod
+    def sweep(left, right):
+        t1, t2 = parse_bracket(left), parse_bracket(right)
+        reference = memoized_edit_distance(t1, t2)
+        for budget in (0, 0.5, 1, 1.5, 2, 3, 5, 8, reference - 1, reference,
+                       reference + 1, math.inf):
+            assert_within_budget(t1, t2, budget, reference)
+        return reference
+
+    def test_star_trees_leaf_keyroots_only(self):
+        # every keyroot but the root is a leaf: the closed form fills them
+        prepared = prepare_tree(parse_bracket(self.STAR))
+        leaves = [x for x in prepared.keyroots if prepared.lml[x] == x]
+        assert len(leaves) == len(prepared.keyroots) - 1
+        assert self.sweep(self.STAR, "r(a,x,c,d,e,g)") == 2
+        assert self.sweep(self.STAR, "q(g,f,e,d,c,b,a)") == 7
+
+    def test_chains_have_no_leaf_keyroots(self):
+        prepared = prepare_tree(parse_bracket("a(b(c(d(e(f)))))"))
+        assert prepared.keyroots == [prepared.size - 1]
+        assert self.sweep("a(b(c(d(e(f)))))", "a(b(x(d(e(f)))))") == 1
+        assert self.sweep("a(b(c(d(e(f)))))", "a(c(d(f)))") == 2
+
+    def test_dblp_records_have_no_leaf_keyroots(self):
+        prepared = prepare_tree(parse_bracket(self.DBLP))
+        assert all(prepared.lml[x] != x for x in prepared.keyroots)
+        assert self.sweep(
+            self.DBLP, "record(author(x),title(q),year(z),venue(w),pages(v))"
+        ) == 1
+        assert self.sweep(self.DBLP, "record(author(x),year(z),title(y))") == 6
+
+    def test_single_nodes(self):
+        assert self.sweep("a", "a") == 0
+        assert self.sweep("a", "b") == 1
+        assert self.sweep("a", "x(y,a)") == 2
+        assert self.sweep("x(y,a)", "b") == 3
+
+    def test_size_gap_exits_above_the_budget(self):
+        small, large = parse_bracket("a"), parse_bracket("a(b,c,d,e)")
+        # |n − m| = 4 > 3 already decides it, whatever the labels
+        assert tree_edit_distance(small, large, budget=3) > 3
+        assert tree_edit_distance(small, large, budget=4) == 4
+
+    def test_fractional_budget_acts_as_its_floor(self):
+        t1, t2 = parse_bracket("a(b,c)"), parse_bracket("a(d,e)")
+        assert tree_edit_distance(t1, t2, budget=2.5) == 2
+        assert tree_edit_distance(t1, t2, budget=1.5) > 1.5
+        assert tree_edit_distance(t1, t2, budget=0.5) > 0.5
+
+    def test_negative_budget_is_exceeded(self):
+        t = parse_bracket("a(b)")
+        assert tree_edit_distance(t, t.clone(), budget=-1) > -1
+
+    def test_nan_budget_rejected(self):
+        t = parse_bracket("a(b)")
+        with pytest.raises(InvalidParameterError):
+            tree_edit_distance(t, t, budget=math.nan)
+
+    def test_general_costs_ignore_the_budget(self):
+        costs = weighted_costs(delete_cost=1.5, insert_cost=2.0, relabel_cost=0.7)
+        t1, t2 = parse_bracket("a(b,c)"), parse_bracket("x(y)")
+        full = tree_edit_distance(t1, t2, costs)
+        assert tree_edit_distance(t1, t2, costs, budget=0) == full
 
 
 class TestMetricProperties:
@@ -154,6 +245,31 @@ class TestCounter:
         counter.distance(t1, t2)
         counter.distance(t1, t2)
         assert counter.calls == 2
+
+    def test_budget_reaches_the_kernel(self):
+        counter = EditDistanceCounter()
+        t1, t2 = parse_bracket("a(b,c)"), parse_bracket("x(y,z)")
+        assert counter.distance(t1, t2) == 3
+        assert counter.distance(t1, t2, 1) > 1
+        assert counter.calls == 2
+
+    def test_span_records_budget_band_and_dp_pairs(self):
+        tracer = tracing.set_tracer(Tracer())
+        try:
+            counter = EditDistanceCounter()
+            t1 = parse_bracket("a(b(c,d),e(f,g),h(i))")
+            t2 = parse_bracket("a(b(c,d),e(f),h(i,j))")
+            counter.distance(t1, t2)
+            counter.distance(t1, t2, 1)
+        finally:
+            tracing.set_tracer(None)
+        full, banded = [s.attributes for s in tracer.finished_spans()]
+        assert full["budget"] is None and full["banded"] is False
+        assert full["distance"] == 2
+        assert banded["budget"] == 1 and banded["banded"] is True
+        assert banded["distance"] > 1
+        # the strip skips far-apart keyroot pairs the full DP runs
+        assert 0 < banded["dp_pairs"] < full["dp_pairs"]
 
     def test_reset(self):
         counter = EditDistanceCounter()

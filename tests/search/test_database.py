@@ -1,7 +1,11 @@
 """Unit tests for the TreeDatabase facade."""
 
+import math
+
+import pytest
 
 from repro import TreeDatabase
+from repro.exceptions import QueryError
 from repro.filters import HistogramFilter
 from repro.trees import parse_bracket
 
@@ -66,6 +70,13 @@ class TestQueries:
     def test_edit_distance_helper(self):
         db = TreeDatabase(TREES)
         assert db.edit_distance(TREES[0], TREES[1]) == 1.0
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        db = TreeDatabase(TREES)
+        with pytest.raises(QueryError, match="finite"):
+            db.range_query(parse_bracket("a(b,c)"), threshold)
+        assert db.distance_computations == 0
 
 
 class TestInvertedIndex:

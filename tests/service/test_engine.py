@@ -1,5 +1,7 @@
 """Unit tests for the TreeSearchService engine."""
 
+import math
+
 import pytest
 
 from repro.exceptions import QueryError
@@ -47,6 +49,14 @@ class TestSingleQueries:
     def test_unknown_kind_rejected(self):
         with pytest.raises(QueryError):
             QueryRequest("join", parse_bracket("a"))
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected_and_not_cached(self, service, threshold):
+        assert service._matrices is not None  # the vectorized path
+        with pytest.raises(QueryError, match="finite"):
+            service.range(parse_bracket("a(b,c)"), threshold)
+        assert len(service._cache) == 0
+        assert service.metrics.cache_misses == 0
 
 
 class TestResultCache:

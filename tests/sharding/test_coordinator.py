@@ -1,5 +1,6 @@
 """ShardedTreeService: API contract, delegation, lifecycle, batching."""
 
+import math
 import pickle
 
 import pytest
@@ -104,6 +105,13 @@ class TestQueries:
     def test_negative_threshold_rejected(self, service):
         with pytest.raises(QueryError):
             service.range(parse_bracket("a"), -1.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, service, threshold):
+        with pytest.raises(QueryError, match="finite"):
+            service.range(parse_bracket("a"), threshold)
+        # the workers never saw it and keep serving
+        assert service.range(parse_bracket("a(b,c)"), 0.0)[0] == [(0, 0.0)]
 
     @pytest.mark.parametrize("k", [0, 99])
     def test_bad_k_rejected(self, service, k):

@@ -9,6 +9,7 @@ adds routed through the coordinator, where the workers' vocabularies
 have diverged from the coordinator's.
 """
 
+import math
 import random
 
 import pytest
@@ -104,3 +105,37 @@ def test_equivalence_survives_incremental_adds(shards):
             shadow.append(mutated)
             _check_equivalence(service, shadow, "bibranch", queries[:2])
         assert service.generation == 4
+
+
+def test_knn_refine_budget_keeps_answers_and_candidates():
+    """``knn_refine`` carries the merge heap's k-th distance as its budget
+    once the heap is full (``inf`` before), and the budgeted refine leaves
+    answers and refined counts identical to the single-process run."""
+    trees = _corpus(3, count=20)
+    queries = _corpus(103, count=3)
+    reference = _reference(trees, "bibranch")
+    budgets = []
+    with ShardedTreeService(trees, shards=2, max_workers=2) as service:
+        call = service._call
+
+        def spy(shard, message, kind):
+            if message[0] == "knn_refine":
+                budgets.append(message[3])
+            return call(shard, message, kind)
+
+        service._call = spy
+        for query in queries:
+            for k in (1, 3):
+                budgets.clear()
+                served = service.knn(query, k)
+                expected = knn_query(
+                    reference.trees, query, k, reference.filter, reference.counter
+                )
+                assert served[0] == expected[0]
+                assert served[1].candidates == expected[1].candidates
+                assert served[1].candidates == len(budgets)
+                assert budgets[:k] == [math.inf] * k
+                bounded = budgets[k:]
+                # the k-th distance only shrinks, and never below the answer's
+                assert bounded == sorted(bounded, reverse=True)
+                assert all(budget >= served[0][-1][1] for budget in bounded)
