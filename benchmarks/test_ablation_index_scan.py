@@ -1,9 +1,11 @@
 """Ablation: inverted-file candidate generation vs. the linear filter scan.
 
 The paper builds the IFI (Algorithm 1) but its query algorithms still scan
-every vector.  The merge-count candidate generation of
-``repro.search.index_scan`` reads only the postings of the query's own
-branches — this bench measures what that buys on a selective range
+every vector.  :class:`~repro.index.inverted.ExtendedInvertedFile` merges
+only the postings of the query's own branches (plus the norm-sorted
+prefix of branch-disjoint rows) into the exact BDist ball, and
+:func:`~repro.search.range_query.range_query` runs the filter cascade over
+that ball alone — this bench measures what that buys on a selective range
 workload (many trees share no branch with the query) and confirms the two
 strategies return identical answers.
 """
@@ -11,12 +13,12 @@ strategies return identical answers.
 import random
 import time
 
-from repro.core import InvertedFileIndex
 from repro.datasets import SyntheticSpec, generate_dataset
 from repro.editdist import EditDistanceCounter
+from repro.features import FeatureStore
 from repro.filters import BinaryBranchFilter
+from repro.index import ExtendedInvertedFile
 from repro.search import range_query
-from repro.search.index_scan import indexed_range_query
 
 from benchmarks.figure_common import current_scale, save_report
 
@@ -35,10 +37,9 @@ def test_ablation_index_scan(benchmark):
     queries = [trees[i] for i in rng.sample(range(len(trees)), 6)]
     threshold = 3
 
-    index = InvertedFileIndex()
-    index.add_trees(trees)
-    profiles = index.profiles()
-    flt = BinaryBranchFilter().fit(trees)
+    store = FeatureStore((2,)).fit(trees)
+    flt = BinaryBranchFilter().fit_from_store(store)
+    index = ExtendedInvertedFile(store)
     results = {}
 
     def run():
@@ -49,32 +50,26 @@ def test_ablation_index_scan(benchmark):
             for query in queries
         ]
         results["linear_seconds"] = time.perf_counter() - start
+        reached = 0
+        indexed_answers = []
         start = time.perf_counter()
-        indexed_answers = [
-            indexed_range_query(
-                trees, index, query, threshold, counter, profiles=profiles
-            )[0]
-            for query in queries
-        ]
+        for query in queries:
+            indexed_answers.append(
+                range_query(
+                    trees, query, threshold, flt, counter, index=index
+                )[0]
+            )
+            reached += index.last_examined
         results["indexed_seconds"] = time.perf_counter() - start
         assert indexed_answers == linear_answers  # exactness
-        results["postings_reached"] = sum(
-            len(
-                {
-                    posting.tree_id
-                    for branch in profiles[trees.index(query)].branches
-                    for posting in index.postings(branch)
-                }
-            )
-            for query in queries
-        ) / len(queries)
+        results["trees_reached"] = reached / len(queries)
         return results
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [
         "== Ablation: IFI candidate generation vs linear filter scan ==",
         f"  dataset             {len(trees):>10} trees, tau={threshold}",
-        f"  trees reached/query {results['postings_reached']:>10.1f}"
+        f"  trees reached/query {results['trees_reached']:>10.1f}"
         f"  (of {len(trees)})",
         f"  linear filter scan  {results['linear_seconds']:>10.3f} s",
         f"  indexed scan        {results['indexed_seconds']:>10.3f} s",

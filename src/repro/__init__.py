@@ -29,7 +29,6 @@ full API surface:
 * :mod:`repro.bench`    — the experiment harness behind ``benchmarks/``.
 """
 
-from repro.core.inverted_file import InvertedFileIndex
 from repro.core.lower_bounds import branch_lower_bound, positional_lower_bound
 from repro.core.positional import positional_branch_distance, search_lower_bound
 from repro.core.features import (
@@ -56,7 +55,6 @@ from repro.service.engine import TreeSearchService
 from repro.service.metrics import ServiceMetrics
 from repro.search.join import similarity_join, similarity_self_join
 from repro.search.knn import knn_query
-from repro.search.index_scan import indexed_range_query
 from repro.search.range_query import range_query
 from repro.storage import load_forest, load_xml_directory, save_forest
 from repro.trees.node import TreeNode
@@ -88,7 +86,6 @@ __all__ = [
     "positional_lower_bound",
     "positional_branch_distance",
     "search_lower_bound",
-    "InvertedFileIndex",
     "BinaryBranchFilter",
     "BranchCountFilter",
     "HistogramFilter",
@@ -97,7 +94,6 @@ __all__ = [
     "TreeSearchService",
     "ServiceMetrics",
     "range_query",
-    "indexed_range_query",
     "knn_query",
     "similarity_self_join",
     "similarity_join",

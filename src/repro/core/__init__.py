@@ -1,8 +1,8 @@
 """The paper's primary contribution: the binary branch embedding.
 
 Branch extraction (2-level and q-level), sparse branch vectors with the L1
-``BDist``, edit-distance lower bounds, the positional refinement, and the
-inverted file index of Algorithm 1.
+``BDist``, edit-distance lower bounds and the positional refinement.  The
+inverted file of Algorithm 1 is :mod:`repro.index.inverted`.
 """
 
 from repro.core.branches import (
@@ -12,13 +12,6 @@ from repro.core.branches import (
     iter_branches,
     iter_positional_branches,
 )
-from repro.core.index_io import (
-    load_features,
-    load_index,
-    save_features,
-    save_index,
-)
-from repro.core.inverted_file import InvertedFileIndex, Posting
 from repro.core.lower_bounds import branch_lower_bound, positional_lower_bound
 from repro.core.positional import (
     PositionalProfile,
@@ -59,10 +52,4 @@ __all__ = [
     "search_lower_bound",
     "greedy_interval_matching",
     "exact_position_matching",
-    "InvertedFileIndex",
-    "Posting",
-    "save_index",
-    "load_index",
-    "save_features",
-    "load_features",
 ]

@@ -6,12 +6,12 @@ skip extraction entirely (its ``extraction_passes`` counter stays 0 — the
 round-trip tests assert exactly that).
 
 The JSON document stores the interned vocabulary once (branch keys in id
-order, labels encoded with the same tagged scheme as the inverted-file
-serializer in :mod:`repro.core.index_io`) and, per tree, only the
-irreducible raw material: sizes, degree histograms, height multisets and
-per-branch position lists in occurrence order.  Everything else — packed
-vectors, sorted position sequences, traversal strings, label histograms —
-is *derived* at load time from those, without touching any tree:
+order, each key the list of its tagged labels — see :func:`_encode_label`)
+and, per tree, only the irreducible raw material: sizes, degree
+histograms, height multisets and per-branch position lists in occurrence
+order.  Everything else — packed vectors, sorted position sequences,
+traversal strings, label histograms — is *derived* at load time from
+those, without touching any tree:
 
 * sorted pre/post sequences: sort the occurrence-order lists;
 * packed vectors: occurrence counts are the pair-list lengths, interned
@@ -37,17 +37,17 @@ import os
 import warnings
 import zipfile
 from collections import Counter
-from typing import Dict, List, Union
+from typing import Any, Dict, List, Union
 
 import numpy as np
 
 from repro.core.branches import BinaryBranch
-from repro.core.index_io import _decode_label, _encode_label
 from repro.core.positional import PositionalProfile
 from repro.core.qlevel import QLevelBranch
 from repro.exceptions import TreeParseError
 from repro.features.extract import TreeFeatures
 from repro.features.store import FeatureStore
+from repro.trees.binary import EPSILON
 
 __all__ = [
     "save_feature_plane",
@@ -86,6 +86,42 @@ def sidecar_fallback(sidecar: str, reason: str) -> None:
 def matrix_sidecar_path(path: PathLike) -> str:
     """Where the dense matrix sidecar of plane ``path`` lives."""
     return f"{os.fspath(path)}.matrices.npz"
+
+
+def _encode_label(label: Any) -> List:
+    """Tagged JSON form of one label.
+
+    ``["e"]`` is the ε padding label, ``["s", text]`` a string, and
+    ``["b", flag]`` / ``["i", 42]`` / ``["f", 1.5]`` / ``["n"]`` the other
+    JSON scalars.  Anything else raises
+    :class:`~repro.exceptions.TreeParseError` at save time.
+    """
+    if label is EPSILON:
+        return ["e"]
+    if isinstance(label, str):
+        return ["s", label]
+    if isinstance(label, bool):  # before int: bool is an int subtype
+        return ["b", label]
+    if isinstance(label, int):
+        return ["i", label]
+    if isinstance(label, float):
+        return ["f", label]
+    if label is None:
+        return ["n"]
+    raise TreeParseError(
+        f"cannot serialize label of type {type(label).__name__}"
+    )
+
+
+def _decode_label(encoded: List) -> Any:
+    tag = encoded[0]
+    if tag == "e":
+        return EPSILON
+    if tag in ("s", "b", "i", "f"):
+        return encoded[1]
+    if tag == "n":
+        return None
+    raise TreeParseError(f"unknown label tag {tag!r}")
 
 
 def _encode_key(key) -> List:

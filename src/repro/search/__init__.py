@@ -6,8 +6,6 @@ sequential-scan baselines and search statistics.
 
 from repro.search.approximate import approximate_knn_query
 from repro.search.database import TreeDatabase
-from repro.search.index_join import indexed_similarity_self_join
-from repro.search.index_scan import candidate_overlaps, indexed_range_query
 from repro.search.io_model import DiskModel, IOEstimate
 from repro.search.join import similarity_join, similarity_self_join
 from repro.search.knn import knn_query
@@ -23,8 +21,6 @@ from repro.search.tiered_knn import tiered_knn_query
 __all__ = [
     "TreeDatabase",
     "range_query",
-    "indexed_range_query",
-    "candidate_overlaps",
     "knn_query",
     "tiered_knn_query",
     "approximate_knn_query",
@@ -32,7 +28,6 @@ __all__ = [
     "sequential_knn_query",
     "distance_matrix",
     "similarity_self_join",
-    "indexed_similarity_self_join",
     "similarity_join",
     "SearchStats",
     "DiskModel",

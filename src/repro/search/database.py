@@ -1,8 +1,8 @@
 """TreeDatabase — the user-facing entry point for similarity search.
 
 Bundles a tree collection, a lower-bound filter (BiBranch by default), the
-inverted file index, and a shared edit-distance counter so prepared trees
-are reused across queries.
+lazily built candidate indexes, and a shared edit-distance counter so
+prepared trees are reused across queries.
 
 Examples
 --------
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
-from repro.core.inverted_file import InvertedFileIndex
 from repro.editdist.costs import UNIT_COSTS, CostModel
 from repro.editdist.zhang_shasha import EditDistanceCounter
 from repro.exceptions import InvalidParameterError
@@ -56,9 +55,6 @@ class TreeDatabase:
         extraction pass per tree.
     costs:
         Edit-operation cost model for the refinement distance.
-    build_index:
-        Also build the :class:`InvertedFileIndex` (Algorithm 1); needed by
-        :meth:`inverted_index` and the join algorithm.
     feature_store:
         A prebuilt :class:`~repro.features.store.FeatureStore` covering
         exactly ``trees`` (e.g. restored from disk by
@@ -71,7 +67,6 @@ class TreeDatabase:
         trees: Iterable[TreeNode],
         flt: Optional[LowerBoundFilter] = None,
         costs: CostModel = UNIT_COSTS,
-        build_index: bool = False,
         feature_store: Optional[FeatureStore] = None,
     ) -> None:
         self.trees: List[TreeNode] = list(trees)
@@ -88,11 +83,7 @@ class TreeDatabase:
         if self.filter.size != len(self.trees):
             self._fit_filter()
         self._mutations = 0
-        self._index: Optional[InvertedFileIndex] = None
-        self._profiles = None
         self._candidate_indexes: dict = {}
-        if build_index:
-            self._build_index()
 
     def _store_q_levels(self) -> Tuple[int, ...]:
         return self.filter.required_q_levels() or (getattr(self.filter, "q", 2),)
@@ -113,12 +104,6 @@ class TreeDatabase:
         else:
             self.filter.fit(self.trees)
 
-    def _build_index(self) -> None:
-        q = getattr(self.filter, "q", 2)
-        index = InvertedFileIndex(q=q)
-        index.add_trees(self.trees)
-        self._index = index
-
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
@@ -127,8 +112,8 @@ class TreeDatabase:
 
         One extraction pass updates the feature plane (O(|tree|)), the
         filter signature is derived from it (or computed directly for
-        store-less filters), the inverted index — if already built — is
-        extended in place, and cached positional profiles are invalidated.
+        store-less filters); built candidate indexes re-sync against the
+        store on their next probe.
         """
         index = len(self.trees)
         self.trees.append(tree)
@@ -139,10 +124,7 @@ class TreeDatabase:
             if self._features is not None:
                 self._features.add(tree)
             self.filter.add(tree)
-        if self._index is not None:
-            self._index.add_tree(index, tree)
         self._mutations += 1
-        self._profiles = None
         return index
 
     # ------------------------------------------------------------------
@@ -208,14 +190,6 @@ class TreeDatabase:
         return index
 
     @property
-    def inverted_index(self) -> InvertedFileIndex:
-        """The inverted file index (built lazily on first access)."""
-        if self._index is None:
-            self._build_index()
-        assert self._index is not None
-        return self._index
-
-    @property
     def distance_computations(self) -> int:
         """Exact edit-distance computations performed so far."""
         return self.counter.calls
@@ -236,20 +210,17 @@ class TreeDatabase:
     def indexed_range_query(
         self, query: TreeNode, threshold: float
     ) -> Tuple[List[Tuple[int, float]], SearchStats]:
-        """Range query via inverted-file candidate generation.
+        """Range query via inverted-file candidate generation (Alg. 1).
 
-        Uses the :class:`InvertedFileIndex` (built lazily) to read only the
-        postings of the query's own branches; see
-        :func:`repro.search.index_scan.indexed_range_query`.
+        The ``"ifi"`` :meth:`candidate_index` merges only the postings of
+        the query's own branches into the exact BDist ball; the filter
+        cascade and refinement then run over the ball alone (see
+        :func:`range_query`).  Needs a feature store, like
+        :meth:`candidate_index`.
         """
-        from repro.search.index_scan import indexed_range_query
-
-        index = self.inverted_index
-        if self._profiles is None:
-            self._profiles = index.profiles()
-        return indexed_range_query(
-            self.trees, index, query, threshold, self.counter,
-            profiles=self._profiles,
+        return range_query(
+            self.trees, query, threshold, self.filter, self.counter,
+            index=self.candidate_index("ifi"),
         )
 
     def knn(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import TreeParseError
 from repro.features import FeatureStore, load_feature_plane, save_feature_plane
-from repro.trees import parse_bracket
+from repro.trees import TreeNode, parse_bracket
 
 FOREST = [
     "a(b(c,d),b(c,d),e)",
@@ -12,6 +12,8 @@ FOREST = [
     "x(y(z),y(z))",
     "a",
 ]
+#: every non-string label tag; ``True`` must come back a bool, not an int
+TYPED_FOREST = [TreeNode(1, [TreeNode(2.5), TreeNode(None), TreeNode(True)])]
 
 
 @pytest.fixture
@@ -29,7 +31,12 @@ class TestFeaturePlaneRoundTrip:
         assert loaded.extraction_passes == 0
 
     def test_round_trip_is_lossless(self, store, tmp_path):
-        path = tmp_path / "plane.json"
+        typed = FeatureStore(q_levels=(2, 3)).fit(TYPED_FOREST)
+        for fitted in (store, typed):
+            self._assert_round_trip(fitted, tmp_path / "plane.json")
+
+    @staticmethod
+    def _assert_round_trip(store, path):
         save_feature_plane(store, path)
         loaded = load_feature_plane(path)
         assert loaded.q_levels == store.q_levels
@@ -43,6 +50,9 @@ class TestFeaturePlaneRoundTrip:
             assert restored.heights == original.heights
             assert restored.pre_labels == original.pre_labels
             assert restored.post_labels == original.post_labels
+            assert [type(label) for label in restored.pre_labels] == [
+                type(label) for label in original.pre_labels
+            ]
             assert restored.leaf_count == original.leaf_count
             for q in store.q_levels:
                 assert loaded.packed_vector(index, q) == store.packed_vector(index, q)
@@ -69,6 +79,15 @@ class TestFeaturePlaneRoundTrip:
 
     def test_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "bogus.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(TreeParseError):
-            load_feature_plane(path)
+        for document in (
+            '{"format": "something-else"}',
+            '{"format": "repro-features", "version": 99}',
+        ):
+            path.write_text(document)
+            with pytest.raises(TreeParseError):
+                load_feature_plane(path)
+
+    def test_rejects_unserializable_labels(self, tmp_path):
+        store = FeatureStore(q_levels=(2,)).fit([TreeNode((1, 2))])
+        with pytest.raises(TreeParseError, match="tuple"):
+            save_feature_plane(store, tmp_path / "bad.json")

@@ -1,35 +1,55 @@
-"""Property-based pins for the VP-tree candidate index.
+"""Property-based pins for the candidate indexes.
 
 Hypothesis drives random corpora (small label alphabet — maximal branch
-collisions, the adversarial regime for a metric index) through four
-invariant classes:
+collisions, the adversarial regime for a metric index) at branch level
+2 or 3 through four invariant classes.  The kind-agnostic three draw the
+index class too, :class:`VPTreeIndex` or :class:`ExtendedInvertedFile`,
+and pin each with explicit examples:
 
 * **ball exactness** — ``range_rows`` returns exactly the brute-force
-  BDist ball, so index-restricted range answers equal sequential scans;
+  BDist ball, so index-restricted range answers equal sequential scans.
+  Branch-disjoint tiny trees under a generous budget reach the ball only
+  through the inverted file's norm-prefix scan;
 * **incremental adds** — an index grown by ``sync`` over interleaved
   ``store.add`` calls answers identically to a fresh cold build;
+* **ascending stream** — complete, keys equal the true BDist, sorted.
+
+The fourth is VP-tree only, because it reads the traversal's ``audit``:
+
 * **pruning soundness** — every subtree the traversal prunes is audited:
   each skipped row provably satisfies the recorded triangle-inequality
-  bound, and that bound genuinely exceeds the budget;
-* **ascending stream** — complete, keys equal the true BDist, sorted.
+  bound, and that bound genuinely exceeds the budget.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.features.store import FeatureStore
 from repro.filters.binary_branch import BinaryBranchFilter
-from repro.index import LEAF_CAPACITY, VPTreeIndex
+from repro.index import (
+    LEAF_CAPACITY,
+    CandidateIndex,
+    ExtendedInvertedFile,
+    VPTreeIndex,
+)
 from repro.search.range_query import range_query
 from repro.search.sequential import sequential_range_query
+from repro.trees import parse_bracket
 from tests.strategies import trees
 
 corpora = st.lists(trees(max_leaves=6), min_size=1, max_size=3 * LEAF_CAPACITY)
+levels = st.sampled_from([2, 3])
+index_classes = st.sampled_from([VPTreeIndex, ExtendedInvertedFile])
+#: tiny trees sharing no label, hence no branch, with the query: under a
+#: generous budget they are in the ball although no posting list of the
+#: query reaches them
+DISJOINT = [parse_bracket(text) for text in ("a", "b(c)", "a(b)")]
+DISJOINT_QUERY = parse_bracket("d(e)")
 
 
-def _brute_ball(index: VPTreeIndex, vector, budget: int) -> list:
+def _brute_ball(index: CandidateIndex, vector, budget: int) -> list:
     store = index._store
     return sorted(
         row
@@ -39,22 +59,37 @@ def _brute_ball(index: VPTreeIndex, vector, budget: int) -> list:
 
 
 class TestRangeRows:
-    @given(corpora, trees(max_leaves=6), st.integers(min_value=0, max_value=30))
+    @given(
+        corpora, trees(max_leaves=6), st.integers(min_value=0, max_value=30),
+        levels, index_classes,
+    )
+    @example(DISJOINT, DISJOINT_QUERY, 0, 2, ExtendedInvertedFile)
+    @example(DISJOINT, DISJOINT_QUERY, 6, 2, ExtendedInvertedFile)
+    @example(DISJOINT, DISJOINT_QUERY, 6, 3, ExtendedInvertedFile)
+    @example(DISJOINT, DISJOINT_QUERY, 6, 3, VPTreeIndex)
     @settings(max_examples=60, deadline=None)
-    def test_ball_is_exact(self, corpus, query, budget):
-        store = FeatureStore((2,)).fit(corpus)
-        index = VPTreeIndex(store)
+    def test_ball_is_exact(self, corpus, query, budget, q, index_cls):
+        store = FeatureStore((q,)).fit(corpus)
+        index = index_cls(store, q)
         vector = index.pack(query)
         assert index.range_rows(vector, budget) == _brute_ball(
             index, vector, budget
         )
 
-    @given(corpora, trees(max_leaves=6), st.floats(min_value=0, max_value=4))
+    @given(
+        corpora, trees(max_leaves=6), st.floats(min_value=0, max_value=4),
+        levels, index_classes,
+    )
+    @example(DISJOINT, DISJOINT_QUERY, 0.0, 2, ExtendedInvertedFile)
+    @example(DISJOINT, DISJOINT_QUERY, 4.0, 3, ExtendedInvertedFile)
+    @example(DISJOINT, DISJOINT_QUERY, 4.0, 3, VPTreeIndex)
     @settings(max_examples=40, deadline=None)
-    def test_range_query_equals_sequential(self, corpus, query, threshold):
-        store = FeatureStore((2,)).fit(corpus)
-        flt = BinaryBranchFilter().fit_from_store(store)
-        index = VPTreeIndex(store)
+    def test_range_query_equals_sequential(
+        self, corpus, query, threshold, q, index_cls
+    ):
+        store = FeatureStore((q,)).fit(corpus)
+        flt = BinaryBranchFilter(q=q).fit_from_store(store)
+        index = index_cls(store, q)
         indexed, _ = range_query(corpus, query, threshold, flt, index=index)
         sequential, _ = sequential_range_query(corpus, query, threshold)
         assert indexed == sequential
@@ -66,11 +101,17 @@ class TestIncrementalAdds:
         st.lists(trees(max_leaves=6), min_size=1, max_size=LEAF_CAPACITY + 2),
         trees(max_leaves=6),
         st.integers(min_value=0, max_value=20),
+        levels,
+        index_classes,
     )
+    @example(DISJOINT, DISJOINT, DISJOINT_QUERY, 6, 3, ExtendedInvertedFile)
+    @example(DISJOINT, DISJOINT, DISJOINT_QUERY, 6, 3, VPTreeIndex)
     @settings(max_examples=40, deadline=None)
-    def test_grown_index_equals_cold_build(self, corpus, added, query, budget):
-        store = FeatureStore((2,)).fit(corpus)
-        grown = VPTreeIndex(store)
+    def test_grown_index_equals_cold_build(
+        self, corpus, added, query, budget, q, index_cls
+    ):
+        store = FeatureStore((q,)).fit(corpus)
+        grown = index_cls(store, q)
         for position, tree in enumerate(added):
             store.add(tree)
             if position % 2 == 0:
@@ -79,7 +120,7 @@ class TestIncrementalAdds:
         assert len(grown) == len(store)
         assert not grown.stale()
 
-        cold = VPTreeIndex(store)
+        cold = index_cls(store, q)
         vector = grown.pack(query)
         assert grown.range_rows(vector, budget) == cold.range_rows(
             vector, budget
@@ -114,11 +155,13 @@ class TestPruningSoundness:
 
 
 class TestAscendingStream:
-    @given(corpora, trees(max_leaves=6))
+    @given(corpora, trees(max_leaves=6), levels, index_classes)
+    @example(DISJOINT, DISJOINT_QUERY, 2, ExtendedInvertedFile)
+    @example(DISJOINT, DISJOINT_QUERY, 3, VPTreeIndex)
     @settings(max_examples=60, deadline=None)
-    def test_complete_sorted_and_exact(self, corpus, query):
-        store = FeatureStore((2,)).fit(corpus)
-        index = VPTreeIndex(store)
+    def test_complete_sorted_and_exact(self, corpus, query, q, index_cls):
+        store = FeatureStore((q,)).fit(corpus)
+        index = index_cls(store, q)
         vector = index.pack(query)
         emitted = list(index.ascending(vector))
         assert sorted(row for _, row in emitted) == list(range(len(corpus)))

@@ -1,17 +1,16 @@
 """Cross-validation fuzz: every query path must agree with every other.
 
 For a batch of randomized (but seeded) workloads, run all implemented
-query strategies — linear filter scan, inverted-file scan, plain k-NN,
-tiered k-NN, pairwise join, indexed join — and check they produce
-identical answers.  Any soundness bug in any bound, matching routine or
-index path shows up here as a divergence.
+query strategies — linear filter scan per filter, plain k-NN, tiered
+k-NN, pairwise join — and check they produce identical answers.  Any
+soundness bug in any bound or matching routine shows up here as a
+divergence.
 """
 
 import random
 
 import pytest
 
-from repro.core import InvertedFileIndex
 from repro.datasets import (
     SyntheticSpec,
     generate_dataset,
@@ -28,8 +27,6 @@ from repro.filters import (
     space_parity_histogram_filter,
 )
 from repro.search import (
-    indexed_range_query,
-    indexed_similarity_self_join,
     knn_query,
     range_query,
     sequential_knn_query,
@@ -55,9 +52,6 @@ def workloads():
 def test_all_query_paths_agree(name, trees):
     rng = random.Random(hash(name) & 0xFFFF)
     counter = EditDistanceCounter()
-    index = InvertedFileIndex()
-    index.add_trees(trees)
-    profiles = index.profiles()
     filters = [
         BinaryBranchFilter().fit(trees),
         BranchCountFilter().fit(trees),
@@ -76,10 +70,6 @@ def test_all_query_paths_agree(name, trees):
             for flt in filters:
                 answer, _ = range_query(trees, query, threshold, flt, counter)
                 assert answer == truth, (name, flt.name, threshold)
-            indexed, _ = indexed_range_query(
-                trees, index, query, threshold, counter, profiles=profiles
-            )
-            assert indexed == truth, (name, "indexed", threshold)
 
         for k in (1, 4):
             truth_knn, _ = sequential_knn_query(trees, query, k, counter)
@@ -97,7 +87,3 @@ def test_all_query_paths_agree(name, trees):
         for flt in filters[1:]:
             answer, _ = similarity_self_join(trees, threshold, flt, counter)
             assert answer == truth_join, (name, flt.name)
-        indexed_join, _ = indexed_similarity_self_join(
-            trees, index, threshold, counter
-        )
-        assert indexed_join == truth_join, (name, "indexed-join")

@@ -56,6 +56,8 @@ class DatabaseMachine(RuleBasedStateMachine):
             if tree_edit_distance(query, tree) <= threshold
         ]
         assert fast == expected
+        # the inverted file re-synced over every add since it was built
+        assert len(self.db.candidate_index("ifi")) == len(self.model)
 
     @rule(query=trees(max_leaves=5), data=st.data())
     def knn(self, query, data):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro import TreeDatabase
-from repro.exceptions import QueryError
+from repro.exceptions import InvalidParameterError, QueryError
 from repro.filters import HistogramFilter
 from repro.trees import parse_bracket
 
@@ -73,29 +73,28 @@ class TestQueries:
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_rejected(self, threshold):
-        db = TreeDatabase(TREES)
-        with pytest.raises(QueryError, match="finite"):
-            db.range_query(parse_bracket("a(b,c)"), threshold)
-        assert db.distance_computations == 0
+        for method in ("range_query", "indexed_range_query"):
+            db = TreeDatabase(TREES)
+            with pytest.raises(QueryError, match="finite"):
+                getattr(db, method)(parse_bracket("a(b,c)"), threshold)
+            assert db.distance_computations == 0
 
 
 class TestInvertedIndex:
     def test_lazy_build(self):
         db = TreeDatabase(TREES)
-        assert db._index is None
-        index = db.inverted_index
-        assert index.tree_count == len(TREES)
-        assert db.inverted_index is index  # cached
-
-    def test_eager_build(self):
-        db = TreeDatabase(TREES, build_index=True)
-        assert db._index is not None
+        assert "ifi" not in db._candidate_indexes
+        index = db.candidate_index("ifi")
+        assert len(index) == len(TREES)
+        assert db.candidate_index("ifi") is index  # cached
+        db.indexed_range_query(parse_bracket("a"), 1)
+        assert db.candidate_index("ifi") is index
 
     def test_index_uses_filter_level(self):
         from repro.filters import BinaryBranchFilter
 
         db = TreeDatabase(TREES, flt=BinaryBranchFilter(q=3))
-        assert db.inverted_index.q == 3
+        assert db.candidate_index("ifi").q == 3
 
 
 class TestIndexedQueries:
@@ -107,12 +106,12 @@ class TestIndexedQueries:
             linear, _ = db.range_query(query, threshold)
             assert indexed == linear
 
-    def test_profiles_cached(self):
-        db = TreeDatabase(TREES)
-        db.indexed_range_query(parse_bracket("a"), 1)
-        first = db._profiles
-        db.indexed_range_query(parse_bracket("a"), 2)
-        assert db._profiles is first
+    def test_storeless_database_rejected(self):
+        db = TreeDatabase(TREES, flt=HistogramFilter().fit(TREES))
+        assert db.features is None  # prefitted: nothing built a store
+        with pytest.raises(InvalidParameterError, match="feature store"):
+            db.indexed_range_query(parse_bracket("a"), 1)
+        assert db.distance_computations == 0
 
 
 class TestDynamicInsertion:
@@ -132,15 +131,11 @@ class TestDynamicInsertion:
         assert neighbors == [(index, 0.0)]
 
     def test_add_extends_built_index(self):
-        db = TreeDatabase(TREES, build_index=True)
+        db = TreeDatabase(TREES)
+        index = db.candidate_index("ifi")
         db.add(parse_bracket("brand(new)"))
-        assert db.inverted_index.tree_count == len(TREES) + 1
+        assert index.stale()
         matches, _ = db.indexed_range_query(parse_bracket("brand(new)"), 0)
         assert matches == [(len(TREES), 0.0)]
-
-    def test_add_invalidates_profile_cache(self):
-        db = TreeDatabase(TREES)
-        db.indexed_range_query(parse_bracket("a"), 1)
-        assert db._profiles is not None
-        db.add(parse_bracket("zz"))
-        assert db._profiles is None
+        assert len(index) == len(TREES) + 1
+        assert not index.stale()
