@@ -31,11 +31,6 @@ full API surface:
 
 from repro.core.lower_bounds import branch_lower_bound, positional_lower_bound
 from repro.core.positional import positional_branch_distance, search_lower_bound
-from repro.core.features import (
-    branch_distance_matrix,
-    branch_feature_matrix,
-    pairwise_branch_distances,
-)
 from repro.core.vectors import BranchVector, branch_distance, branch_vector
 from repro.editdist.costs import UNIT_COSTS, CostModel, weighted_costs
 from repro.editdist.mapping import tree_edit_mapping
@@ -100,9 +95,6 @@ __all__ = [
     "save_forest",
     "load_forest",
     "load_xml_directory",
-    "branch_feature_matrix",
-    "branch_distance_matrix",
-    "pairwise_branch_distances",
     "ReproError",
     "TreeParseError",
     "InvalidTreeError",

@@ -32,8 +32,12 @@ from repro.obs.funnel import collect_funnels
 from repro.search.database import TreeDatabase
 from repro.search.range_query import range_query
 from repro.service.engine import TreeSearchService
-from repro.service.metrics import percentile
-from repro.service.workload import WorkloadSpec, generate_workload, replay
+from repro.service.workload import (
+    WorkloadSpec,
+    generate_workload,
+    percentile,
+    replay,
+)
 from repro.trees.node import TreeNode
 
 __all__ = ["SUITE_NAMES", "run_bench_suite"]

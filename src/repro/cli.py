@@ -137,10 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--candidate-source",
         choices=list(CANDIDATE_SOURCES),
         default="auto",
-        help="candidate generation path: 'loop' scores per candidate, "
-        "'vectorized' runs the filter cascade over corpus-level matrix "
-        "planes, 'vptree'/'ifi' prune candidates through a BDist metric "
-        "index first, 'auto' vectorizes when a feature store is available",
+        help="candidate generation path: 'vectorized' runs the filter "
+        "cascade over corpus-level matrix planes, 'vptree'/'ifi' prune "
+        "candidates through a BDist metric index first, 'auto' vectorizes "
+        "when a feature store is available and scores per candidate "
+        "otherwise",
     )
     search.add_argument(
         "--stats-json",
@@ -293,9 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(CANDIDATE_SOURCES),
         default="auto",
         help="candidate generation path for the service (and each shard "
-        "worker): 'loop' per-candidate, 'vectorized' matrix cascade, "
-        "'vptree'/'ifi' metric-index pruning, 'auto' vectorize when "
-        "possible",
+        "worker): 'vectorized' matrix cascade, 'vptree'/'ifi' "
+        "metric-index pruning, 'auto' vectorize when possible",
     )
     serve_bench.add_argument(
         "--json",
@@ -713,15 +713,8 @@ def _cmd_search(args) -> int:
                 from repro.search.database import TreeDatabase
 
                 database = TreeDatabase(trees, flt=_FILTERS[args.filter]())
-                matrices = (
-                    None
-                    if args.candidate_source == "loop"
-                    else database.matrices()
-                )
-                if (
-                    args.candidate_source not in ("auto", "loop")
-                    and matrices is None
-                ):
+                matrices = database.matrices()
+                if args.candidate_source != "auto" and matrices is None:
                     print(
                         f"repro: error: filter {args.filter!r} has no "
                         "feature store for candidate source "
@@ -916,7 +909,7 @@ def _cmd_serve_bench(args) -> int:
                 )
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(service.metrics.prometheus_text())
+            handle.write(service.metrics.registry.prometheus_text())
         print(f"wrote metrics to {args.metrics_out}", file=sys.stderr)
     if args.chrome_trace:
         with open(args.chrome_trace, "w", encoding="utf-8") as handle:
@@ -1053,7 +1046,9 @@ def _cmd_metrics(args) -> int:
                 # publish the per-shard repro_shard_* gauges into the dump
                 service.health()
         else:
-            database = TreeDatabase(trees, flt=_FILTERS[args.filter]().fit(trees))
+            # unfitted, as serve-bench does: the database fits from its
+            # feature store, so the service serves off the matrix planes
+            database = TreeDatabase(trees, flt=_FILTERS[args.filter]())
             with TreeSearchService(database, metrics=metrics) as service:
                 replay(service, workload)
     if args.json:

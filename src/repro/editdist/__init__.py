@@ -1,7 +1,7 @@
 """Tree and string edit distance substrate.
 
 The exact (Zhang–Shasha) tree edit distance used in the refinement step,
-edit-mapping recovery, cost models, string edit distance and q-grams.
+edit-mapping recovery, cost models and string edit distance.
 """
 
 from repro.editdist.alignment import alignment_distance
@@ -17,15 +17,6 @@ from repro.editdist.mapping import (
     mapping_cost,
     memoized_edit_distance,
     tree_edit_mapping,
-)
-from repro.editdist.qgrams import (
-    positional_qgrams,
-    qgram_distance,
-    qgram_lower_bound,
-    qgram_overlap,
-    qgram_profile,
-    qgrams,
-    shares_enough_qgrams,
 )
 from repro.editdist.string_ed import string_edit_distance, string_edit_distance_bounded
 from repro.editdist.variants import constrained_edit_distance, selkow_edit_distance
@@ -56,13 +47,6 @@ __all__ = [
     "constrained_edit_distance",
     "alignment_distance",
     "string_edit_distance_bounded",
-    "qgrams",
-    "qgram_profile",
-    "qgram_overlap",
-    "qgram_distance",
-    "qgram_lower_bound",
-    "shares_enough_qgrams",
-    "positional_qgrams",
     "size_lower_bound",
     "label_lower_bound",
     "naive_upper_bound",

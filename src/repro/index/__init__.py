@@ -16,8 +16,8 @@ store):
 They plug into :func:`~repro.search.range_query.range_query`,
 :func:`~repro.search.knn.knn_query`,
 :func:`~repro.search.tiered_knn.tiered_knn_query` and the serving layer
-as ``candidate_source`` values (``vptree`` / ``ifi``), next to ``loop``
-and ``vectorized``; see ``docs/INDEXING.md``.
+as ``candidate_source`` values (``vptree`` / ``ifi``), next to
+``vectorized``; see ``docs/INDEXING.md``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ __all__ = [
 INDEX_KINDS = ("vptree", "ifi")
 
 #: Every pluggable ``candidate_source`` value the serving layer accepts.
-CANDIDATE_SOURCES = ("auto", "loop", "vectorized") + INDEX_KINDS
+CANDIDATE_SOURCES = ("auto", "vectorized") + INDEX_KINDS
 
 
 def build_candidate_index(

@@ -20,8 +20,7 @@ layer's :class:`~repro.service.metrics.ServiceMetrics` builds its private
 registry by default and can be pointed at the global one.
 
 :class:`HistogramState` is the single-series histogram engine (log-bucketed
-counts with interpolated percentiles); the service layer's
-``LatencyHistogram`` is the same class with the default latency buckets.
+counts with interpolated percentiles).
 """
 
 from __future__ import annotations

@@ -4,9 +4,7 @@ Range queries, optimal multi-step k-NN (Algorithm 2), similarity joins,
 sequential-scan baselines and search statistics.
 """
 
-from repro.search.approximate import approximate_knn_query
 from repro.search.database import TreeDatabase
-from repro.search.io_model import DiskModel, IOEstimate
 from repro.search.join import similarity_join, similarity_self_join
 from repro.search.knn import knn_query
 from repro.search.range_query import range_query
@@ -23,13 +21,10 @@ __all__ = [
     "range_query",
     "knn_query",
     "tiered_knn_query",
-    "approximate_knn_query",
     "sequential_range_query",
     "sequential_knn_query",
     "distance_matrix",
     "similarity_self_join",
     "similarity_join",
     "SearchStats",
-    "DiskModel",
-    "IOEstimate",
 ]

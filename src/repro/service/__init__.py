@@ -7,7 +7,8 @@ package turns them into a *service*:
   over :class:`~repro.search.database.TreeDatabase` with a bounded LRU
   result cache, a shared prepared-tree cache, and batch fan-out;
 * :class:`~repro.service.metrics.ServiceMetrics` — process-local counters
-  and latency histograms with a JSON snapshot export;
+  and latency histograms recorded into a metrics registry, with a
+  plain-``dict`` snapshot view;
 * :mod:`~repro.service.workload` — a deterministic synthetic traffic
   generator and replay driver (``repro serve-bench``).
 
@@ -16,12 +17,13 @@ on these interfaces.
 """
 
 from repro.service.engine import QueryRequest, TreeSearchService
-from repro.service.metrics import LatencyHistogram, ServiceMetrics, percentile
+from repro.service.metrics import ServiceMetrics
 from repro.service.workload import (
     WorkloadReport,
     WorkloadSpec,
     format_report,
     generate_workload,
+    percentile,
     replay,
 )
 
@@ -29,7 +31,6 @@ __all__ = [
     "TreeSearchService",
     "QueryRequest",
     "ServiceMetrics",
-    "LatencyHistogram",
     "percentile",
     "WorkloadSpec",
     "WorkloadReport",

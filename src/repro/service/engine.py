@@ -43,7 +43,7 @@ Examples
 >>> [index for index, _ in matches]
 [0, 1]
 >>> matches, _ = service.range(parse_bracket("a(b,c)"), 1)  # cache hit
->>> service.metrics.cache_hits
+>>> service.metrics.snapshot()["cache"]["hits"]
 1
 """
 
@@ -153,7 +153,7 @@ class _ResultCache:
 
     def __init__(self, maxsize: int) -> None:
         if maxsize < 0:
-            raise ValueError(f"cache size must be >= 0, got {maxsize}")
+            raise InvalidParameterError(f"cache size must be >= 0, got {maxsize}")
         self.maxsize = maxsize
         self._lock = threading.Lock()
         self._entries: "OrderedDict[CacheKey, _CacheEntry]" = OrderedDict()
@@ -236,17 +236,17 @@ class TreeSearchService:
         Optional externally owned :class:`ServiceMetrics` (e.g. one shared
         by several services); a private instance is created by default.
     candidate_source:
-        How the filter stage generates candidates: ``"loop"`` — the pure
-        per-candidate reference path; ``"vectorized"`` — corpus-level
-        matrix kernels (requires a feature-store-backed database, raises
-        otherwise); ``"vptree"`` / ``"ifi"`` — sublinear candidate
-        generation through a :mod:`repro.index` metric index
+        How the filter stage generates candidates: ``"vectorized"`` —
+        corpus-level matrix kernels (requires a feature-store-backed
+        database, raises otherwise); ``"vptree"`` / ``"ifi"`` — sublinear
+        candidate generation through a :mod:`repro.index` metric index
         (VP-tree / extended inverted file; both require a feature store),
         with the vectorized cascade running over the index's candidate
         ball; ``"auto"`` (default) — vectorized when the database has a
-        feature store, loop otherwise.  Answers are bit-identical across
-        all sources and refined counts never exceed the vectorized path's
-        (pinned by the ``search:vectorized-equivalence`` and
+        feature store, the per-candidate path otherwise.  Answers are
+        bit-identical across all sources and refined counts never exceed
+        the vectorized path's (pinned by the
+        ``search:vectorized-equivalence`` and
         ``search:index-completeness`` oracles).
     """
 
@@ -260,31 +260,30 @@ class TreeSearchService:
         candidate_source: str = "auto",
     ) -> None:
         if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+            raise InvalidParameterError(
+                f"max_workers must be >= 1, got {max_workers}"
+            )
         from repro.index import CANDIDATE_SOURCES, INDEX_KINDS
 
         if candidate_source not in CANDIDATE_SOURCES:
-            raise ValueError(
+            raise InvalidParameterError(
                 f"candidate_source must be one of {CANDIDATE_SOURCES}, "
                 f"got {candidate_source!r}"
             )
         self.database = database
         self.candidate_source = candidate_source
         self._index: Optional["CandidateIndex"] = None
-        if candidate_source == "loop":
-            self._matrices = None
-        else:
-            self._matrices = database.matrices()
-            if self._matrices is None and candidate_source != "auto":
-                raise InvalidParameterError(
-                    f"candidate_source={candidate_source!r} requires a "
-                    "database backed by a feature store (store-less "
-                    "prefitted filters have no matrix planes)"
-                )
-            if candidate_source in INDEX_KINDS:
-                # built eagerly so the first query does not pay for it
-                # inside the read lock; queries re-sync as needed
-                self._index = database.candidate_index(candidate_source)
+        self._matrices = database.matrices()
+        if self._matrices is None and candidate_source != "auto":
+            raise InvalidParameterError(
+                f"candidate_source={candidate_source!r} requires a "
+                "database backed by a feature store (store-less "
+                "prefitted filters have no matrix planes)"
+            )
+        if candidate_source in INDEX_KINDS:
+            # built eagerly so the first query does not pay for it
+            # inside the read lock; queries re-sync as needed
+            self._index = database.candidate_index(candidate_source)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.max_workers = max_workers
         self._cache = _ResultCache(cache_size)

@@ -8,64 +8,29 @@ phases consumed (aggregated from :class:`~repro.search.statistics.SearchStats`),
 how many candidates were refined, and a log-bucketed latency histogram per
 query kind from which percentiles are interpolated.
 
-Since PR 4 the storage is a :class:`~repro.obs.metrics.MetricsRegistry` —
-each ``ServiceMetrics`` owns a private registry by default (so independent
+The storage is a :class:`~repro.obs.metrics.MetricsRegistry` — each
+``ServiceMetrics`` owns a private registry by default (so independent
 instances never share counters) or can be pointed at a shared one (e.g. the
 process-wide :func:`~repro.obs.metrics.get_registry`), in which case several
-services' counters simply sum.  The classic attribute API
-(``metrics.cache_hits`` etc.) is preserved as read-only views over the
-instruments, and :meth:`ServiceMetrics.prometheus_text` exposes everything
-in the Prometheus text format.
-
-Everything is process-local and thread-safe; :meth:`ServiceMetrics.snapshot`
-returns a plain-``dict`` point-in-time view and :meth:`ServiceMetrics.to_json`
-serialises it, so scrapers (or the ``repro serve-bench`` CLI) never hold the
-metrics lock for longer than one shallow copy.
+services' counters simply sum.  ``ServiceMetrics`` only records; the two
+read paths are the registry itself (``metrics.registry.prometheus_text()``
+for the Prometheus text format) and :meth:`ServiceMetrics.snapshot`, a
+plain-``dict`` point-in-time view computed from the instruments.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
-from repro.obs.metrics import HistogramState, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.search.statistics import SearchStats
 
-__all__ = ["LatencyHistogram", "ServiceMetrics", "percentile"]
-
-
-def percentile(samples: Sequence[float], p: float) -> float:
-    """Exact percentile (nearest-rank) of a sample list.
-
-    ``p`` is in ``[0, 100]``; an empty sample list yields ``0.0``.  Used by
-    the workload driver where the full latency list is available.
-    """
-    if not 0 <= p <= 100:
-        raise ValueError(f"percentile must be in [0, 100], got {p}")
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, round(p / 100 * (len(ordered) - 1))))
-    return ordered[rank]
-
-
-class LatencyHistogram(HistogramState):
-    """Fixed-bucket latency histogram with interpolated percentiles.
-
-    Buckets are upper-bound-inclusive like Prometheus histograms; the last
-    bucket is implicit ``+inf``.  Percentile estimates interpolate linearly
-    inside the winning bucket, which is accurate to within a bucket width —
-    plenty for serving dashboards (the workload driver computes exact
-    percentiles from raw samples where precision matters).
-
-    Now a thin alias of :class:`~repro.obs.metrics.HistogramState` with the
-    default latency buckets; kept for backwards compatibility.
-    """
+__all__ = ["ServiceMetrics"]
 
 
 class ServiceMetrics:
-    """Thread-safe aggregate of everything a serving layer should expose.
+    """Thread-safe recorder of everything a serving layer should expose.
 
     One instance per :class:`~repro.service.engine.TreeSearchService`;
     multiple services may also share one instance (counters simply sum).
@@ -179,169 +144,64 @@ class ServiceMetrics:
             self._entries_evicted.inc(evicted)
 
     # ------------------------------------------------------------------
-    # Attribute views (the classic ServiceMetrics API)
+    # View
     # ------------------------------------------------------------------
-    @property
-    def queries_by_kind(self) -> Dict[str, int]:
-        """Queries served per kind (a fresh dict, safe to mutate)."""
-        return {key[0]: int(value) for key, value in self._queries.values().items()}
+    def snapshot(self) -> Dict[str, Any]:
+        """Point-in-time view as a plain JSON-serialisable dict.
 
-    @property
-    def cache_hits(self) -> int:
-        return int(self._cache_hits.value())
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self._cache_misses.value())
-
-    @property
-    def batches(self) -> int:
-        return int(self._batches.value())
-
-    @property
-    def dataset_objects_considered(self) -> int:
-        return int(self._objects.value())
-
-    @property
-    def candidates_examined(self) -> int:
-        return int(self._candidates.value())
-
-    @property
-    def results_returned(self) -> int:
-        return int(self._results.value())
-
-    def _phase_total(self, phase: str) -> float:
-        return sum(
-            value
-            for (value_phase, _), value in self._phase_seconds.values().items()
-            if value_phase == phase
-        )
-
-    @property
-    def filter_seconds(self) -> float:
-        """Total filtering CPU seconds across every query kind."""
-        return self._phase_total("filter")
-
-    @property
-    def refine_seconds(self) -> float:
-        """Total refinement CPU seconds across every query kind."""
-        return self._phase_total("refine")
-
-    def seconds_by_kind(self) -> Dict[str, Dict[str, float]]:
-        """Filter/refine/total CPU seconds broken down per query kind."""
-        breakdown: Dict[str, Dict[str, float]] = {}
-        for (phase, kind), value in sorted(self._phase_seconds.values().items()):
-            entry = breakdown.setdefault(kind, {"filter": 0.0, "refine": 0.0})
-            entry[phase] = value
-        for entry in breakdown.values():
-            entry["total"] = entry["filter"] + entry["refine"]
-        return breakdown
-
-    @property
-    def invalidations(self) -> int:
-        return int(self._invalidations.value())
-
-    @property
-    def cache_entries_retained(self) -> int:
-        return int(self._entries_retained.value())
-
-    @property
-    def cache_entries_evicted(self) -> int:
-        return int(self._entries_evicted.value())
-
-    @property
-    def _latency(self) -> Dict[str, HistogramState]:
-        """Per-kind latency series (kept for backwards compatibility)."""
-        return {
-            key[0]: state
-            for key, state in self._latency_histogram.states().items()
-        }
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    @property
-    def queries_served(self) -> int:
-        """Total queries served across all kinds."""
-        return sum(self.queries_by_kind.values())
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Result-cache hit rate over all served queries (0 when idle)."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def snapshot(self) -> Dict[str, object]:
-        """Point-in-time view as a plain JSON-serialisable dict."""
+        Hit rate and accessed percentage are 0 while idle; filter/refine
+        seconds are broken down per query kind under ``seconds.by_kind``
+        and summed across kinds in ``seconds.filter`` / ``seconds.refine``.
+        """
         with self._lock:
+            queries_by_kind = {
+                labels[0]: int(count)
+                for labels, count in self._queries.values().items()
+            }
+            hits = int(self._cache_hits.value())
+            misses = int(self._cache_misses.value())
+            considered = int(self._objects.value())
+            candidates = int(self._candidates.value())
+            by_kind: Dict[str, Dict[str, float]] = {}
+            for (phase, kind), seconds in sorted(
+                self._phase_seconds.values().items()
+            ):
+                entry = by_kind.setdefault(kind, {"filter": 0.0, "refine": 0.0})
+                entry[phase] = seconds
+            for entry in by_kind.values():
+                entry["total"] = entry["filter"] + entry["refine"]
+            filter_seconds = sum(entry["filter"] for entry in by_kind.values())
+            refine_seconds = sum(entry["refine"] for entry in by_kind.values())
             return {
-                "queries_served": self.queries_served,
-                "queries_by_kind": self.queries_by_kind,
-                "batches": self.batches,
+                "queries_served": sum(queries_by_kind.values()),
+                "queries_by_kind": queries_by_kind,
+                "batches": int(self._batches.value()),
                 "cache": {
-                    "hits": self.cache_hits,
-                    "misses": self.cache_misses,
-                    "hit_rate": self.cache_hit_rate,
-                    "invalidations": self.invalidations,
-                    "entries_retained": self.cache_entries_retained,
-                    "entries_evicted": self.cache_entries_evicted,
+                    "hits": hits,
+                    "misses": misses,
+                    "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+                    "invalidations": int(self._invalidations.value()),
+                    "entries_retained": int(self._entries_retained.value()),
+                    "entries_evicted": int(self._entries_evicted.value()),
                 },
                 "work": {
-                    "dataset_objects_considered": self.dataset_objects_considered,
-                    "candidates_examined": self.candidates_examined,
-                    "results_returned": self.results_returned,
+                    "dataset_objects_considered": considered,
+                    "candidates_examined": candidates,
+                    "results_returned": int(self._results.value()),
                     "accessed_percentage": (
-                        100.0
-                        * self.candidates_examined
-                        / self.dataset_objects_considered
-                        if self.dataset_objects_considered
-                        else 0.0
+                        100.0 * candidates / considered if considered else 0.0
                     ),
                 },
                 "seconds": {
-                    "filter": self.filter_seconds,
-                    "refine": self.refine_seconds,
-                    "total": self.filter_seconds + self.refine_seconds,
-                    "by_kind": self.seconds_by_kind(),
+                    "filter": filter_seconds,
+                    "refine": refine_seconds,
+                    "total": filter_seconds + refine_seconds,
+                    "by_kind": by_kind,
                 },
                 "latency": {
-                    kind: histogram.to_dict()
-                    for kind, histogram in sorted(self._latency.items())
+                    labels[0]: state.to_dict()
+                    for labels, state in sorted(
+                        self._latency_histogram.states().items()
+                    )
                 },
             }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """:meth:`snapshot` serialised as JSON."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def prometheus_text(self) -> str:
-        """This instance's instruments in the Prometheus text format.
-
-        Convenience passthrough to the backing registry — note a *shared*
-        registry exposes every instrument registered in it, not just this
-        service's.
-        """
-        return self.registry.prometheus_text()
-
-    def reset(self) -> None:
-        """Zero every counter and histogram owned by this instance.
-
-        Only this service's instruments are reset; unrelated instruments in
-        a shared registry are untouched.
-        """
-        with self._lock:
-            for instrument in (
-                self._queries,
-                self._cache_hits,
-                self._cache_misses,
-                self._batches,
-                self._objects,
-                self._candidates,
-                self._results,
-                self._phase_seconds,
-                self._invalidations,
-                self._entries_retained,
-                self._entries_evicted,
-                self._latency_histogram,
-            ):
-                instrument.reset()

@@ -20,6 +20,7 @@ the answers are not).
 from __future__ import annotations
 
 import contextvars
+import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,10 +29,38 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import QueryError
 from repro.service.engine import QueryRequest, TreeSearchService
-from repro.service.metrics import percentile
 from repro.trees.node import TreeNode
 
-__all__ = ["WorkloadSpec", "WorkloadReport", "generate_workload", "replay", "format_report"]
+__all__ = [
+    "WorkloadSpec",
+    "WorkloadReport",
+    "generate_workload",
+    "replay",
+    "format_report",
+    "percentile",
+]
+
+
+def percentile(samples: Sequence[float], p: float) -> float:
+    """Exact nearest-rank percentile of a sample list.
+
+    The smallest sample with at least ``p`` percent of the samples at or
+    below it.  ``p`` is in ``[0, 100]``; an empty sample list yields
+    ``0.0``.  The rank is ``ceil(p * n / 100)``, dividing last: for an
+    integer ``p`` the product ``p * n`` is exact, whereas ``p / 100 * n``
+    can land a hair above an integer and ceil one rank too far.
+
+    >>> percentile([1, 2, 3, 4], 50)
+    2
+    >>> percentile(range(1, 101), 90)
+    90
+    """
+    if not 0 <= p <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {p}")
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    return ordered[max(1, math.ceil(p * len(ordered) / 100)) - 1]
 
 
 @dataclass(frozen=True)

@@ -230,9 +230,9 @@ class ShardedTreeService:
         called explicitly.
     candidate_source:
         Forwarded to every worker (and to the ``shards=1`` delegate):
-        ``"loop"`` keeps the per-candidate reference path, ``"vectorized"``
-        /``"auto"`` run each shard's filter cascade over the matrix planes
-        it scatters zero-copy out of its shared-memory columns;
+        ``"vectorized"``/``"auto"`` run each shard's filter cascade over
+        the matrix planes it scatters zero-copy out of its shared-memory
+        columns;
         ``"vptree"``/``"ifi"`` additionally build a shard-local
         :mod:`repro.index` candidate index over the attached store, so
         range scatters prune branch-disjoint rows before the cascade and
@@ -793,35 +793,24 @@ class ShardedTreeService:
             from repro.perf.resources import rss_bytes  # local: perf builds on obs
 
             # the engine runs a fresh per-query counter (race-free `calls`),
-            # so the database counter stays 0 — the metrics counter of
+            # so the database counter stays 0 — the metrics count of
             # refined candidates is the accurate equivalent, and the phase
-            # counters give the same per-stage seconds the workers report
-            metrics = self.metrics
-            queries = metrics._queries.values()
-            phase = metrics._phase_seconds.values()
+            # seconds are the same per-stage seconds the workers report
+            served = self.metrics.snapshot()
+            seconds = served["seconds"]
             snapshot: Dict[str, object] = {
                 "shard": 0,
                 "trees": len(database),
                 "uptime_seconds": time.monotonic() - self._started_monotonic,
                 "rss_bytes": rss_bytes(),
-                "requests": {
-                    labels[0]: int(count) for labels, count in queries.items()
-                },
-                "requests_total": int(sum(queries.values())),
+                "requests": served["queries_by_kind"],
+                "requests_total": served["queries_served"],
                 "stage_seconds": {
-                    "filter": sum(
-                        seconds
-                        for labels, seconds in phase.items()
-                        if labels[0] == "filter"
-                    ),
-                    "refine": sum(
-                        seconds
-                        for labels, seconds in phase.items()
-                        if labels[0] == "refine"
-                    ),
+                    "filter": seconds["filter"],
+                    "refine": seconds["refine"],
                 },
                 "open_cursors": 0,
-                "distance_computations": int(metrics._candidates.value()),
+                "distance_computations": served["work"]["candidates_examined"],
             }
             self._publish_health([snapshot])
             return {"shards": [snapshot], "warnings": []}

@@ -135,15 +135,12 @@ class _ShardState:
         #: (np.frombuffer over the borrowed memoryviews — no intermediate
         #: python lists); filters whose kernels need artifacts the plane
         #: does not carry (histograms) fall back per stage to the loop.
-        source = payload.get("candidate_source", "auto")
-        if source == "loop":
-            self.matrices = None
-        else:
-            self.matrices = store.matrices()
+        self.matrices = store.matrices()
         #: shard-local candidate index (vptree/ifi sources); built over the
         #: attached store, so its BDist vectors are the coordinator's rows
         from repro.index import INDEX_KINDS
 
+        source = payload.get("candidate_source", "auto")
         self.index = (
             self.db.candidate_index(source) if source in INDEX_KINDS else None
         )

@@ -64,7 +64,7 @@ class TestIndexCommands:
 
 class TestSearchRefuses:
     @pytest.mark.parametrize(
-        "source", ["auto", "loop", "vectorized", "vptree", "ifi"]
+        "source", ["auto", "vectorized", "vptree", "ifi"]
     )
     def test_search_reports_empty_dataset(self, empty_dataset, source, capsys):
         code = main(

@@ -19,7 +19,7 @@ from repro.obs.funnel import (
 from repro.obs.metrics import HistogramState
 from repro.filters.binary_branch import BinaryBranchFilter
 from repro.search.range_query import range_query
-from repro.service.metrics import percentile
+from repro.service.workload import percentile
 from repro.trees import parse_bracket
 
 

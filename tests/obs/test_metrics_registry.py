@@ -68,7 +68,20 @@ class TestHistogramState:
         data = state.to_dict()
         assert data["count"] == 3
         assert data["min_seconds"] == 0.001
+        assert state.max == 0.1
         assert json.loads(json.dumps(data)) == data
+
+    def test_empty_is_zero(self):
+        state = HistogramState()
+        assert state.mean == 0.0
+        assert state.quantile(50) == 0.0
+
+    def test_quantile_within_bucket(self):
+        state = HistogramState()
+        for _ in range(100):
+            state.record(0.005)
+        # every sample is 5 ms; any percentile must land in its bucket
+        assert state.quantile(50) == pytest.approx(0.005, rel=1.0)
 
     def test_quantiles_monotone(self):
         state = HistogramState()

@@ -75,8 +75,9 @@ class TestConcurrentQueries:
                 thread.join()
         assert not failures
         # heavy repetition must actually exercise the cache
-        assert service.metrics.cache_hits > 0
-        assert service.metrics.queries_served == THREADS * ROUNDS * len(queries)
+        snapshot = service.metrics.snapshot()
+        assert snapshot["cache"]["hits"] > 0
+        assert snapshot["queries_served"] == THREADS * ROUNDS * len(queries)
 
     def test_concurrent_batches_agree_with_ground_truth(self):
         dataset = _dataset()
@@ -145,7 +146,7 @@ class TestCachedEqualsUncached:
             warm, _ = cached_service.range(query, threshold)  # from cache
             plain, _ = uncached_service.range(query, threshold)
             assert cold == warm == plain
-            assert cached_service.metrics.cache_hits == 1
+            assert cached_service.metrics.snapshot()["cache"]["hits"] == 1
         finally:
             cached_service.close()
             uncached_service.close()

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.exceptions import QueryError
+from repro.exceptions import InvalidParameterError, QueryError
 from repro.search.database import TreeDatabase
 from repro.service import QueryRequest, TreeSearchService
 from repro.trees import parse_bracket
@@ -56,7 +56,7 @@ class TestSingleQueries:
         with pytest.raises(QueryError, match="finite"):
             service.range(parse_bracket("a(b,c)"), threshold)
         assert len(service._cache) == 0
-        assert service.metrics.cache_misses == 0
+        assert service.metrics.snapshot()["cache"]["misses"] == 0
 
 
 class TestResultCache:
@@ -65,25 +65,25 @@ class TestResultCache:
         first, _ = service.range(query, 1)
         second, _ = service.range(query, 1)
         assert first == second
-        assert service.metrics.cache_hits == 1
-        assert service.metrics.cache_misses == 1
+        assert service.metrics.snapshot()["cache"]["hits"] == 1
+        assert service.metrics.snapshot()["cache"]["misses"] == 1
 
     def test_cache_keyed_by_canonical_form_not_identity(self, service):
         service.range(parse_bracket("a(b,c)"), 1)
         service.range(parse_bracket("a(b,c)"), 1)  # distinct object, same tree
-        assert service.metrics.cache_hits == 1
+        assert service.metrics.snapshot()["cache"]["hits"] == 1
 
     def test_cache_distinguishes_parameters(self, service):
         query = parse_bracket("a(b,c)")
         service.range(query, 1)
         service.range(query, 2)
-        assert service.metrics.cache_hits == 0
+        assert service.metrics.snapshot()["cache"]["hits"] == 0
 
     def test_cache_distinguishes_kinds(self, service):
         query = parse_bracket("a(b,c)")
         service.range(query, 2)
         service.knn(query, 2)
-        assert service.metrics.cache_hits == 0
+        assert service.metrics.snapshot()["cache"]["hits"] == 0
 
     def test_cached_answer_is_a_private_copy(self, service):
         query = parse_bracket("a(b,c)")
@@ -102,7 +102,7 @@ class TestResultCache:
         assert index == len(BRACKETS)
         assert (index, 0.0) in after
         assert len(after) == len(before) + 1
-        assert service.metrics.invalidations == 1
+        assert service.metrics.snapshot()["cache"]["invalidations"] == 1
 
     def test_zero_cache_size_disables_caching(self, database):
         with TreeSearchService(database, cache_size=0) as svc:
@@ -110,8 +110,8 @@ class TestResultCache:
             first, _ = svc.range(query, 1)
             second, _ = svc.range(query, 1)
             assert first == second
-            assert svc.metrics.cache_hits == 0
-            assert svc.metrics.cache_misses == 2
+            assert svc.metrics.snapshot()["cache"]["hits"] == 0
+            assert svc.metrics.snapshot()["cache"]["misses"] == 2
 
     def test_cache_is_lru_bounded(self, database):
         with TreeSearchService(database, cache_size=2) as svc:
@@ -152,7 +152,7 @@ class TestBatches:
 
     def test_batch_counts_in_metrics(self, service):
         service.batch_range([parse_bracket("a(b,c)")], 1)
-        assert service.metrics.batches == 1
+        assert service.metrics.snapshot()["batches"] == 1
 
 
 class TestLifecycle:
@@ -173,7 +173,10 @@ class TestLifecycle:
         assert "TreeSearchService" in repr(service)
 
     def test_rejects_bad_sizes(self, database):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             TreeSearchService(database, max_workers=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             TreeSearchService(database, cache_size=-1)
+        for source in ("loop", "bogus"):
+            with pytest.raises(InvalidParameterError, match="candidate_source"):
+                TreeSearchService(database, candidate_source=source)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.search import SearchStats
-from repro.service import LatencyHistogram, ServiceMetrics, percentile
+from repro.service import ServiceMetrics, percentile
 
 
 class TestPercentile:
@@ -18,9 +18,15 @@ class TestPercentile:
 
     def test_known_values(self):
         samples = [float(i) for i in range(1, 101)]
-        assert percentile(samples, 50) == pytest.approx(50.0, abs=1.0)
-        assert percentile(samples, 99) == pytest.approx(99.0, abs=1.0)
+        assert percentile(samples, 50) == 50.0
+        assert percentile(samples, 90) == 90.0
+        assert percentile(samples, 99) == 99.0
         assert percentile(samples, 100) == 100.0
+        # nearest rank, whatever the parity of the sample count
+        assert percentile([1, 2], 50) == 1
+        assert percentile([1, 2, 3, 4], 50) == 2
+        # 28 % of 25 samples is exactly rank 7
+        assert percentile(range(1, 26), 28) == 7
 
     def test_unsorted_input(self):
         assert percentile([3.0, 1.0, 2.0], 100) == 3.0
@@ -31,41 +37,42 @@ class TestPercentile:
 
 
 class TestLatencyHistogram:
-    def test_empty(self):
-        histogram = LatencyHistogram()
-        assert histogram.mean == 0.0
-        assert histogram.quantile(50) == 0.0
+    """The per-kind latency histogram a ``ServiceMetrics`` records into."""
+
+    def _record(self, latencies):
+        metrics = ServiceMetrics()
+        stats = SearchStats(dataset_size=10, candidates=1, results=1)
+        for latency in latencies:
+            metrics.observe_query("range", stats, latency, cache_hit=False)
+        return metrics
+
+    def _histogram(self, metrics):
+        return metrics.registry.get("repro_query_latency_seconds").state(
+            kind="range"
+        )
 
     def test_count_sum_min_max(self):
-        histogram = LatencyHistogram()
-        for value in (0.001, 0.01, 0.1):
-            histogram.record(value)
+        histogram = self._histogram(self._record((0.001, 0.01, 0.1)))
         assert histogram.total == 3
         assert histogram.sum == pytest.approx(0.111)
         assert histogram.min == 0.001
         assert histogram.max == 0.1
 
     def test_quantiles_are_monotone_and_bracketing(self):
-        histogram = LatencyHistogram()
-        for i in range(1, 200):
-            histogram.record(i / 1000.0)  # 1ms .. 199ms
+        # 1ms .. 199ms
+        histogram = self._histogram(
+            self._record([i / 1000.0 for i in range(1, 200)])
+        )
         p50, p90, p99 = (histogram.quantile(p) for p in (50, 90, 99))
         assert p50 <= p90 <= p99
         assert histogram.min <= p50 and p99 <= histogram.max
 
-    def test_quantile_within_bucket_accuracy(self):
-        histogram = LatencyHistogram()
-        for _ in range(100):
-            histogram.record(0.005)
-        # every sample is 5 ms; any percentile must land in its bucket
-        assert histogram.quantile(50) == pytest.approx(0.005, rel=1.0)
-
     def test_to_dict_is_json_serialisable(self):
-        histogram = LatencyHistogram()
-        histogram.record(0.002)
-        data = histogram.to_dict()
+        metrics = self._record((0.002,))
+        data = self._histogram(metrics).to_dict()
         assert json.loads(json.dumps(data)) == data
         assert data["count"] == 1
+        assert metrics.snapshot()["latency"]["range"] == data
 
 
 class TestServiceMetrics:
@@ -76,18 +83,20 @@ class TestServiceMetrics:
     def test_observe_miss_accumulates_work(self):
         metrics = ServiceMetrics()
         metrics.observe_query("range", self._stats(), 0.06, cache_hit=False)
-        assert metrics.queries_served == 1
-        assert metrics.candidates_examined == 10
-        assert metrics.filter_seconds == pytest.approx(0.01)
-        assert metrics.refine_seconds == pytest.approx(0.05)
+        snapshot = metrics.snapshot()
+        assert snapshot["queries_served"] == 1
+        assert snapshot["work"]["candidates_examined"] == 10
+        assert snapshot["seconds"]["filter"] == pytest.approx(0.01)
+        assert snapshot["seconds"]["refine"] == pytest.approx(0.05)
 
     def test_observe_hit_skips_work_counters(self):
         metrics = ServiceMetrics()
         metrics.observe_query("range", self._stats(), 0.06, cache_hit=False)
         metrics.observe_query("range", self._stats(), 0.0001, cache_hit=True)
-        assert metrics.cache_hit_rate == 0.5
+        snapshot = metrics.snapshot()
+        assert snapshot["cache"]["hit_rate"] == 0.5
         # the hit does not double-count filter/refine work
-        assert metrics.candidates_examined == 10
+        assert snapshot["work"]["candidates_examined"] == 10
 
     def test_snapshot_schema(self):
         metrics = ServiceMetrics()
@@ -105,21 +114,8 @@ class TestServiceMetrics:
         for key in ("count", "p50_seconds", "p90_seconds", "p99_seconds"):
             assert key in snapshot["latency"]["knn"]
 
-    def test_to_json_round_trips(self):
-        metrics = ServiceMetrics()
-        metrics.observe_query("range", self._stats(), 0.02, cache_hit=False)
-        decoded = json.loads(metrics.to_json())
-        assert decoded == metrics.snapshot()
-
-    def test_reset(self):
-        metrics = ServiceMetrics()
-        metrics.observe_query("range", self._stats(), 0.02, cache_hit=False)
-        metrics.reset()
-        assert metrics.queries_served == 0
-        assert metrics.snapshot()["latency"] == {}
-
     def test_idle_hit_rate_is_zero(self):
-        assert ServiceMetrics().cache_hit_rate == 0.0
+        assert ServiceMetrics().snapshot()["cache"]["hit_rate"] == 0.0
 
 
 class TestPerKindSeconds:
@@ -139,7 +135,7 @@ class TestPerKindSeconds:
                               cache_hit=False)
         metrics.observe_query("knn", self._stats(0.002, 0.008), 0.01,
                               cache_hit=False)
-        by_kind = metrics.seconds_by_kind()
+        by_kind = metrics.snapshot()["seconds"]["by_kind"]
         assert by_kind["range"]["filter"] == pytest.approx(0.02)
         assert by_kind["range"]["refine"] == pytest.approx(0.08)
         assert by_kind["range"]["total"] == pytest.approx(0.10)
@@ -168,7 +164,8 @@ class TestPerKindSeconds:
                               cache_hit=False)
         metrics.observe_query("range", self._stats(0.01, 0.04), 0.0001,
                               cache_hit=True)
-        assert metrics.seconds_by_kind()["range"]["filter"] == pytest.approx(0.01)
+        by_kind = metrics.snapshot()["seconds"]["by_kind"]
+        assert by_kind["range"]["filter"] == pytest.approx(0.01)
 
 
 class TestPrometheusExport:
@@ -181,7 +178,7 @@ class TestPrometheusExport:
         metrics = ServiceMetrics()
         metrics.observe_query("range", self._stats(), 0.06, cache_hit=False)
         metrics.observe_batch()
-        text = metrics.prometheus_text()
+        text = metrics.registry.prometheus_text()
         assert "# TYPE repro_queries_total counter" in text
         assert 'repro_queries_total{kind="range"} 1.0' in text
         assert 'repro_phase_seconds_total{phase="filter",kind="range"}' in text
@@ -198,14 +195,3 @@ class TestPrometheusExport:
         second.observe_query("range", self._stats(), 0.06, cache_hit=False)
         counter = registry.get("repro_queries_total")
         assert counter.value(kind="range") == 2
-
-    def test_reset_is_instance_scoped_on_shared_registry(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        metrics = ServiceMetrics(registry=registry)
-        registry.counter("unrelated_total").inc(3)
-        metrics.observe_query("range", self._stats(), 0.06, cache_hit=False)
-        metrics.reset()
-        assert metrics.queries_served == 0
-        assert registry.get("unrelated_total").value() == 3

@@ -30,9 +30,10 @@ class TestSelectiveInvalidation:
         service.add(parse_bracket("z(w(v,u),t(s,r),p,o,n)"))
         second, _ = service.range(query, 1)
         assert second == first
-        assert service.metrics.cache_hits == 1
-        assert service.metrics.cache_entries_retained == 1
-        assert service.metrics.cache_entries_evicted == 0
+        cache = service.metrics.snapshot()["cache"]
+        assert cache["hits"] == 1
+        assert cache["entries_retained"] == 1
+        assert cache["entries_evicted"] == 0
 
     def test_affected_range_entry_is_evicted_and_recomputed(self):
         service = _service(["a(b,c)", "x(y)"])
@@ -41,8 +42,9 @@ class TestSelectiveInvalidation:
         index = service.add(parse_bracket("a(b,c)"))  # exact duplicate
         matches, _ = service.range(query, 1)
         assert (index, 0.0) in matches
-        assert service.metrics.cache_hits == 0
-        assert service.metrics.cache_entries_evicted == 1
+        cache = service.metrics.snapshot()["cache"]
+        assert cache["hits"] == 0
+        assert cache["entries_evicted"] == 1
 
     def test_full_knn_entry_with_distant_add_is_retained(self):
         service = _service(["a(b,c)", "a(b,d)", "x(y)"])
@@ -51,7 +53,7 @@ class TestSelectiveInvalidation:
         service.add(parse_bracket("z(w(v,u),t(s,r),p,o,n)"))
         second, _ = service.knn(query, 2)
         assert second == first
-        assert service.metrics.cache_hits == 1
+        assert service.metrics.snapshot()["cache"]["hits"] == 1
 
     def test_knn_entry_improved_by_add_is_evicted(self):
         """A new tree closer than the k-th neighbor must enter the answer."""
@@ -61,7 +63,8 @@ class TestSelectiveInvalidation:
         assert first[-1][1] > 1  # the 2nd neighbor is far from the query
         index = service.add(parse_bracket("a(e,c)"))  # closer than that
         second, _ = service.knn(query, 2)
-        assert service.metrics.cache_hits == 0  # entry could not be proven safe
+        # the entry could not be proven safe
+        assert service.metrics.snapshot()["cache"]["hits"] == 0
         assert {i for i, _ in second} == {0, index}
 
     def test_knn_entry_with_close_add_is_evicted(self):
@@ -90,7 +93,7 @@ class TestSelectiveInvalidation:
         index = service.database.add(parse_bracket("a(b,c)"))  # bypass
         matches, _ = service.range(query, 1)
         assert (index, 0.0) in matches
-        assert service.metrics.cache_hits == 0
+        assert service.metrics.snapshot()["cache"]["hits"] == 0
 
     def test_retained_entries_equal_cold_queries_after_add(self):
         """Every entry surviving an add answers exactly like a cold database."""
@@ -106,7 +109,7 @@ class TestSelectiveInvalidation:
             else:
                 service.knn(query, parameter)
         service.add(parse_bracket("z(w(v,u),t(s,r),p,o,n)"))
-        assert service.metrics.cache_entries_retained > 0
+        assert service.metrics.snapshot()["cache"]["entries_retained"] > 0
         cold = TreeDatabase(list(service.database.trees))
         for (kind, bracket, parameter), entry in service._cache._entries.items():
             # surviving entries are re-stamped to the current generation …
@@ -131,7 +134,7 @@ class TestSelectiveInvalidation:
         matches, _ = service.range(query, 1)
         assert matches == first
         assert ("poison", -1.0) not in matches
-        assert service.metrics.cache_hits == 0
+        assert service.metrics.snapshot()["cache"]["hits"] == 0
 
     @given(
         forest=st.lists(trees(max_leaves=5), min_size=1, max_size=4),

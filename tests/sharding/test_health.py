@@ -154,6 +154,7 @@ class TestDelegateHealth:
     def test_single_shard_snapshot(self, trees):
         with ShardedTreeService(trees, shards=1) as service:
             service.range(trees[0], 1.0)
+            service.knn(trees[1], 2)
             health = service.health()
             assert len(health["shards"]) == 1
             snapshot = health["shards"][0]
@@ -161,6 +162,17 @@ class TestDelegateHealth:
             assert snapshot["trees"] == len(trees)
             assert snapshot["distance_computations"] >= 1
             assert health["warnings"] == []
+            served = service.metrics.snapshot()
+            assert snapshot["requests"] == {"range": 1, "knn": 1}
+            assert snapshot["requests_total"] == served["queries_served"]
+            assert snapshot["stage_seconds"] == {
+                "filter": served["seconds"]["filter"],
+                "refine": served["seconds"]["refine"],
+            }
+            assert (
+                snapshot["distance_computations"]
+                == served["work"]["candidates_examined"]
+            )
             text = service.metrics.registry.prometheus_text()
             assert 'repro_shard_trees{shard="0"}' in text
 

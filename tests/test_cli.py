@@ -28,6 +28,14 @@ class TestParser:
                 ["search", "f", "--query", "a", "--range", "1", "--knn", "2"]
             )
 
+    @pytest.mark.parametrize("command", ["search", "serve-bench"])
+    def test_loop_candidate_source_rejected(self, command):
+        args = [command, "f", "--candidate-source", "loop"]
+        if command == "search":
+            args += ["--query", "a", "--knn", "1"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(args)
+
 
 class TestDistanceCommands:
     def test_distance(self, capsys):
@@ -524,3 +532,20 @@ class TestMetricsShards:
         assert 'repro_shard_trees{shard="0"}' in out
         assert 'repro_shard_trees{shard="1"}' in out
         assert "repro_shard_stage_seconds" in out
+
+    def test_single_shard_dump_serves_matrix_planes(
+        self, dataset_file, monkeypatch, capsys
+    ):
+        import repro.service
+
+        served = []
+
+        class RecordingService(repro.service.TreeSearchService):
+            def __init__(self, database, **kwargs):
+                super().__init__(database, **kwargs)
+                served.append(database)
+
+        monkeypatch.setattr(repro.service, "TreeSearchService", RecordingService)
+        assert main(["metrics", "dump", dataset_file, "--queries", "6"]) == 0
+        assert len(served) == 1
+        assert served[0].matrices() is not None
