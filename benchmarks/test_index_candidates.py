@@ -1,20 +1,18 @@
-"""Candidate-generation work across the four sources.
+"""Candidate-generation work across the three sources.
 
-Not a paper figure — a harness entry for the sublinear candidate
-indexes (`repro.index`).  The same selective range-query stream is
-answered four ways over the same fitted filter:
+Not a paper figure — a harness entry for the sublinear candidate index
+(`repro.index`).  The same selective range-query stream is answered
+three ways over the same fitted filter:
 
 * **loop** / **vectorized**: both consult every corpus row per query
   (one in Python, one through the matrix planes);
-* **vptree**: the BDist metric tree prunes whole subtrees via the
-  triangle inequality;
 * **ifi**: the extended inverted file touches only the posting lists of
   the query's own branches plus a norm-sorted prefix.
 
 The assertions encode the subsystem's contract: answers and refined
 candidates bit-identical to the loop reference, and — the sublinearity
-headline — both index sources examine **< 50 % of the corpus rows** per
-query at selective thresholds on the 5000-tree corpus.  The
+headline — the index examines **< 50 % of the corpus rows** per query
+at selective thresholds on the 5000-tree corpus.  The
 `search:index-completeness` oracle checks exactness across far more
 configurations; this driver pins the *work saved*.
 """
@@ -77,8 +75,7 @@ def test_index_candidate_pruning(benchmark):
         streams = {
             "loop": {},
             "vectorized": {"matrices": matrices},
-            "vptree": {"index": database.candidate_index("vptree")},
-            "ifi": {"index": database.candidate_index("ifi")},
+            "ifi": {"index": database.candidate_index()},
         }
         reference = None
         for source, kwargs in streams.items():
@@ -95,17 +92,16 @@ def test_index_candidate_pruning(benchmark):
                 f"{size:>6}  {source:<10}  {examined / QUERY_COUNT:>14.1f}  "
                 f"{fraction:>8.1%}  {candidates:>7}  {seconds:>8.3f}"
             )
-            if size == SIZES[-1] and source == "vptree":
+            if size == SIZES[-1] and source == "ifi":
                 rerun = (trees, queries, kwargs)
 
     save_report("index_candidates", "\n".join(lines))
 
-    for kind in ("vptree", "ifi"):
-        fraction = fractions[(SIZES[-1], kind)]
-        assert fraction < MAX_EXAMINED_FRACTION, (
-            f"{kind} examined {fraction:.1%} of the {SIZES[-1]}-tree corpus "
-            f"(sublinearity claim needs < {MAX_EXAMINED_FRACTION:.0%})"
-        )
+    fraction = fractions[(SIZES[-1], "ifi")]
+    assert fraction < MAX_EXAMINED_FRACTION, (
+        f"ifi examined {fraction:.1%} of the {SIZES[-1]}-tree corpus "
+        f"(sublinearity claim needs < {MAX_EXAMINED_FRACTION:.0%})"
+    )
 
     trees, queries, kwargs = rerun
     benchmark.pedantic(

@@ -10,8 +10,8 @@ Commands
 ``search``     range or k-NN query over a dataset file
 ``features``   build (``features build``) or inspect (``features stats``)
                a dataset's shared feature plane
-``index``      build (``index build``) or inspect (``index stats``) a
-               sublinear candidate-index sidecar over a feature plane
+``index``      inspect (``index stats``) the inverted-file candidate
+               index built over a feature plane
 ``serve-bench``  replay synthetic query traffic through TreeSearchService
 ``bench``      run (``bench run``) the declared perf-ledger suite to a
                ``BENCH_<n>.json`` record, or diff two records with
@@ -41,7 +41,7 @@ from repro.filters import (
     HistogramFilter,
     TraversalStringFilter,
 )
-from repro.index import CANDIDATE_SOURCES, INDEX_KINDS
+from repro.index import CANDIDATE_SOURCES
 from repro.search import knn_query, range_query, similarity_self_join
 from repro.sharding.partition import PARTITIONERS
 from repro.storage import load_forest, load_xml_directory, save_forest
@@ -138,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(CANDIDATE_SOURCES),
         default="auto",
         help="candidate generation path: 'vectorized' runs the filter "
-        "cascade over corpus-level matrix planes, 'vptree'/'ifi' prune "
-        "candidates through a BDist metric index first, 'auto' vectorizes "
+        "cascade over corpus-level matrix planes, 'ifi' prunes "
+        "candidates through the BDist inverted file first, 'auto' vectorizes "
         "when a feature store is available and scores per candidate "
         "otherwise",
     )
@@ -207,35 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     index_cmd = commands.add_parser(
         "index",
-        help="build or inspect a sublinear candidate-index sidecar "
-        "(<plane>.index.json) over a feature plane",
+        help="inspect the inverted-file candidate index over a feature plane",
     )
     index_commands = index_cmd.add_subparsers(dest="index_command", required=True)
-    index_build = index_commands.add_parser(
-        "build",
-        help="build a candidate index over a feature-plane JSON and "
-        "persist its sidecar next to the plane",
-    )
-    index_build.add_argument(
-        "file", help="feature-plane JSON file (see `features build`)"
-    )
-    index_build.add_argument(
-        "--kind", choices=list(INDEX_KINDS), default="vptree"
-    )
-    index_build.add_argument(
-        "--q",
-        type=int,
-        default=None,
-        help="branch level to index (default: the plane's first level)",
-    )
     index_stats = index_commands.add_parser(
         "stats",
-        help="structural counters of the index over a feature-plane JSON "
-        "(restored from the sidecar when present and fresh, else built)",
+        help="structural counters of the inverted file built over a "
+        "feature-plane JSON",
     )
-    index_stats.add_argument("file", help="feature-plane JSON file")
     index_stats.add_argument(
-        "--kind", choices=list(INDEX_KINDS), default="vptree"
+        "file", help="feature-plane JSON file (see `features build`)"
     )
     index_stats.add_argument(
         "--q",
@@ -294,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(CANDIDATE_SOURCES),
         default="auto",
         help="candidate generation path for the service (and each shard "
-        "worker): 'vectorized' matrix cascade, 'vptree'/'ifi' "
-        "metric-index pruning, 'auto' vectorize when possible",
+        "worker): 'vectorized' matrix cascade, 'ifi' "
+        "inverted-file pruning, 'auto' vectorize when possible",
     )
     serve_bench.add_argument(
         "--json",
@@ -723,8 +704,8 @@ def _cmd_search(args) -> int:
                     )
                     return 2
                 index = (
-                    database.candidate_index(args.candidate_source)
-                    if args.candidate_source in INDEX_KINDS
+                    database.candidate_index()
+                    if args.candidate_source == "ifi"
                     else None
                 )
                 flt = database.filter
@@ -807,23 +788,9 @@ def _cmd_features(args) -> int:
 
 def _cmd_index(args) -> int:
     from repro.features import load_feature_plane
-    from repro.index import build_candidate_index
-    from repro.index.io import load_index_sidecar, save_index_sidecar
+    from repro.index import ExtendedInvertedFile
 
-    store = load_feature_plane(args.file)
-    if args.index_command == "build":
-        index = build_candidate_index(args.kind, store, args.q)
-        sidecar = save_index_sidecar(index, args.file)
-        print(
-            f"wrote {index.kind} index over {len(index)} trees "
-            f"(q={index.q}) to {sidecar}"
-        )
-        return 0
-    index = load_index_sidecar(store, args.file, kind=args.kind)
-    restored = index is not None
-    if index is None:
-        index = build_candidate_index(args.kind, store, args.q)
-    print(f"restored_from_sidecar: {restored}")
+    index = ExtendedInvertedFile(load_feature_plane(args.file), args.q)
     for key, value in index.stats().items():
         print(f"{key}: {value}")
     return 0

@@ -67,12 +67,12 @@ PathLike = Union[str, os.PathLike]
 def sidecar_fallback(sidecar: str, reason: str) -> None:
     """Record that a sidecar was ignored in favour of a lazy rebuild.
 
-    Sidecars (the ``.matrices.npz`` dense planes, the ``.index.json``
-    candidate index) are strictly accelerators: a corrupt or stale one is
-    skipped, never fatal.  That degradation must still be *observable* —
-    this bumps ``repro_sidecar_fallback_total{sidecar,reason}`` on the
-    process-wide registry so a fleet silently rebuilding on every load
-    shows up on dashboards instead of only in latency.
+    Sidecars (the ``.matrices.npz`` dense planes) are strictly
+    accelerators: a corrupt or stale one is skipped, never fatal.  That
+    degradation must still be *observable* — this bumps
+    ``repro_sidecar_fallback_total{sidecar,reason}`` on the process-wide
+    registry so a fleet silently rebuilding on every load shows up on
+    dashboards instead of only in latency.
     """
     from repro.obs.metrics import get_registry
 

@@ -1,167 +1,12 @@
-"""Candidate-generation indexes over BDist vectors — the shared contract.
+"""The candidate-index name the benchmark harness imports.
 
-The filter stage of :func:`repro.search.range_query.range_query` scores
-every database row, even vectorized (PR 7 made the scoring ~7.6× faster,
-but it is still Θ(corpus)).  A *candidate index* makes the generation step
-sublinear: it returns, for a range query, exactly the rows whose binary
-branch distance ``BDist = L1(branch counts)`` fits the query's budget
-``factor·τ`` (``factor = 4(q−1)+1``, Theorem 3.2), touching provably
-irrelevant rows never (inverted file) or only through whole-subtree bounds
-(VP-tree).  Both concrete indexes in this package share one contract:
-
-* ``range_rows(vector, budget)`` — the **exact** BDist ball: every row
-  with ``L1(vector, row) ≤ budget``, in ascending row order, and no row
-  beyond it.  Exactness keeps the downstream funnel deterministic: the
-  filter cascade then runs over the ball only, and answers match the
-  sequential scan because ``BDist > factor·τ ⟹ EDist > τ`` refutes every
-  row outside the ball regardless of the filter in front.
-* ``ascending(vector)`` — a lazy stream of ``(L1, row)`` pairs in
-  non-decreasing L1 order, the raw material for index-accelerated k-NN
-  (see :mod:`repro.index.ordering`).
-* ``sync()`` — generation-stamped catch-up with the backing
-  :class:`~repro.features.store.FeatureStore`: the store is append-only,
-  so syncing installs exactly the rows added since the last sync and
-  re-stamps the index with the store's generation counter.
-
-Soundness rests on the ``metric:bdist`` oracle: BDist is a metric
-(symmetry, identity, triangle inequality), which is precisely what the
-VP-tree's subtree pruning and the inverted file's norm bound require.
+The extended inverted file is the only candidate index, so the contract
+and its implementation are one class; this module keeps the published
+``repro.index.base.CandidateIndex`` import path pointing at it.
 """
 
 from __future__ import annotations
 
-import threading
-from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Tuple
-
-from repro.core.qlevel import qlevel_bound_factor
-from repro.features.packed import PackedVector
-from repro.features.store import FeatureStore
-from repro.trees.node import TreeNode
+from repro.index.inverted import ExtendedInvertedFile as CandidateIndex
 
 __all__ = ["CandidateIndex"]
-
-
-class CandidateIndex(ABC):
-    """Base of the BDist candidate indexes (VP-tree, extended IFI).
-
-    Parameters
-    ----------
-    store:
-        The feature plane the index is built over.  The index keeps a
-        reference and reads packed vectors at level :attr:`q` from it;
-        rows are identified by store position, matching database indices.
-    q:
-        Branch level to index (default: the store's first level).
-
-    Attributes
-    ----------
-    q / factor:
-        The indexed branch level and its bound factor ``4(q−1)+1``.
-    last_examined:
-        Rows whose vectors the most recent ``range_rows`` call actually
-        touched (distance computations + posting hits) — the sublinearity
-        measure the candidate-sources benchmark records.
-    """
-
-    #: Registry spelling of the concrete index ("vptree" / "ifi").
-    kind: str = "abstract"
-
-    def __init__(self, store: FeatureStore, q: Optional[int] = None) -> None:
-        self._store = store
-        self.q = q if q is not None else store.q_levels[0]
-        if self.q not in store.q_levels:
-            from repro.exceptions import InvalidParameterError
-
-            raise InvalidParameterError(
-                f"index q={self.q} not extracted by the store "
-                f"(levels: {store.q_levels})"
-            )
-        self.factor = qlevel_bound_factor(self.q)
-        #: rows installed so far (store prefix length at the last sync);
-        #: a sidecar restore pre-installs a prefix (see _preinstalled)
-        self._built = self._preinstalled()
-        #: the store generation the index was last synced against
-        self._generation = store.generation
-        self._sync_lock = threading.Lock()
-        self.last_examined = 0
-        self.sync()
-
-    def _preinstalled(self) -> int:
-        """Rows already installed before ``__init__`` runs (sidecar restore)."""
-        return 0
-
-    # ------------------------------------------------------------------
-    # Store synchronisation
-    # ------------------------------------------------------------------
-    def stale(self) -> bool:
-        """Whether the backing store has rows this index has not seen."""
-        return (
-            self._built != len(self._store)
-            or self._generation != self._store.generation
-        )
-
-    def sync(self) -> int:
-        """Install every store row added since the last sync.
-
-        Returns the number of rows installed.  The store is append-only,
-        so catching up is incremental: rows ``[built, len(store))`` are
-        inserted one by one (VP-tree leaf-bucket insertion / posting
-        appends) and the index is re-stamped with the store's generation.
-        Thread safety: concurrent ``sync`` calls are serialised; callers
-        that interleave ``sync`` with reads must hold their own exclusion
-        (the service's writer lock does).
-        """
-        with self._sync_lock:
-            installed = 0
-            while self._built < len(self._store):
-                self._insert_row(self._built)
-                self._built += 1
-                installed += 1
-            self._generation = self._store.generation
-            return installed
-
-    def __len__(self) -> int:
-        return self._built
-
-    # ------------------------------------------------------------------
-    # Query-side helpers
-    # ------------------------------------------------------------------
-    def pack(self, query: TreeNode) -> PackedVector:
-        """The query's packed branch vector at the indexed level.
-
-        Interning is read-only (unseen branches go to the vector's
-        ``extra`` map), so packing is safe on concurrent read paths.
-        """
-        return self._store.pack_query(query, self.q)
-
-    def _vector(self, row: int) -> PackedVector:
-        return self._store.packed_vector(row, self.q)
-
-    def _distance(self, vector: PackedVector, row: int) -> int:
-        return vector.l1_distance(self._vector(row))
-
-    # ------------------------------------------------------------------
-    # To implement
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def _insert_row(self, row: int) -> None:
-        """Install one store row (rows arrive in ascending order)."""
-
-    @abstractmethod
-    def range_rows(self, vector: PackedVector, budget: float) -> List[int]:
-        """Exactly the rows with ``L1(vector, row) ≤ budget``, ascending."""
-
-    @abstractmethod
-    def ascending(self, vector: PackedVector) -> Iterator[Tuple[int, int]]:
-        """Lazy ``(L1, row)`` pairs in non-decreasing L1 order, all rows."""
-
-    @abstractmethod
-    def stats(self) -> Dict[str, object]:
-        """Structure counters for the CLI / diagnostics."""
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(kind={self.kind!r}, q={self.q}, "
-            f"rows={self._built})"
-        )

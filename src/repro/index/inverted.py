@@ -1,6 +1,8 @@
 """Extended inverted-file index over binary branch vectors (Alg. 1).
 
-The paper's Algorithm 1 evaluates range queries through an inverted file
+The filter stage of :func:`repro.search.range_query.range_query` scores
+every database row, even vectorized, so it is Θ(corpus).  The paper's
+Algorithm 1 makes candidate generation sublinear through an inverted file
 on binary branches: one posting list per branch dimension, each entry a
 ``(row, count)`` pair.  Merging only the posting lists of the *query's*
 dimensions computes the exact multiset overlap
@@ -22,6 +24,20 @@ a prefix of the norm-sorted row list, found by binary search.  A query
 whose budget is below ``q.total`` therefore never materializes any
 zero-overlap tree, which is the sublinearity claim of the extended IFI.
 
+The index serves three operations:
+
+* ``range_rows(vector, budget)`` — the **exact** BDist ball: every row
+  with ``L1(vector, row) ≤ budget``, in ascending row order, and no row
+  beyond it.  The budget is ``factor·τ`` (``factor = 4(q−1)+1``, Theorem
+  3.2), so ``BDist > factor·τ ⟹ EDist > τ`` refutes every row outside the
+  ball and answers match the sequential scan whatever filter runs next.
+* ``ascending(vector)`` — a lazy stream of ``(L1, row)`` pairs in
+  non-decreasing L1 order, the raw material for index-accelerated k-NN
+  (see :mod:`repro.index.ordering`).
+* ``sync()`` — generation-stamped catch-up with the backing
+  :class:`~repro.features.store.FeatureStore`: the store is append-only,
+  so syncing installs exactly the rows added since the last sync.
+
 The structure is insertion-order independent: postings are keyed by row
 id and the norm list is kept sorted, so two indexes over permuted
 insertion streams answer identically (pinned by the metamorphic tests).
@@ -30,23 +46,50 @@ insertion streams answer identically (pinned by the metamorphic tests).
 from __future__ import annotations
 
 import heapq
+import threading
 from bisect import bisect_right, insort
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.core.qlevel import qlevel_bound_factor
+from repro.exceptions import InvalidParameterError
 from repro.features.packed import PackedVector
 from repro.features.store import FeatureStore
-
-from repro.index.base import CandidateIndex
+from repro.trees.node import TreeNode
 
 __all__ = ["ExtendedInvertedFile"]
 
 
-class ExtendedInvertedFile(CandidateIndex):
-    """Posting-list candidate generation with norm bounds (``kind="ifi"``)."""
+class ExtendedInvertedFile:
+    """Posting-list candidate generation with norm bounds.
 
-    kind = "ifi"
+    Parameters
+    ----------
+    store:
+        The feature plane the index is built over.  The index keeps a
+        reference and reads packed vectors at level :attr:`q` from it;
+        rows are identified by store position, matching database indices.
+    q:
+        Branch level to index (default: the store's first level).
+
+    Attributes
+    ----------
+    q / factor:
+        The indexed branch level and its bound factor ``4(q−1)+1``.
+    last_examined:
+        Rows whose vectors the most recent ``range_rows`` call actually
+        touched (posting hits + norm-prefix rows) — the sublinearity
+        measure the candidate-sources benchmark records.
+    """
 
     def __init__(self, store: FeatureStore, q: Optional[int] = None) -> None:
+        self._store = store
+        self.q = q if q is not None else store.q_levels[0]
+        if self.q not in store.q_levels:
+            raise InvalidParameterError(
+                f"index q={self.q} not extracted by the store "
+                f"(levels: {store.q_levels})"
+            )
+        self.factor = qlevel_bound_factor(self.q)
         #: dimension id → [(row, count)] in ascending row order (rows are
         #: installed in ascending order and ids never repeat)
         self._postings: Dict[int, List[Tuple[int, int]]] = {}
@@ -55,11 +98,46 @@ class ExtendedInvertedFile(CandidateIndex):
         self._norms: List[int] = []
         #: (norm, row), kept sorted — the prefix scan for untouched rows
         self._by_norm: List[Tuple[int, int]] = []
-        super().__init__(store, q)
+        #: rows installed so far (store prefix length at the last sync)
+        self._built = 0
+        #: the store generation the index was last synced against
+        self._generation = store.generation
+        self._sync_lock = threading.Lock()
+        self.last_examined = 0
+        self.sync()
 
     # ------------------------------------------------------------------
-    # Construction
+    # Store synchronisation
     # ------------------------------------------------------------------
+    def stale(self) -> bool:
+        """Whether the backing store has rows this index has not seen."""
+        return (
+            self._built != len(self._store)
+            or self._generation != self._store.generation
+        )
+
+    def sync(self) -> int:
+        """Install every store row added since the last sync.
+
+        Returns the number of rows installed.  The store is append-only,
+        so catching up is incremental: rows ``[built, len(store))`` get
+        their postings appended and the index is re-stamped with the
+        store's generation.  Thread safety: concurrent ``sync`` calls are
+        serialised; callers that interleave ``sync`` with reads must hold
+        their own exclusion (the service's writer lock does).
+        """
+        with self._sync_lock:
+            installed = 0
+            while self._built < len(self._store):
+                self._insert_row(self._built)
+                self._built += 1
+                installed += 1
+            self._generation = self._store.generation
+            return installed
+
+    def __len__(self) -> int:
+        return self._built
+
     def _insert_row(self, row: int) -> None:
         vector = self._vector(row)
         for dim, count in zip(vector.dims, vector.counts):
@@ -70,6 +148,17 @@ class ExtendedInvertedFile(CandidateIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def pack(self, query: TreeNode) -> PackedVector:
+        """The query's packed branch vector at the indexed level.
+
+        Interning is read-only (unseen branches go to the vector's
+        ``extra`` map), so packing is safe on concurrent read paths.
+        """
+        return self._store.pack_query(query, self.q)
+
+    def _vector(self, row: int) -> PackedVector:
+        return self._store.packed_vector(row, self.q)
+
     def _overlaps(self, vector: PackedVector) -> Dict[int, int]:
         """``row → overlap`` for every row sharing a branch with ``vector``."""
         overlaps: Dict[int, int] = {}
@@ -144,11 +233,11 @@ class ExtendedInvertedFile(CandidateIndex):
         yield from heapq.merge(touched, disjoint())
 
     # ------------------------------------------------------------------
-    # Introspection / persistence
+    # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
+        """Structure counters for the CLI / diagnostics."""
         return {
-            "kind": self.kind,
             "q": self.q,
             "rows": self._built,
             "posting_lists": len(self._postings),
@@ -163,6 +252,5 @@ class ExtendedInvertedFile(CandidateIndex):
             "max_norm": self._by_norm[-1][0] if self._by_norm else 0,
         }
 
-    def structure(self) -> object:
-        """Sidecar payload — the IFI rebuilds linearly, nothing to persist."""
-        return None
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(q={self.q}, rows={self._built})"

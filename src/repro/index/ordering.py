@@ -3,7 +3,7 @@
 The k-NN search (:mod:`repro.search.knn`, the Seidl–Kriegel optimal
 multi-step algorithm) consumes database rows in ascending ``(filter
 bound, row)`` order.  The reference path materializes every bound and
-sorts; a candidate index instead yields rows in ascending *BDist* order,
+sorts; the inverted file instead yields rows in ascending *BDist* order,
 and for filters whose bound dominates the count bound —
 
     ``flt.bound(q, row) ≥ ⌈BDist(q, row) / factor⌉``
@@ -26,9 +26,9 @@ from heapq import heappop, heappush
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.features.packed import PackedVector
-from repro.index.base import CandidateIndex
+from repro.index.inverted import ExtendedInvertedFile
 
-__all__ = ["AscendingCountBounds", "OrderedBoundStream"]
+__all__ = ["OrderedBoundStream"]
 
 
 class OrderedBoundStream:
@@ -37,7 +37,7 @@ class OrderedBoundStream:
     Parameters
     ----------
     index:
-        A synced candidate index (supplies the ascending BDist stream).
+        A synced inverted file (supplies the ascending BDist stream).
     score:
         ``row → filter bound``; must dominate the count bound (the caller
         checks :attr:`~repro.filters.base.LowerBoundFilter.bdist_dominant`
@@ -55,7 +55,7 @@ class OrderedBoundStream:
 
     def __init__(
         self,
-        index: CandidateIndex,
+        index: ExtendedInvertedFile,
         score: Callable[[int], int],
         vector: PackedVector,
     ) -> None:
@@ -84,39 +84,3 @@ class OrderedBoundStream:
             if not pending:
                 return
             yield heappop(pending)
-
-
-class AscendingCountBounds:
-    """Iterate ``(⌈L1/factor⌉, row)`` in exact ``(bound, row)`` order.
-
-    The count bound is a monotone function of L1, so the index's
-    ascending stream is already sorted by it — but rows inside one
-    count-bound plateau arrive in L1-then-heap order, not row order.
-    Buffering each plateau and sorting it by row restores the reference
-    ``sorted(rows, key=(bound, row))`` sequence exactly, which is what
-    the tiered k-NN's optimal stopping and funnel accounting replay.
-    ``scored`` counts rows actually pulled off the index stream.
-    """
-
-    def __init__(self, index: CandidateIndex, vector: PackedVector) -> None:
-        self._stream = index.ascending(vector)
-        self._factor = index.factor
-        self.scored = 0
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        factor = self._factor
-        group: List[int] = []
-        group_bound = 0
-        for l1, row in self._stream:
-            bound = -(-l1 // factor)
-            if group and bound != group_bound:
-                group.sort()
-                for buffered in group:
-                    yield group_bound, buffered
-                group = []
-            group_bound = bound
-            group.append(row)
-            self.scored += 1
-        group.sort()
-        for buffered in group:
-            yield group_bound, buffered

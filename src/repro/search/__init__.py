@@ -14,13 +14,11 @@ from repro.search.sequential import (
     sequential_range_query,
 )
 from repro.search.statistics import SearchStats
-from repro.search.tiered_knn import tiered_knn_query
 
 __all__ = [
     "TreeDatabase",
     "range_query",
     "knn_query",
-    "tiered_knn_query",
     "sequential_range_query",
     "sequential_knn_query",
     "distance_matrix",

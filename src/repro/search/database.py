@@ -1,7 +1,7 @@
 """TreeDatabase — the user-facing entry point for similarity search.
 
 Bundles a tree collection, a lower-bound filter (BiBranch by default), the
-lazily built candidate indexes, and a shared edit-distance counter so
+lazily built inverted file, and a shared edit-distance counter so
 prepared trees are reused across queries.
 
 Examples
@@ -35,7 +35,7 @@ from repro.trees.node import TreeNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.features.matrix import FeatureMatrices
-    from repro.index.base import CandidateIndex
+    from repro.index.inverted import ExtendedInvertedFile
 
 __all__ = ["TreeDatabase"]
 
@@ -83,7 +83,7 @@ class TreeDatabase:
         if self.filter.size != len(self.trees):
             self._fit_filter()
         self._mutations = 0
-        self._candidate_indexes: dict = {}
+        self._candidate_index: Optional["ExtendedInvertedFile"] = None
 
     def _store_q_levels(self) -> Tuple[int, ...]:
         return self.filter.required_q_levels() or (getattr(self.filter, "q", 2),)
@@ -112,8 +112,8 @@ class TreeDatabase:
 
         One extraction pass updates the feature plane (O(|tree|)), the
         filter signature is derived from it (or computed directly for
-        store-less filters); built candidate indexes re-sync against the
-        store on their next probe.
+        store-less filters); a built candidate index re-syncs against the
+        store on its next probe.
         """
         index = len(self.trees)
         self.trees.append(tree)
@@ -165,28 +165,29 @@ class TreeDatabase:
             return self._features.generation
         return self._mutations
 
-    def candidate_index(self, kind: str) -> "CandidateIndex":
-        """The sublinear candidate index of the given kind (built lazily).
+    def candidate_index(self) -> "ExtendedInvertedFile":
+        """The inverted-file candidate index (Alg. 1, built lazily).
 
-        Requires a feature store (indexes read packed vectors from the
-        plane); built once per kind and cached.  The index stays usable
-        across :meth:`add` — the query paths re-sync it against the store
-        before every probe.
+        Requires a feature store (the index reads packed vectors from the
+        plane); built once and cached.  The index stays usable across
+        :meth:`add` — the query paths re-sync it against the store before
+        every probe.
         """
-        index = self._candidate_indexes.get(kind)
+        index = self._candidate_index
         if index is None:
             if self._features is None:
                 raise InvalidParameterError(
-                    f"candidate index {kind!r} needs a feature store; this "
+                    "the candidate index needs a feature store; this "
                     "database was built from a prefitted store-less filter"
                 )
-            from repro.index import build_candidate_index
+            from repro.index.inverted import ExtendedInvertedFile
 
             q = getattr(self.filter, "q", None)
             if q is not None and q not in self._features.q_levels:
                 q = None  # index at the store's default level instead
-            index = build_candidate_index(kind, self._features, q)
-            self._candidate_indexes[kind] = index
+            index = self._candidate_index = ExtendedInvertedFile(
+                self._features, q
+            )
         return index
 
     @property
@@ -212,7 +213,7 @@ class TreeDatabase:
     ) -> Tuple[List[Tuple[int, float]], SearchStats]:
         """Range query via inverted-file candidate generation (Alg. 1).
 
-        The ``"ifi"`` :meth:`candidate_index` merges only the postings of
+        The :meth:`candidate_index` merges only the postings of
         the query's own branches into the exact BDist ball; the filter
         cascade and refinement then run over the ball alone (see
         :func:`range_query`).  Needs a feature store, like
@@ -220,7 +221,7 @@ class TreeDatabase:
         """
         return range_query(
             self.trees, query, threshold, self.filter, self.counter,
-            index=self.candidate_index("ifi"),
+            index=self.candidate_index(),
         )
 
     def knn(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
@@ -33,9 +34,28 @@ from repro.search.statistics import SearchStats
 from repro.trees.node import TreeNode
 
 if TYPE_CHECKING:  # import cycle: repro.index builds on the search layer's deps
-    from repro.index.base import CandidateIndex
+    from repro.index.inverted import ExtendedInvertedFile
 
-__all__ = ["knn_query"]
+__all__ = ["check_k", "knn_query"]
+
+
+def check_k(k: int, dataset_size: int) -> int:
+    """``k`` as an ``int`` in ``[1, dataset_size]``, else :class:`QueryError`.
+
+    A ``bool`` or anything :func:`operator.index` refuses (``2.5``,
+    ``"3"``) is rejected rather than truncated or compared as a number.
+    """
+    if isinstance(k, bool):
+        raise QueryError(f"k must be an integer, got {k!r}")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise QueryError(f"k must be an integer, got {k!r}") from None
+    if k < 1:
+        raise QueryError(f"k must be >= 1, got {k}")
+    if k > dataset_size:
+        raise QueryError(f"k={k} exceeds the dataset size {dataset_size}")
+    return k
 
 
 def knn_query(
@@ -46,7 +66,7 @@ def knn_query(
     counter: Optional[EditDistanceCounter] = None,
     *,
     matrices: Optional[FeatureMatrices] = None,
-    index: Optional["CandidateIndex"] = None,
+    index: Optional["ExtendedInvertedFile"] = None,
 ) -> Tuple[List[Tuple[int, float]], SearchStats]:
     """The ``k`` database trees closest to ``query`` in edit distance.
 
@@ -62,9 +82,9 @@ def knn_query(
     optimal-stopping refined-candidate count cannot drift; filters
     without an exact kernel fall back to the per-candidate loop.
 
-    With ``index`` (a :class:`~repro.index.base.CandidateIndex` over the
-    same corpus) and a :attr:`~LowerBoundFilter.bdist_dominant` filter at
-    the index's q level, the ordering pass is replaced by a lazy
+    With ``index`` (an :class:`~repro.index.inverted.ExtendedInvertedFile`
+    over the same corpus) and a :attr:`~LowerBoundFilter.bdist_dominant`
+    filter at the index's q level, the ordering pass is replaced by a lazy
     reordering of the index's ascending-BDist stream
     (:class:`~repro.index.ordering.OrderedBoundStream`): rows are scored
     on demand and emitted in the **exact** reference ``(bound, row)``
@@ -73,14 +93,11 @@ def knn_query(
     consumes.  Non-dominating filters ignore the index (full ordering
     pass) — dominance is what makes lazy emission sound.
     """
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
+    k = check_k(k, len(trees))
     if flt.size != len(trees):
         raise QueryError(
             f"filter indexed {flt.size} trees but the database has {len(trees)}"
         )
-    if k > len(trees):
-        raise QueryError(f"k={k} exceeds the dataset size {len(trees)}")
     if counter is None:
         counter = EditDistanceCounter()
     stats = SearchStats(dataset_size=len(trees))
@@ -98,7 +115,7 @@ def knn_query(
         start = time.perf_counter()
         if use_index:
             assert index is not None
-            with tracing.span(f"index.{index.kind}"):
+            with tracing.span("index.ifi"):
                 index.sync()
                 from repro.index.ordering import OrderedBoundStream
 
@@ -158,9 +175,8 @@ def knn_query(
         # On the index path only `stream.scored` rows were ever bounded —
         # the stage survivors record that laziness win.
         if stream is not None:
-            assert index is not None
             order_stage = FunnelStage(
-                f"index:{index.kind}",
+                "index:ifi",
                 len(trees),
                 stream.scored,
                 stats.filter_seconds,

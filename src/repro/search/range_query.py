@@ -24,7 +24,7 @@ from repro.search.statistics import SearchStats
 from repro.trees.node import TreeNode
 
 if TYPE_CHECKING:  # import cycle: repro.index builds on the search layer's deps
-    from repro.index.base import CandidateIndex
+    from repro.index.inverted import ExtendedInvertedFile
 
 __all__ = ["range_query"]
 
@@ -37,7 +37,7 @@ def range_query(
     counter: Optional[EditDistanceCounter] = None,
     *,
     matrices: Optional[FeatureMatrices] = None,
-    index: Optional["CandidateIndex"] = None,
+    index: Optional["ExtendedInvertedFile"] = None,
 ) -> Tuple[List[Tuple[int, float]], SearchStats]:
     """All trees with ``EDist(query, tree) ≤ threshold``.
 
@@ -63,10 +63,10 @@ def range_query(
         funnel invariants; the loop below stays the reference
         implementation.
     index:
-        Optional :class:`~repro.index.base.CandidateIndex` over the same
-        corpus.  When given, candidate generation starts from the exact
+        Optional :class:`~repro.index.inverted.ExtendedInvertedFile` over
+        the same corpus.  When given, candidate generation starts from the exact
         BDist ball ``{row : BDist ≤ factor·τ}`` (one sublinear index
-        probe, reported as a leading ``index:<kind>`` funnel stage) and
+        probe, reported as a leading ``index:ifi`` funnel stage) and
         the filter cascade runs over the ball only.  Answers are
         unchanged for *any* filter: a row outside the ball has
         ``EDist > τ`` by Theorem 3.2, so restricting the cascade to the
@@ -104,7 +104,7 @@ def range_query(
         if index is not None:
             index.sync()
             with tracing.span(
-                f"index.{index.kind}", budget=index.factor * threshold
+                "index.ifi", budget=index.factor * threshold
             ) as index_span:
                 stage_start = time.perf_counter()
                 domain = index.range_rows(
@@ -119,7 +119,7 @@ def range_query(
             if observing:
                 stages.append(
                     FunnelStage(
-                        f"index:{index.kind}",
+                        "index:ifi",
                         len(trees),
                         len(domain),
                         stage_seconds,

@@ -19,6 +19,7 @@ from repro.editdist.zhang_shasha import EditDistanceCounter
 from repro.exceptions import QueryError
 from repro.obs import tracing
 from repro.obs.funnel import FilterFunnel, active_sink
+from repro.search.knn import check_k
 from repro.search.statistics import SearchStats
 from repro.trees.node import TreeNode
 
@@ -78,8 +79,7 @@ def sequential_knn_query(
     counter: Optional[EditDistanceCounter] = None,
 ) -> Tuple[List[Tuple[int, float]], SearchStats]:
     """k-NN by brute force: compute all distances, keep the k smallest."""
-    if k < 1 or k > len(trees):
-        raise QueryError(f"k must be in [1, {len(trees)}], got {k}")
+    k = check_k(k, len(trees))
     if counter is None:
         counter = EditDistanceCounter()
     stats = SearchStats(dataset_size=len(trees), candidates=len(trees))

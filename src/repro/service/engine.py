@@ -61,7 +61,7 @@ from repro.editdist.zhang_shasha import EditDistanceCounter, PreparedTreeCache
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.obs import tracing
 from repro.search.database import TreeDatabase
-from repro.search.knn import knn_query
+from repro.search.knn import check_k, knn_query
 from repro.search.range_query import range_query
 from repro.search.statistics import SearchStats
 from repro.service.metrics import ServiceMetrics
@@ -69,7 +69,7 @@ from repro.trees.node import TreeNode
 from repro.trees.parse import to_bracket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.index.base import CandidateIndex
+    from repro.index.inverted import ExtendedInvertedFile
 
 __all__ = ["QueryRequest", "TreeSearchService"]
 
@@ -238,12 +238,12 @@ class TreeSearchService:
     candidate_source:
         How the filter stage generates candidates: ``"vectorized"`` —
         corpus-level matrix kernels (requires a feature-store-backed
-        database, raises otherwise); ``"vptree"`` / ``"ifi"`` — sublinear
-        candidate generation through a :mod:`repro.index` metric index
-        (VP-tree / extended inverted file; both require a feature store),
-        with the vectorized cascade running over the index's candidate
-        ball; ``"auto"`` (default) — vectorized when the database has a
-        feature store, the per-candidate path otherwise.  Answers are
+        database, raises otherwise); ``"ifi"`` — sublinear candidate
+        generation through the :mod:`repro.index` extended inverted file
+        (requires a feature store too), with the vectorized cascade
+        running over the index's candidate ball; ``"auto"`` (default) —
+        vectorized when the database has a feature store, the
+        per-candidate path otherwise.  Answers are
         bit-identical across all sources and refined counts never exceed
         the vectorized path's (pinned by the
         ``search:vectorized-equivalence`` and
@@ -263,7 +263,7 @@ class TreeSearchService:
             raise InvalidParameterError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        from repro.index import CANDIDATE_SOURCES, INDEX_KINDS
+        from repro.index import CANDIDATE_SOURCES
 
         if candidate_source not in CANDIDATE_SOURCES:
             raise InvalidParameterError(
@@ -272,7 +272,7 @@ class TreeSearchService:
             )
         self.database = database
         self.candidate_source = candidate_source
-        self._index: Optional["CandidateIndex"] = None
+        self._index: Optional["ExtendedInvertedFile"] = None
         self._matrices = database.matrices()
         if self._matrices is None and candidate_source != "auto":
             raise InvalidParameterError(
@@ -280,10 +280,10 @@ class TreeSearchService:
                 "database backed by a feature store (store-less "
                 "prefitted filters have no matrix planes)"
             )
-        if candidate_source in INDEX_KINDS:
+        if candidate_source == "ifi":
             # built eagerly so the first query does not pay for it
             # inside the read lock; queries re-sync as needed
-            self._index = database.candidate_index(candidate_source)
+            self._index = database.candidate_index()
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.max_workers = max_workers
         self._cache = _ResultCache(cache_size)
@@ -453,6 +453,9 @@ class TreeSearchService:
     def _serve(self, request: QueryRequest) -> QueryAnswer:
         with tracing.span("service.serve", kind=request.kind) as serve_span:
             start = time.perf_counter()
+            if request.kind == "knn":
+                # before the cache: k=True must not hit the k=1 entry
+                check_k(request.k, len(self.database))
             key = self._cache_key(request)
             cached = self._cache.get(key, self.database.generation)
             if cached is not None:

@@ -48,10 +48,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import InvalidParameterError, QueryError, ShardError
 from repro.features.store import FeatureStore
-from repro.index import CANDIDATE_SOURCES, INDEX_KINDS
+from repro.index import CANDIDATE_SOURCES
 from repro.obs import tracing
 from repro.obs.funnel import FilterFunnel, FunnelStage, active_sink
 from repro.search.database import TreeDatabase
+from repro.search.knn import check_k
 from repro.search.statistics import SearchStats
 from repro.service.engine import (
     QueryRequest,
@@ -233,8 +234,8 @@ class ShardedTreeService:
         ``"vectorized"``/``"auto"`` run each shard's filter cascade over
         the matrix planes it scatters zero-copy out of its shared-memory
         columns;
-        ``"vptree"``/``"ifi"`` additionally build a shard-local
-        :mod:`repro.index` candidate index over the attached store, so
+        ``"ifi"`` additionally builds a shard-local
+        :mod:`repro.index` inverted file over the attached store, so
         range scatters prune branch-disjoint rows before the cascade and
         k-NN frontiers stream lazily off the index.  Answers and
         refined-candidate counts are identical across all sources.
@@ -326,14 +327,12 @@ class ShardedTreeService:
         )
         #: funnel stage name of the distributed k-NN ordering pass; matches
         #: the single-process ``order:<filter>`` stage for oracle parity.
-        #: On an index source with a BDist-dominant filter the workers use
-        #: the lazy frontier, so the stage mirrors the single-process
-        #: ``index:<kind>`` stage (survivors = frontier rows materialized).
-        self._index_knn = (
-            candidate_source in INDEX_KINDS and probe.bdist_dominant
-        )
+        #: On the ``ifi`` source with a BDist-dominant filter the workers
+        #: use the lazy frontier, so the stage mirrors the single-process
+        #: ``index:ifi`` stage (survivors = frontier rows materialized).
+        self._index_knn = candidate_source == "ifi" and probe.bdist_dominant
         if self._index_knn:
-            self._order_stage = f"index:{candidate_source}"
+            self._order_stage = "index:ifi"
         else:
             self._order_stage = f"order:{probe.name}"
 
@@ -580,11 +579,8 @@ class ShardedTreeService:
         )
 
     def _knn(self, query: TreeNode, k: int) -> QueryAnswer:
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
         total = len(self)
-        if k > total:
-            raise QueryError(f"k={k} exceeds the dataset size {total}")
+        k = check_k(k, total)
         bracket = to_bracket(query)
         sink = active_sink()
         qid = next(self._qids)

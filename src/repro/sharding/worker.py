@@ -136,14 +136,10 @@ class _ShardState:
         #: python lists); filters whose kernels need artifacts the plane
         #: does not carry (histograms) fall back per stage to the loop.
         self.matrices = store.matrices()
-        #: shard-local candidate index (vptree/ifi sources); built over the
-        #: attached store, so its BDist vectors are the coordinator's rows
-        from repro.index import INDEX_KINDS
-
+        #: shard-local inverted file (ifi source); built over the attached
+        #: store, so its BDist vectors are the coordinator's rows
         source = payload.get("candidate_source", "auto")
-        self.index = (
-            self.db.candidate_index(source) if source in INDEX_KINDS else None
-        )
+        self.index = self.db.candidate_index() if source == "ifi" else None
         self.counter = EditDistanceCounter(
             UNIT_COSTS,
             cache=PreparedTreeCache(payload.get("prepared_cache_size", 4096)),

@@ -37,13 +37,13 @@ Each oracle audits one class of invariant over a
 ``search:vectorized-equivalence``
     The corpus-level matrix candidate funnel (:mod:`repro.features.matrix`)
     returns bit-identical answers and identical refined-candidate counts to
-    the per-candidate loop — per filter family, in the tiered k-NN, and
-    through vectorized shard workers — including under interleaved adds.
+    the per-candidate loop — per filter family and through vectorized
+    shard workers — including under interleaved adds.
 ``search:index-completeness``
-    Metric-index candidate generation (:mod:`repro.index` — VP-tree and
-    extended inverted file) answers exactly like the sequential scan and
-    never refines more candidates than the vectorized cascade — single
-    process and through index-pinned shard workers, under interleaved adds.
+    Inverted-file candidate generation (:mod:`repro.index`) answers
+    exactly like the sequential scan and never refines more candidates
+    than the vectorized cascade — single process and through
+    index-pinned shard workers, under interleaved adds.
 ``service:cache-transparency``
     Under interleaved add/query traffic, every answer the (caching,
     selectively-invalidating) service returns equals a cold answer
@@ -1044,7 +1044,7 @@ class ShardKnnOptimalityOracle(Oracle):
 class VectorizedEquivalenceOracle(Oracle):
     """The vectorized candidate funnel is answer- and effort-identical.
 
-    Three legs, all replaying interleaved add/query traffic so the
+    Two legs, both replaying interleaved add/query traffic so the
     incremental plane sync (row appends + vocabulary widening) is on the
     hook, not just the cold build:
 
@@ -1054,10 +1054,9 @@ class VectorizedEquivalenceOracle(Oracle):
       over :class:`~repro.features.matrix.FeatureMatrices` — and must
       return identical matches **and** an identical refined-candidate
       count (``stats.candidates``), so the matrix cascade prunes exactly
-      the loop's refutations, never more, never fewer.
-    * **tiered**: :func:`~repro.search.tiered_knn.tiered_knn_query`'s
-      cheap ordering tier vectorized vs loop — same neighbours, same
-      refined count (the ⌈L1/factor⌉ ≡ ``_count_bound`` identity).
+      the loop's refutations, never more, never fewer.  The
+      ``BiBranchCount`` family pins the ⌈L1/factor⌉ count bound this
+      way: its matrix kernel must order k-NN exactly like the loop.
     * **sharded**: a :class:`~repro.sharding.coordinator.ShardedTreeService`
       pinned to ``candidate_source="vectorized"`` (planes scattered
       zero-copy from shared memory) against a fresh loop-path reference
@@ -1092,7 +1091,6 @@ class VectorizedEquivalenceOracle(Oracle):
         from repro.search.database import TreeDatabase
         from repro.search.knn import knn_query
         from repro.search.range_query import range_query
-        from repro.search.tiered_knn import tiered_knn_query
 
         outcome = OracleOutcome(self.name)
 
@@ -1153,48 +1151,6 @@ class VectorizedEquivalenceOracle(Oracle):
                             "vectorized_candidates": fast_stats.candidates,
                         },
                     )
-
-        # --- tiered leg: count-bound tier vectorized vs loop -----------
-        shadow = list(corpus.trees)
-        flt = BinaryBranchFilter().fit(shadow)
-        store = FeatureStore(flt.required_q_levels() or (2,)).fit(shadow)
-        matrices = store.matrices()
-        queries = [pair.t2 for pair in corpus.pairs[:6]]
-        extra = corpus.trees[0]
-        for phase in ("fit", "add"):
-            if phase == "add":
-                clone = extra.clone()
-                shadow.append(clone)
-                flt.add(clone)
-                store.add(clone)
-            for query in queries:
-                for k in (1, 3):
-                    if k > len(shadow):
-                        continue
-                    outcome.checks += 1
-                    loop_answer, loop_stats = tiered_knn_query(
-                        shadow, query, k, flt
-                    )
-                    fast_answer, fast_stats = tiered_knn_query(
-                        shadow, query, k, flt, matrices=matrices
-                    )
-                    if (
-                        fast_answer != loop_answer
-                        or fast_stats.candidates != loop_stats.candidates
-                    ):
-                        record(
-                            f"tiered knn(k={k}) after {phase}: vectorized "
-                            f"tier diverged from loop",
-                            query,
-                            {
-                                "k": k,
-                                "phase": phase,
-                                "loop": loop_answer,
-                                "vectorized": fast_answer,
-                                "loop_candidates": loop_stats.candidates,
-                                "vectorized_candidates": fast_stats.candidates,
-                            },
-                        )
 
         # --- sharded leg: vectorized workers vs loop reference ----------
         from repro.sharding.coordinator import ShardedTreeService
@@ -1267,34 +1223,34 @@ class VectorizedEquivalenceOracle(Oracle):
 
 
 # ----------------------------------------------------------------------
-# search:index-completeness — metric-index candidates are exact
+# search:index-completeness — inverted-file candidates are exact
 # ----------------------------------------------------------------------
 class IndexCompletenessOracle(Oracle):
-    """Metric-index candidate generation is exact and never over-refines.
+    """Inverted-file candidate generation is exact and never over-refines.
 
-    Two legs per index kind (``vptree``, ``ifi``), both replaying the
-    interleaved add/query schedule so the generation-stamped incremental
-    sync is on the hook, not just the cold build:
+    Two legs, both replaying the interleaved add/query schedule so the
+    generation-stamped incremental sync is on the hook, not just the
+    cold build:
 
     * **single-process**: per filter family, every scheduled range query
       is answered three ways over the same fitted filter — sequential
       scan (ground truth), vectorized cascade, and index-pruned cascade.
       The index answers must equal the sequential matches exactly (the
-      triangle-inequality pruning may never drop a true result) and must
-      refine **at most** as many candidates as the vectorized path (the
-      BDist ball only shrinks the cascade's domain).  k-NN answers must
+      BDist ball may never drop a true result) and must refine **at
+      most** as many candidates as the vectorized path (the ball only
+      shrinks the cascade's domain).  k-NN answers must
       equal the reference loop bit-for-bit with refined counts exactly
       equal — the lazy :class:`~repro.index.ordering.OrderedBoundStream`
       replays the reference ``(bound, row)`` order, including tie-breaks.
     * **sharded**: a :class:`~repro.sharding.coordinator.ShardedTreeService`
-      pinned to ``candidate_source=<kind>`` (each worker builds its own
-      index over the shared-memory plane) against a fresh loop-path
-      reference database at every schedule step — identical answers,
-      identical refined counts.
+      pinned to ``candidate_source="ifi"`` (each worker builds its own
+      index over the shared-memory plane), under both partitioners,
+      against a fresh loop-path reference database at every schedule
+      step — identical answers, identical refined counts.
     """
 
     name = "search:index-completeness"
-    description = "vptree/ifi index candidates: exact answers, <= vectorized work"
+    description = "inverted-file candidates: exact answers, <= vectorized work"
 
     _FAMILIES: Sequence[Tuple[str, Callable[[], LowerBoundFilter]]] = (
         ("BiBranch", BinaryBranchFilter),
@@ -1302,12 +1258,12 @@ class IndexCompletenessOracle(Oracle):
         ("Histo", HistogramFilter),
     )
     _SHARD_CONFIGS = (
-        (2, "round-robin", "bibranch", "vptree"),
-        (2, "size-banded", "bibranchcount", "ifi"),
+        (2, "round-robin", "bibranch"),
+        (2, "size-banded", "bibranchcount"),
     )
 
     def run(self, corpus: VerifyCorpus, distance: DistanceFn) -> OracleOutcome:
-        from repro.index import INDEX_KINDS, build_candidate_index
+        from repro.index import ExtendedInvertedFile
         from repro.search.knn import knn_query
         from repro.search.range_query import range_query
         from repro.search.sequential import sequential_range_query
@@ -1322,87 +1278,85 @@ class IndexCompletenessOracle(Oracle):
             )
 
         # --- single-process leg: sequential vs vectorized vs index ------
-        for kind in INDEX_KINDS:
-            for label, factory in self._FAMILIES:
-                shadow: List[TreeNode] = list(corpus.trees)
-                flt = factory().fit(shadow)
-                store = FeatureStore(flt.required_q_levels() or (2,)).fit(shadow)
-                matrices = store.matrices()
-                q = getattr(flt, "q", None)
-                if q is not None and q not in store.q_levels:
-                    q = None
-                index = build_candidate_index(kind, store, q)
-                for step, entry in enumerate(corpus.service_schedule):
-                    if entry[0] == "add":
-                        shadow.append(entry[1])
-                        flt.add(entry[1])
-                        store.add(entry[1])
-                        continue  # the index re-syncs at the next probe
-                    _, query_kind, query, parameter = entry
-                    outcome.checks += 1
-                    problem = None
-                    details: Dict = {
-                        "index": kind,
-                        "filter": label,
-                        "kind": query_kind,
-                        "step": step,
-                        "parameter": parameter,
-                    }
-                    if query_kind == "range":
-                        sequential, _ = sequential_range_query(
-                            shadow, query, parameter
+        for label, factory in self._FAMILIES:
+            shadow: List[TreeNode] = list(corpus.trees)
+            flt = factory().fit(shadow)
+            store = FeatureStore(flt.required_q_levels() or (2,)).fit(shadow)
+            matrices = store.matrices()
+            q = getattr(flt, "q", None)
+            if q is not None and q not in store.q_levels:
+                q = None
+            index = ExtendedInvertedFile(store, q)
+            for step, entry in enumerate(corpus.service_schedule):
+                if entry[0] == "add":
+                    shadow.append(entry[1])
+                    flt.add(entry[1])
+                    store.add(entry[1])
+                    continue  # the index re-syncs at the next probe
+                _, query_kind, query, parameter = entry
+                outcome.checks += 1
+                problem = None
+                details: Dict = {
+                    "filter": label,
+                    "kind": query_kind,
+                    "step": step,
+                    "parameter": parameter,
+                }
+                if query_kind == "range":
+                    sequential, _ = sequential_range_query(
+                        shadow, query, parameter
+                    )
+                    fast_answer, fast_stats = range_query(
+                        shadow, query, parameter, flt, matrices=matrices
+                    )
+                    indexed, indexed_stats = range_query(
+                        shadow, query, parameter, flt,
+                        matrices=matrices, index=index,
+                    )
+                    if indexed != sequential:
+                        problem = "range answers differ from sequential"
+                        details["sequential"] = sequential
+                    elif indexed_stats.candidates > fast_stats.candidates:
+                        problem = (
+                            f"index refined {indexed_stats.candidates} "
+                            f"candidates, vectorized only "
+                            f"{fast_stats.candidates}"
                         )
-                        fast_answer, fast_stats = range_query(
-                            shadow, query, parameter, flt, matrices=matrices
+                else:
+                    k = min(int(parameter), len(shadow))
+                    fast_answer, fast_stats = knn_query(
+                        shadow, query, k, flt, matrices=matrices
+                    )
+                    indexed, indexed_stats = knn_query(
+                        shadow, query, k, flt,
+                        matrices=matrices, index=index,
+                    )
+                    if indexed != fast_answer:
+                        problem = "knn answers differ from reference"
+                    elif indexed_stats.candidates != fast_stats.candidates:
+                        problem = (
+                            f"index refined {indexed_stats.candidates} "
+                            f"candidates, reference refined "
+                            f"{fast_stats.candidates}"
                         )
-                        indexed, indexed_stats = range_query(
-                            shadow, query, parameter, flt,
-                            matrices=matrices, index=index,
-                        )
-                        if indexed != sequential:
-                            problem = "range answers differ from sequential"
-                            details["sequential"] = sequential
-                        elif indexed_stats.candidates > fast_stats.candidates:
-                            problem = (
-                                f"index refined {indexed_stats.candidates} "
-                                f"candidates, vectorized only "
-                                f"{fast_stats.candidates}"
-                            )
-                    else:
-                        k = min(int(parameter), len(shadow))
-                        fast_answer, fast_stats = knn_query(
-                            shadow, query, k, flt, matrices=matrices
-                        )
-                        indexed, indexed_stats = knn_query(
-                            shadow, query, k, flt,
-                            matrices=matrices, index=index,
-                        )
-                        if indexed != fast_answer:
-                            problem = "knn answers differ from reference"
-                        elif indexed_stats.candidates != fast_stats.candidates:
-                            problem = (
-                                f"index refined {indexed_stats.candidates} "
-                                f"candidates, reference refined "
-                                f"{fast_stats.candidates}"
-                            )
-                    if problem is not None:
-                        details["reference"] = fast_answer
-                        details["indexed"] = indexed
-                        details["reference_candidates"] = fast_stats.candidates
-                        details["indexed_candidates"] = indexed_stats.candidates
-                        record(
-                            f"{kind}/{label} {query_kind} at schedule step "
-                            f"{step}: {problem}",
-                            query,
-                            details,
-                        )
+                if problem is not None:
+                    details["reference"] = fast_answer
+                    details["indexed"] = indexed
+                    details["reference_candidates"] = fast_stats.candidates
+                    details["indexed_candidates"] = indexed_stats.candidates
+                    record(
+                        f"{label} {query_kind} at schedule step "
+                        f"{step}: {problem}",
+                        query,
+                        details,
+                    )
 
         # --- sharded leg: index workers vs loop reference ---------------
         from repro.search.database import TreeDatabase
         from repro.sharding.coordinator import ShardedTreeService
         from repro.sharding.worker import FILTER_FACTORIES
 
-        for shards, partitioner, filter_name, kind in self._SHARD_CONFIGS:
+        for shards, partitioner, filter_name in self._SHARD_CONFIGS:
             shadow = list(corpus.trees)
             service = ShardedTreeService(
                 shadow,
@@ -1410,7 +1364,7 @@ class IndexCompletenessOracle(Oracle):
                 partitioner=partitioner,
                 filter_name=filter_name,
                 max_workers=1,
-                candidate_source=kind,
+                candidate_source="ifi",
             )
             try:
                 for step, entry in enumerate(corpus.service_schedule):
@@ -1447,7 +1401,7 @@ class IndexCompletenessOracle(Oracle):
                     if problem is not None:
                         record(
                             f"{query_kind} over {shards} {partitioner}/"
-                            f"{filter_name} {kind} shards at schedule step "
+                            f"{filter_name} ifi shards at schedule step "
                             f"{step}: {problem}",
                             query,
                             {
@@ -1457,7 +1411,6 @@ class IndexCompletenessOracle(Oracle):
                                 "shards": shards,
                                 "partitioner": partitioner,
                                 "filter": filter_name,
-                                "index": kind,
                                 "served": served,
                                 "expected": expected,
                                 "served_candidates": stats.candidates,

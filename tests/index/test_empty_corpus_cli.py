@@ -51,21 +51,13 @@ class TestStatsCommands:
 
 
 class TestIndexCommands:
-    @pytest.mark.parametrize("kind", ["vptree", "ifi"])
-    def test_index_build(self, empty_plane, kind, capsys):
-        assert main(["index", "build", empty_plane, "--kind", kind]) == 0
-        assert "over 0 trees" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("kind", ["vptree", "ifi"])
-    def test_index_stats(self, empty_plane, kind, capsys):
-        assert main(["index", "stats", empty_plane, "--kind", kind]) == 0
+    def test_index_stats(self, empty_plane, capsys):
+        assert main(["index", "stats", empty_plane]) == 0
         assert "rows: 0" in capsys.readouterr().out
 
 
 class TestSearchRefuses:
-    @pytest.mark.parametrize(
-        "source", ["auto", "vectorized", "vptree", "ifi"]
-    )
+    @pytest.mark.parametrize("source", ["auto", "vectorized", "ifi"])
     def test_search_reports_empty_dataset(self, empty_dataset, source, capsys):
         code = main(
             [

@@ -1,15 +1,12 @@
-"""Failure paths of the persisted accelerator sidecars.
+"""Failure paths of the persisted matrix sidecar.
 
-Both sidecars — the candidate-index ``<plane>.index.json`` and the dense
-``<plane>.matrices.npz`` — follow the strict-accelerator contract: a
-corrupt, stale, or mismatched file is *ignored* (one warning + one
-``repro_sidecar_fallback_total`` increment), the artifact is rebuilt
+The dense ``<plane>.matrices.npz`` follows the strict-accelerator
+contract: a corrupt, stale, or mismatched file is *ignored* (one warning
++ one ``repro_sidecar_fallback_total`` increment), the planes are rebuilt
 lazily, and answers are identical to a cold build.  Never fatal.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -20,12 +17,6 @@ from repro.features.io import (
 )
 from repro.features.store import FeatureStore
 from repro.filters.binary_branch import BinaryBranchFilter
-from repro.index import build_candidate_index
-from repro.index.io import (
-    index_sidecar_path,
-    load_index_sidecar,
-    save_index_sidecar,
-)
 from repro.obs.metrics import get_registry
 from repro.search.range_query import range_query
 from repro.trees import parse_bracket
@@ -45,116 +36,6 @@ def _fallbacks(sidecar: str, reason: str) -> float:
 @pytest.fixture
 def corpus():
     return [parse_bracket(bracket) for bracket in _BRACKETS]
-
-
-@pytest.fixture
-def plane(tmp_path, corpus):
-    path = str(tmp_path / "plane.json")
-    store = FeatureStore((2,)).fit(corpus)
-    save_feature_plane(store, path)
-    return path
-
-
-class TestIndexSidecar:
-    @pytest.mark.parametrize("kind", ["vptree", "ifi"])
-    def test_roundtrip(self, plane, corpus, kind):
-        store = load_feature_plane(plane)
-        save_index_sidecar(build_candidate_index(kind, store), plane)
-        restored = load_index_sidecar(store, plane)
-        assert restored is not None and restored.kind == kind
-        assert len(restored) == len(corpus)
-
-    @pytest.mark.parametrize("kind", ["vptree", "ifi"])
-    def test_corrupt_sidecar_falls_back(self, plane, corpus, kind):
-        store = load_feature_plane(plane)
-        save_index_sidecar(build_candidate_index(kind, store), plane)
-        with open(index_sidecar_path(plane), "w") as handle:
-            handle.write("{ not json !!!")
-        before = _fallbacks("index", "corrupt")
-        with pytest.warns(UserWarning, match="corrupt index sidecar"):
-            assert load_index_sidecar(store, plane) is None
-        assert _fallbacks("index", "corrupt") == before + 1
-        self._answers_identical(store, corpus, kind)
-
-    def test_mangled_structure_falls_back(self, plane, corpus):
-        store = load_feature_plane(plane)
-        save_index_sidecar(build_candidate_index("vptree", store), plane)
-        sidecar = index_sidecar_path(plane)
-        with open(sidecar) as handle:
-            document = json.load(handle)
-        document["structure"] = {"b": [0, 0, 1]}  # duplicate row ids
-        with open(sidecar, "w") as handle:
-            json.dump(document, handle)
-        before = _fallbacks("index", "corrupt")
-        with pytest.warns(UserWarning, match="corrupt index sidecar"):
-            assert load_index_sidecar(store, plane) is None
-        assert _fallbacks("index", "corrupt") == before + 1
-
-    def test_stale_sidecar_falls_back(self, plane, corpus):
-        store = load_feature_plane(plane)
-        save_index_sidecar(build_candidate_index("vptree", store), plane)
-        store.add(parse_bracket("q(r,s)"))  # sidecar generation now behind
-        before = _fallbacks("index", "stale")
-        assert load_index_sidecar(store, plane) is None
-        assert _fallbacks("index", "stale") == before + 1
-        self._answers_identical(store, corpus + [parse_bracket("q(r,s)")], "vptree")
-
-    def test_version_mismatch_falls_back(self, plane):
-        store = load_feature_plane(plane)
-        save_index_sidecar(build_candidate_index("ifi", store), plane)
-        sidecar = index_sidecar_path(plane)
-        with open(sidecar) as handle:
-            document = json.load(handle)
-        document["version"] = 999
-        with open(sidecar, "w") as handle:
-            json.dump(document, handle)
-        before = _fallbacks("index", "version")
-        assert load_index_sidecar(store, plane) is None
-        assert _fallbacks("index", "version") == before + 1
-
-    def test_kind_mismatch_falls_back(self, plane):
-        store = load_feature_plane(plane)
-        save_index_sidecar(build_candidate_index("ifi", store), plane)
-        before = _fallbacks("index", "kind")
-        assert load_index_sidecar(store, plane, kind="vptree") is None
-        assert _fallbacks("index", "kind") == before + 1
-
-    def test_missing_sidecar_is_silent(self, plane):
-        store = load_feature_plane(plane)
-        registry_before = {
-            labels: value
-            for labels, value in get_registry()
-            .counter(
-                "repro_sidecar_fallback_total",
-                "sidecar files ignored (corrupt/stale/version) in favour "
-                "of rebuild",
-                ("sidecar", "reason"),
-            )
-            .values()
-            .items()
-        }
-        assert load_index_sidecar(store, plane) is None
-        assert (
-            get_registry()
-            .counter(
-                "repro_sidecar_fallback_total",
-                "sidecar files ignored (corrupt/stale/version) in favour "
-                "of rebuild",
-                ("sidecar", "reason"),
-            )
-            .values()
-            == registry_before
-        )
-
-    @staticmethod
-    def _answers_identical(store, corpus, kind):
-        """Post-fallback rebuild answers exactly like an index-less query."""
-        flt = BinaryBranchFilter().fit_from_store(store)
-        rebuilt = build_candidate_index(kind, store)
-        query = parse_bracket("a(b,c)")
-        reference, _ = range_query(corpus, query, 2.0, flt)
-        indexed, _ = range_query(corpus, query, 2.0, flt, index=rebuilt)
-        assert indexed == reference
 
 
 class TestMatrixSidecar:
@@ -198,29 +79,22 @@ class TestMatrixSidecar:
 
 
 class TestFallbackExposition:
-    def test_both_sidecar_labels_in_prometheus_text(self, tmp_path, corpus):
-        """Both sidecar families report through the one unified counter:
-        after one fallback each, the Prometheus exposition carries a
-        ``repro_sidecar_fallback_total`` series for ``sidecar="index"``
-        AND ``sidecar="matrices"``."""
+    def test_matrix_label_in_prometheus_text(self, tmp_path, corpus):
+        """A matrix-sidecar fallback reports through the unified counter:
+        the Prometheus exposition carries a ``repro_sidecar_fallback_total``
+        series for ``sidecar="matrices"``."""
         path = str(tmp_path / "plane.json")
         store = FeatureStore((2,)).fit(corpus)
         save_feature_plane(store, path)
-        save_index_sidecar(build_candidate_index("vptree", store), path)
-        with open(index_sidecar_path(path), "w") as handle:
-            handle.write("{ not json !!!")
         with open(matrix_sidecar_path(path), "wb") as handle:
             handle.write(b"this is not a zip archive")
 
         with pytest.warns(UserWarning, match="corrupt matrix sidecar"):
-            damaged = load_feature_plane(path)
-        with pytest.warns(UserWarning, match="corrupt index sidecar"):
-            assert load_index_sidecar(damaged, path) is None
+            load_feature_plane(path)
 
         fallback_lines = [
             line
             for line in get_registry().prometheus_text().splitlines()
             if line.startswith("repro_sidecar_fallback_total{")
         ]
-        assert any('sidecar="index"' in line for line in fallback_lines)
         assert any('sidecar="matrices"' in line for line in fallback_lines)

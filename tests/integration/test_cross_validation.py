@@ -1,8 +1,8 @@
 """Cross-validation fuzz: every query path must agree with every other.
 
 For a batch of randomized (but seeded) workloads, run all implemented
-query strategies — linear filter scan per filter, plain k-NN, tiered
-k-NN, pairwise join — and check they produce identical answers.  Any
+query strategies — linear filter scan per filter, k-NN per filter,
+pairwise join — and check they produce identical answers.  Any
 soundness bug in any bound or matching routine shows up here as a
 divergence.
 """
@@ -33,7 +33,6 @@ from repro.search import (
     sequential_range_query,
     similarity_self_join,
 )
-from repro.search.tiered_knn import tiered_knn_query
 
 
 def workloads():
@@ -77,8 +76,6 @@ def test_all_query_paths_agree(name, trees):
             for flt in filters:
                 answer, _ = knn_query(trees, query, k, flt, counter)
                 assert sorted(d for _, d in answer) == truth_distances
-            tiered, _ = tiered_knn_query(trees, query, k, filters[0], counter)
-            assert sorted(d for _, d in tiered) == truth_distances
 
     for threshold in (0, 3):
         truth_join, _ = similarity_self_join(

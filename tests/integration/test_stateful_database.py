@@ -57,7 +57,7 @@ class DatabaseMachine(RuleBasedStateMachine):
         ]
         assert fast == expected
         # the inverted file re-synced over every add since it was built
-        assert len(self.db.candidate_index("ifi")) == len(self.model)
+        assert len(self.db.candidate_index()) == len(self.model)
 
     @rule(query=trees(max_leaves=5), data=st.data())
     def knn(self, query, data):

@@ -31,7 +31,7 @@ _SUITES = {
     },
     "index_candidates": {
         "corpus_rows": 60,
-        "vptree": {"examined_rows": 120, "examined_fraction": 0.2, "refined": 9},
+        "ifi": {"examined_rows": 120, "examined_fraction": 0.2, "refined": 9},
     },
 }
 
@@ -125,20 +125,20 @@ class TestComparator:
     def test_count_drift_is_regression_in_either_direction(self):
         for delta in (-2, +2):
             current = _record("BENCH_B")
-            current["suites"]["index_candidates"]["vptree"]["refined"] += delta
+            current["suites"]["index_candidates"]["ifi"]["refined"] += delta
             comparison = compare_records(_record(), current)
             assert not comparison.ok, f"delta {delta} must gate"
             assert comparison.regressions[0].kind == "count"
 
     def test_count_noise_tolerance(self):
         current = _record("BENCH_B")
-        current["suites"]["index_candidates"]["vptree"]["refined"] = 10
+        current["suites"]["index_candidates"]["ifi"]["refined"] = 10
         assert not compare_records(_record(), current).ok
         assert compare_records(_record(), current, count_noise=0.2).ok
 
     def test_ratio_drift_is_regression(self):
         current = _record("BENCH_B")
-        current["suites"]["index_candidates"]["vptree"]["examined_fraction"] = 0.35
+        current["suites"]["index_candidates"]["ifi"]["examined_fraction"] = 0.35
         comparison = compare_records(_record(), current)
         assert not comparison.ok
         assert comparison.regressions[0].kind == "ratio"

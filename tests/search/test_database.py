@@ -83,18 +83,18 @@ class TestQueries:
 class TestInvertedIndex:
     def test_lazy_build(self):
         db = TreeDatabase(TREES)
-        assert "ifi" not in db._candidate_indexes
-        index = db.candidate_index("ifi")
+        assert db._candidate_index is None
+        index = db.candidate_index()
         assert len(index) == len(TREES)
-        assert db.candidate_index("ifi") is index  # cached
+        assert db.candidate_index() is index  # cached
         db.indexed_range_query(parse_bracket("a"), 1)
-        assert db.candidate_index("ifi") is index
+        assert db.candidate_index() is index
 
     def test_index_uses_filter_level(self):
         from repro.filters import BinaryBranchFilter
 
         db = TreeDatabase(TREES, flt=BinaryBranchFilter(q=3))
-        assert db.candidate_index("ifi").q == 3
+        assert db.candidate_index().q == 3
 
 
 class TestIndexedQueries:
@@ -132,7 +132,7 @@ class TestDynamicInsertion:
 
     def test_add_extends_built_index(self):
         db = TreeDatabase(TREES)
-        index = db.candidate_index("ifi")
+        index = db.candidate_index()
         db.add(parse_bracket("brand(new)"))
         assert index.stale()
         matches, _ = db.indexed_range_query(parse_bracket("brand(new)"), 0)

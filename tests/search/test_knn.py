@@ -46,10 +46,11 @@ class TestBasics:
         assert stats.candidates == len(DATASET)
 
     def test_invalid_k(self, flt):
-        with pytest.raises(QueryError):
-            knn_query(DATASET, parse_bracket("a"), 0, flt)
-        with pytest.raises(QueryError):
-            knn_query(DATASET, parse_bracket("a"), len(DATASET) + 1, flt)
+        for k in (0, len(DATASET) + 1, 2.5, True):
+            with pytest.raises(QueryError):
+                knn_query(DATASET, parse_bracket("a"), k, flt)
+            with pytest.raises(QueryError):
+                sequential_knn_query(DATASET, parse_bracket("a"), k)
 
     def test_size_mismatch_rejected(self):
         flt = BinaryBranchFilter().fit(DATASET[:3])

@@ -59,6 +59,15 @@ class TestSingleQueries:
         assert service.metrics.snapshot()["cache"]["misses"] == 0
 
 
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_non_integer_k_rejected_and_not_cached(self, service, k):
+        query = parse_bracket("a(b)")
+        service.knn(query, 1)  # k=True must not hit this k=1 entry
+        with pytest.raises(QueryError, match="integer"):
+            service.knn(query, k)
+        assert len(service._cache) == 1
+
+
 class TestResultCache:
     def test_repeat_query_hits_cache(self, service):
         query = parse_bracket("a(b,c)")
@@ -177,6 +186,6 @@ class TestLifecycle:
             TreeSearchService(database, max_workers=0)
         with pytest.raises(InvalidParameterError):
             TreeSearchService(database, cache_size=-1)
-        for source in ("loop", "bogus"):
+        for source in ("loop", "vptree", "bogus"):
             with pytest.raises(InvalidParameterError, match="candidate_source"):
                 TreeSearchService(database, candidate_source=source)

@@ -52,6 +52,11 @@ class TestConstruction:
                 trees, shards=3, partitioner=RoundRobinPartitioner(2)
             )
 
+    @pytest.mark.parametrize("source", ["loop", "vptree"])
+    def test_rejects_unknown_candidate_source(self, trees, source):
+        with pytest.raises(InvalidParameterError, match="candidate_source"):
+            ShardedTreeService(trees, shards=2, candidate_source=source)
+
     def test_accepts_partitioner_instance(self, trees):
         with ShardedTreeService(
             trees, shards=2, partitioner=RoundRobinPartitioner(2)
@@ -113,7 +118,7 @@ class TestQueries:
         # the workers never saw it and keep serving
         assert service.range(parse_bracket("a(b,c)"), 0.0)[0] == [(0, 0.0)]
 
-    @pytest.mark.parametrize("k", [0, 99])
+    @pytest.mark.parametrize("k", [0, 99, 2.5, True])
     def test_bad_k_rejected(self, service, k):
         with pytest.raises(QueryError):
             service.knn(parse_bracket("a"), k)

@@ -36,6 +36,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(args)
 
+    @pytest.mark.parametrize("command", ["search", "serve-bench"])
+    def test_vptree_candidate_source_rejected(self, command):
+        args = [command, "f", "--candidate-source", "vptree"]
+        if command == "search":
+            args += ["--query", "a", "--knn", "1"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(args)
+
 
 class TestDistanceCommands:
     def test_distance(self, capsys):
