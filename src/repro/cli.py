@@ -41,7 +41,6 @@ from repro.filters import (
     HistogramFilter,
     TraversalStringFilter,
 )
-from repro.index import CANDIDATE_SOURCES
 from repro.search import knn_query, range_query, similarity_self_join
 from repro.sharding.partition import PARTITIONERS
 from repro.storage import load_forest, load_xml_directory, save_forest
@@ -132,16 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(PARTITIONERS),
         default="round-robin",
         help="shard placement policy (used with --shards > 1)",
-    )
-    search.add_argument(
-        "--candidate-source",
-        choices=list(CANDIDATE_SOURCES),
-        default="auto",
-        help="candidate generation path: 'vectorized' runs the filter "
-        "cascade over corpus-level matrix planes, 'ifi' prunes "
-        "candidates through the BDist inverted file first, 'auto' vectorizes "
-        "when a feature store is available and scores per candidate "
-        "otherwise",
     )
     search.add_argument(
         "--stats-json",
@@ -269,14 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(PARTITIONERS),
         default="round-robin",
         help="shard placement policy (used with --shards > 1)",
-    )
-    serve_bench.add_argument(
-        "--candidate-source",
-        choices=list(CANDIDATE_SOURCES),
-        default="auto",
-        help="candidate generation path for the service (and each shard "
-        "worker): 'vectorized' matrix cascade, 'ifi' "
-        "inverted-file pruning, 'auto' vectorize when possible",
     )
     serve_bench.add_argument(
         "--json",
@@ -680,7 +661,6 @@ def _cmd_search(args) -> int:
                         shards=args.shards,
                         filter_name=args.filter,
                         partitioner=args.partitioner,
-                        candidate_source=args.candidate_source,
                     )
                 )
                 if args.range_threshold is not None:
@@ -695,29 +675,16 @@ def _cmd_search(args) -> int:
 
                 database = TreeDatabase(trees, flt=_FILTERS[args.filter]())
                 matrices = database.matrices()
-                if args.candidate_source != "auto" and matrices is None:
-                    print(
-                        f"repro: error: filter {args.filter!r} has no "
-                        "feature store for candidate source "
-                        f"{args.candidate_source!r}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                index = (
-                    database.candidate_index()
-                    if args.candidate_source == "ifi"
-                    else None
-                )
                 flt = database.filter
                 if args.range_threshold is not None:
                     matches, stats = range_query(
                         trees, query, args.range_threshold, flt,
-                        database.counter, matrices=matrices, index=index,
+                        database.counter, matrices=matrices,
                     )
                 else:
                     matches, stats = knn_query(
                         trees, query, args.knn_k, flt,
-                        database.counter, matrices=matrices, index=index,
+                        database.counter, matrices=matrices,
                     )
     finally:
         if tracer is not None:
@@ -842,7 +809,6 @@ def _cmd_serve_bench(args) -> int:
                         partitioner=args.partitioner,
                         max_workers=args.clients,
                         cache_size=args.cache_size,
-                        candidate_source=args.candidate_source,
                         health_interval=args.health_interval,
                     )
                 )
@@ -855,7 +821,6 @@ def _cmd_serve_bench(args) -> int:
                         database,
                         max_workers=args.clients,
                         cache_size=args.cache_size,
-                        candidate_source=args.candidate_source,
                     )
                 )
             _, report = replay(service, workload, clients=args.clients)

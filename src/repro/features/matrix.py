@@ -528,7 +528,7 @@ def elementwise_max(columns: Sequence[Sequence[float]]) -> Sequence[float]:
 
 def stable_order(values: Sequence[float]) -> List[int]:
     """Indices sorted by ``(value, index)`` — the knn frontier order."""
-    return [int(index) for index in np.argsort(np.asarray(values), kind="stable")]
+    return np.argsort(np.asarray(values), kind="stable").tolist()
 
 
 def as_indices(rows: Sequence[int]) -> List[int]:

@@ -63,15 +63,6 @@ class LowerBoundFilter(ABC, Generic[Signature]):
     #: Whether this filter can derive its signatures from a FeatureStore.
     supports_store: bool = False
 
-    #: Whether ``bound(q, d) ≥ ⌈BDist_q(q, d) / (4(q−1)+1)⌉`` holds row by
-    #: row at this filter's own ``q`` level.  Index-accelerated k-NN
-    #: (:mod:`repro.index.ordering`) relies on exactly this dominance to
-    #: reorder an ascending-BDist stream into the reference ``(bound, row)``
-    #: order lazily; filters that cannot guarantee it (histogram,
-    #: traversal, size) leave it False and k-NN ignores the index for
-    #: them — answers are unaffected, only the ordering pass stays linear.
-    bdist_dominant: bool = False
-
     def __init__(self) -> None:
         self._signatures: List[Signature] = []
         self._fitted = False
@@ -205,6 +196,21 @@ class LowerBoundFilter(ABC, Generic[Signature]):
         refined-candidate counts would drift from the reference path.
         """
         return None
+
+    def order_keys(
+        self, query: Signature, matrices: "FeatureMatrices"
+    ) -> Optional[Sequence[float]]:
+        """Per-row k-NN ordering keys off the matrix planes, or ``None``.
+
+        Each key must satisfy ``key[row] ≤ bound(query, data_signature(row))``:
+        the k-NN stream (:class:`~repro.search.knn.BoundStream`) walks rows
+        in ascending key order and bounds a row only when its key could
+        still place it before the rows already bounded, so a key above the
+        bound would reorder answers.  Default: the exact
+        :meth:`lower_bounds_matrix`.  ``None`` sends k-NN to the full
+        ``(bound, row)`` sort over :meth:`bounds`.
+        """
+        return self.lower_bounds_matrix(query, matrices)
 
     def refute_rows(
         self,

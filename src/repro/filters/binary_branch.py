@@ -34,6 +34,7 @@ from repro.exceptions import InvalidParameterError
 from repro.features.matrix import (
     branch_count_bounds,
     branch_l1_counts,
+    ceil_div,
     keep_at_most,
 )
 from repro.features.packed import PackedVector, pack_counts
@@ -61,10 +62,6 @@ class BinaryBranchFilter(LowerBoundFilter[PositionalProfile]):
     """
 
     supports_store = True
-    #: SearchLBound starts its binary search at ``max(⌈BDist/factor⌉,
-    #: size difference)`` and only ever moves up, so it dominates the
-    #: count bound at this q — which licenses index-accelerated k-NN.
-    bdist_dominant = True
 
     def __init__(self, q: int = 2, exact_matching: bool = False) -> None:
         super().__init__()
@@ -100,6 +97,34 @@ class BinaryBranchFilter(LowerBoundFilter[PositionalProfile]):
         )
         return distance > self.factor * pr
 
+    def _branch_l1(
+        self,
+        query: PositionalProfile,
+        matrices: "FeatureMatrices",
+        rows: Optional[Sequence[int]],
+    ) -> Sequence[int]:
+        """Count-vector BDist to each row off the branch plane at this q."""
+        counts = {
+            branch: len(positions)
+            for branch, positions in query.pre_positions.items()
+        }
+        return branch_l1_counts(matrices, self.q, counts, rows)
+
+    def order_keys(
+        self, query: PositionalProfile, matrices: "FeatureMatrices"
+    ) -> Optional[Sequence[float]]:
+        """The §3 count bound ``⌈BDist/factor⌉`` per row, or ``None``.
+
+        SearchLBound starts its binary search at ``max(⌈BDist/factor⌉,
+        size difference)`` and only ever moves up, so the count bound never
+        exceeds :meth:`bound` (the ``bound:dominance`` oracle checks this).
+        ``None`` when the plane lacks this filter's ``q``.
+        """
+        try:
+            return ceil_div(self._branch_l1(query, matrices, None), self.factor)
+        except InvalidParameterError:
+            return None
+
     def refute_rows(
         self,
         query: PositionalProfile,
@@ -118,11 +143,7 @@ class BinaryBranchFilter(LowerBoundFilter[PositionalProfile]):
         identical to the pure loop.
         """
         try:
-            counts = {
-                branch: len(positions)
-                for branch, positions in query.pre_positions.items()
-            }
-            distances = branch_l1_counts(matrices, self.q, counts, rows)
+            distances = self._branch_l1(query, matrices, rows)
         except InvalidParameterError:
             return super().refute_rows(query, threshold, rows, matrices)
         candidates = keep_at_most(rows, distances, self.factor * threshold)
@@ -152,8 +173,6 @@ class BranchCountFilter(LowerBoundFilter[PackedVector]):
     """
 
     supports_store = True
-    #: the bound *is* ``⌈BDist/factor⌉`` — dominance holds with equality
-    bdist_dominant = True
 
     def __init__(self, q: int = 2) -> None:
         super().__init__()

@@ -24,16 +24,13 @@ a prefix of the norm-sorted row list, found by binary search.  A query
 whose budget is below ``q.total`` therefore never materializes any
 zero-overlap tree, which is the sublinearity claim of the extended IFI.
 
-The index serves three operations:
+The index serves two operations:
 
 * ``range_rows(vector, budget)`` — the **exact** BDist ball: every row
   with ``L1(vector, row) ≤ budget``, in ascending row order, and no row
   beyond it.  The budget is ``factor·τ`` (``factor = 4(q−1)+1``, Theorem
   3.2), so ``BDist > factor·τ ⟹ EDist > τ`` refutes every row outside the
   ball and answers match the sequential scan whatever filter runs next.
-* ``ascending(vector)`` — a lazy stream of ``(L1, row)`` pairs in
-  non-decreasing L1 order, the raw material for index-accelerated k-NN
-  (see :mod:`repro.index.ordering`).
 * ``sync()`` — generation-stamped catch-up with the backing
   :class:`~repro.features.store.FeatureStore`: the store is append-only,
   so syncing installs exactly the rows added since the last sync.
@@ -45,10 +42,9 @@ insertion streams answer identically (pinned by the metamorphic tests).
 
 from __future__ import annotations
 
-import heapq
 import threading
 from bisect import bisect_right, insort
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.qlevel import qlevel_bound_factor
 from repro.exceptions import InvalidParameterError
@@ -78,7 +74,7 @@ class ExtendedInvertedFile:
     last_examined:
         Rows whose vectors the most recent ``range_rows`` call actually
         touched (posting hits + norm-prefix rows) — the sublinearity
-        measure the candidate-sources benchmark records.
+        measure the candidate-pruning benchmark records.
     """
 
     def __init__(self, store: FeatureStore, q: Optional[int] = None) -> None:
@@ -207,30 +203,6 @@ class ExtendedInvertedFile:
         self.last_examined = examined
         out.sort()
         return out
-
-    def ascending(self, vector: PackedVector) -> Iterator[Tuple[int, int]]:
-        """Lazy ``(L1, row)`` stream merging scored and untouched rows.
-
-        Rows touched by the posting merge are scored exactly and sorted
-        once; the branch-disjoint remainder is already in ascending-L1
-        order in the norm list (``L1 = q.total + norm``), so the two
-        streams merge lazily — the disjoint tail is only consumed as far
-        as the consumer (k-NN early stopping) actually reads.
-        """
-        overlaps = self._overlaps(vector)
-        self.last_examined = len(overlaps)
-        q_total = vector.total
-        touched = sorted(
-            (q_total + self._norms[row] - 2 * overlap, row)
-            for row, overlap in overlaps.items()
-        )
-
-        def disjoint() -> Iterator[Tuple[int, int]]:
-            for norm, row in self._by_norm:
-                if row not in overlaps:
-                    yield q_total + norm, row
-
-        yield from heapq.merge(touched, disjoint())
 
     # ------------------------------------------------------------------
     # Introspection

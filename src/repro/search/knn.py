@@ -14,6 +14,16 @@ The number of refined objects is provably minimal for the given bound
 (Seidl & Kriegel, SIGMOD 1998), which makes the accessed-data percentage a
 pure measure of the filter's tightness — exactly how the paper compares
 BiBranch against histogram filtration.
+
+Step 1 need not bound every object.  Over the matrix planes,
+:meth:`~repro.filters.base.LowerBoundFilter.order_keys` gives every row a
+cheap key no larger than its bound (BiBranch: the §3 count bound
+``⌈BDist/factor⌉``), and :class:`BoundStream` bounds rows lazily in key
+order while still emitting the exact ``(bound, row)`` order of step 2.
+Without planes, :func:`bound_stream` falls back to bounding every row and
+sorting — the store-less path and the reference the
+``search:vectorized-equivalence`` oracle compares against.  The shard
+worker's ``knn_begin`` builds its frontier with the same helper.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import heapq
 import math
 import operator
 import time
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.editdist.zhang_shasha import EditDistanceCounter
 from repro.exceptions import QueryError
@@ -33,10 +43,7 @@ from repro.obs.funnel import FilterFunnel, FunnelStage, active_sink
 from repro.search.statistics import SearchStats
 from repro.trees.node import TreeNode
 
-if TYPE_CHECKING:  # import cycle: repro.index builds on the search layer's deps
-    from repro.index.inverted import ExtendedInvertedFile
-
-__all__ = ["check_k", "knn_query"]
+__all__ = ["BoundStream", "bound_stream", "check_k", "knn_query"]
 
 
 def check_k(k: int, dataset_size: int) -> int:
@@ -58,6 +65,86 @@ def check_k(k: int, dataset_size: int) -> int:
     return k
 
 
+class BoundStream:
+    """Rows in exact ascending ``(bound, row)`` order, bounded lazily.
+
+    ``keys`` holds one value per row with ``keys[row] ≤ bound(row)``.  The
+    stream walks the rows in ``(key, row)`` order into a pending min-heap
+    of ``(bound, row)`` and emits the heap head once the next key strictly
+    exceeds it: every row not yet bounded then has ``bound ≥ key > head``.
+    Emission order, tie-breaks on the row id included, equals
+    ``sorted(rows, key=(bound, row))``; only the number of rows bounded
+    shrinks.  With ``bound=None`` the keys already are the bounds.
+
+    The keys and the row set are fixed at construction, so rows appended
+    to the corpus afterwards never enter an open stream.
+
+    Attributes
+    ----------
+    scored:
+        Rows bounded so far — the ``order:<filter>`` funnel survivors.
+    """
+
+    def __init__(
+        self,
+        keys: Sequence[float],
+        bound: Optional[Callable[[int], float]] = None,
+    ) -> None:
+        self._keys = keys
+        self._order = stable_order(keys)
+        self._bound = bound
+        self.scored = len(keys) if bound is None else 0
+
+    def __iter__(self) -> Iterator[Tuple[float, int]]:
+        keys, order, bound = self._keys, self._order, self._bound
+        if bound is None:
+            for row in order:
+                yield keys[row], row
+            return
+        pending: List[Tuple[float, int]] = []
+        position = 0
+        while True:
+            # bound every row whose key could still sort at or before the
+            # pending head; a strictly larger key makes the head safe
+            while position < len(order) and (
+                not pending or keys[order[position]] <= pending[0][0]
+            ):
+                row = order[position]
+                heapq.heappush(pending, (bound(row), row))
+                self.scored += 1
+                position += 1
+            if not pending:
+                return
+            yield heapq.heappop(pending)
+
+
+def bound_stream(
+    flt: LowerBoundFilter,
+    query: TreeNode,
+    matrices: Optional[FeatureMatrices],
+) -> BoundStream:
+    """The k-NN scan over every row ``flt`` indexed, in ``(bound, row)`` order.
+
+    Lazy over the filter's :meth:`~LowerBoundFilter.order_keys` when
+    ``matrices`` is given and the filter has keys there; otherwise every
+    row is bounded through :meth:`~LowerBoundFilter.bounds` and sorted.
+    Raises :class:`QueryError` when the planes cover a different number
+    of rows than the filter indexed.
+    """
+    if matrices is not None:
+        signature = flt.signature(query)
+        keys = flt.order_keys(signature, matrices)
+        if keys is not None:
+            if len(keys) != flt.size:
+                raise QueryError(
+                    f"matrix planes cover {len(keys)} trees but the filter "
+                    f"indexed {flt.size}"
+                )
+            data = flt.data_signature
+            return BoundStream(keys, lambda row: flt.bound(signature, data(row)))
+    return BoundStream(flt.bounds(query))
+
+
 def knn_query(
     trees: Sequence[TreeNode],
     query: TreeNode,
@@ -66,7 +153,6 @@ def knn_query(
     counter: Optional[EditDistanceCounter] = None,
     *,
     matrices: Optional[FeatureMatrices] = None,
-    index: Optional["ExtendedInvertedFile"] = None,
 ) -> Tuple[List[Tuple[int, float]], SearchStats]:
     """The ``k`` database trees closest to ``query`` in edit distance.
 
@@ -76,22 +162,10 @@ def knn_query(
     the first-processed object, like the paper's Algorithm 2 (heap
     replacement only on strictly better keys at capacity).
 
-    With ``matrices``, the ordering pass uses the filter's exact
-    vectorized bounds (:meth:`LowerBoundFilter.lower_bounds_matrix`)
-    when available — the values are identical to :meth:`bounds`, so the
-    optimal-stopping refined-candidate count cannot drift; filters
-    without an exact kernel fall back to the per-candidate loop.
-
-    With ``index`` (an :class:`~repro.index.inverted.ExtendedInvertedFile`
-    over the same corpus) and a :attr:`~LowerBoundFilter.bdist_dominant`
-    filter at the index's q level, the ordering pass is replaced by a lazy
-    reordering of the index's ascending-BDist stream
-    (:class:`~repro.index.ordering.OrderedBoundStream`): rows are scored
-    on demand and emitted in the **exact** reference ``(bound, row)``
-    order, so answers and refined counts are bit-identical while the
-    number of scored rows shrinks to what optimal stopping actually
-    consumes.  Non-dominating filters ignore the index (full ordering
-    pass) — dominance is what makes lazy emission sound.
+    With ``matrices`` (the planes of the same corpus), rows are bounded
+    lazily off the filter's ordering keys (:func:`bound_stream`); the
+    emitted order is the exact ``(bound, row)`` order either way, so
+    answers and refined counts do not depend on ``matrices``.
     """
     k = check_k(k, len(trees))
     if flt.size != len(trees):
@@ -102,49 +176,13 @@ def knn_query(
         counter = EditDistanceCounter()
     stats = SearchStats(dataset_size=len(trees))
 
-    use_index = (
-        index is not None
-        and flt.bdist_dominant
-        and getattr(flt, "q", None) == index.q
-    )
-    stream = None
     sink = active_sink()
     with tracing.span(
         "search.knn", dataset_size=len(trees), k=k, filter=flt.name
     ) as root:
         start = time.perf_counter()
-        if use_index:
-            assert index is not None
-            with tracing.span("index.ifi"):
-                index.sync()
-                from repro.index.ordering import OrderedBoundStream
-
-                query_signature = flt.signature(query)
-                stream = OrderedBoundStream(
-                    index,
-                    lambda row: flt.bound(
-                        query_signature, flt.data_signature(row)
-                    ),
-                    index.pack(query),
-                )
-                scan: Iterable[Tuple[float, int]] = stream
-        else:
-            with tracing.span(f"filter.{flt.name}"):
-                vectorized = None
-                if matrices is not None:
-                    vectorized = flt.lower_bounds_matrix(
-                        flt.signature(query), matrices
-                    )
-                if vectorized is not None:
-                    bounds: Sequence[float] = vectorized
-                    order = stable_order(vectorized)
-                else:
-                    bounds = flt.bounds(query)
-                    order = sorted(
-                        range(len(trees)),
-                        key=lambda row: (bounds[row], row),
-                    )
-                scan = ((bounds[row], row) for row in order)
+        with tracing.span(f"filter.{flt.name}"):
+            stream = bound_stream(flt, query, matrices)
         stats.filter_seconds = time.perf_counter() - start
 
         # max-heap of (−distance, −index) so the worst current neighbor is on top
@@ -152,7 +190,7 @@ def knn_query(
         start = time.perf_counter()
         refined = 0
         with tracing.span("search.refine") as refine_span:
-            for bound_value, row in scan:
+            for bound_value, row in stream:
                 if len(heap) == k and bound_value > -heap[0][0]:
                     break  # optimal stopping: no unseen object can improve the result
                 # only a distance below the k-th can enter a full heap
@@ -170,28 +208,19 @@ def knn_query(
         root.set(candidates=refined, results=len(heap))
 
     if sink is not None or tracing.enabled():
-        # the ordering pass bounds every object but prunes none; pruning
-        # happens implicitly through the optimal-stopping refinement.
-        # On the index path only `stream.scored` rows were ever bounded —
-        # the stage survivors record that laziness win.
-        if stream is not None:
-            order_stage = FunnelStage(
-                "index:ifi",
-                len(trees),
-                stream.scored,
-                stats.filter_seconds,
-            )
-        else:
-            order_stage = FunnelStage(
-                f"order:{flt.name}",
-                len(trees),
-                len(trees),
-                stats.filter_seconds,
-            )
+        # the ordering pass prunes nothing by itself; its survivors are the
+        # rows it bounded, and pruning happens through optimal stopping
         stats.funnel = FilterFunnel(
             kind="knn",
             corpus_size=len(trees),
-            stages=[order_stage],
+            stages=[
+                FunnelStage(
+                    f"order:{flt.name}",
+                    len(trees),
+                    stream.scored,
+                    stats.filter_seconds,
+                )
+            ],
             refined=refined,
             results=len(heap),
             refine_seconds=stats.refine_seconds,

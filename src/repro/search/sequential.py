@@ -6,8 +6,8 @@ ground truth the integration tests compare the filtered algorithms against.
 
 There is deliberately no ``matrices`` parameter here: a sequential scan has
 no filter stage to vectorize — every object is refined exactly — so these
-baselines are identical under either ``candidate_source`` and stay the
-fixed reference the vectorized cascade is ultimately validated against.
+baselines stay the fixed reference the vectorized cascade is ultimately
+validated against.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.editdist.zhang_shasha import EditDistanceCounter, PreparedTreeCache
 from repro.exceptions import InvalidParameterError, QueryError
@@ -67,9 +67,6 @@ from repro.search.statistics import SearchStats
 from repro.service.metrics import ServiceMetrics
 from repro.trees.node import TreeNode
 from repro.trees.parse import to_bracket
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.index.inverted import ExtendedInvertedFile
 
 __all__ = ["QueryRequest", "TreeSearchService"]
 
@@ -235,19 +232,11 @@ class TreeSearchService:
     metrics:
         Optional externally owned :class:`ServiceMetrics` (e.g. one shared
         by several services); a private instance is created by default.
-    candidate_source:
-        How the filter stage generates candidates: ``"vectorized"`` —
-        corpus-level matrix kernels (requires a feature-store-backed
-        database, raises otherwise); ``"ifi"`` — sublinear candidate
-        generation through the :mod:`repro.index` extended inverted file
-        (requires a feature store too), with the vectorized cascade
-        running over the index's candidate ball; ``"auto"`` (default) —
-        vectorized when the database has a feature store, the
-        per-candidate path otherwise.  Answers are
-        bit-identical across all sources and refined counts never exceed
-        the vectorized path's (pinned by the
-        ``search:vectorized-equivalence`` and
-        ``search:index-completeness`` oracles).
+
+    Queries run over the database's matrix planes when it has a feature
+    store, and per candidate otherwise; answers and refined counts are
+    the same either way (pinned by the ``search:vectorized-equivalence``
+    oracle).
     """
 
     def __init__(
@@ -257,33 +246,13 @@ class TreeSearchService:
         cache_size: int = 1024,
         prepared_cache_size: int = 8192,
         metrics: Optional[ServiceMetrics] = None,
-        candidate_source: str = "auto",
     ) -> None:
         if max_workers < 1:
             raise InvalidParameterError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        from repro.index import CANDIDATE_SOURCES
-
-        if candidate_source not in CANDIDATE_SOURCES:
-            raise InvalidParameterError(
-                f"candidate_source must be one of {CANDIDATE_SOURCES}, "
-                f"got {candidate_source!r}"
-            )
         self.database = database
-        self.candidate_source = candidate_source
-        self._index: Optional["ExtendedInvertedFile"] = None
         self._matrices = database.matrices()
-        if self._matrices is None and candidate_source != "auto":
-            raise InvalidParameterError(
-                f"candidate_source={candidate_source!r} requires a "
-                "database backed by a feature store (store-less "
-                "prefitted filters have no matrix planes)"
-            )
-        if candidate_source == "ifi":
-            # built eagerly so the first query does not pay for it
-            # inside the read lock; queries re-sync as needed
-            self._index = database.candidate_index()
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.max_workers = max_workers
         self._cache = _ResultCache(cache_size)
@@ -352,10 +321,6 @@ class TreeSearchService:
             self._rwlock.acquire_write()
             try:
                 index = self.database.add(tree)
-                if self._index is not None:
-                    # extend the candidate index while writes are exclusive,
-                    # so queries never pay the sync inside the read section
-                    self._index.sync()
                 with tracing.span("service.invalidate") as inv_span:
                     retained, evicted = self._cache.prune(
                         self._entry_survives_add(index), self.database.generation
@@ -471,14 +436,6 @@ class TreeSearchService:
             counter = EditDistanceCounter(
                 self.database.counter.costs, cache=self._prepared
             )
-            if self._index is not None and self._index.stale():
-                # out-of-band database/store mutation: catch the index up
-                # under the write lock before queries race over it
-                self._rwlock.acquire_write()
-                try:
-                    self._index.sync()
-                finally:
-                    self._rwlock.release_write()
             self._rwlock.acquire_read()
             try:
                 if request.kind == "range":
@@ -489,7 +446,6 @@ class TreeSearchService:
                         self.database.filter,
                         counter,
                         matrices=self._matrices,
-                        index=self._index,
                     )
                 else:
                     matches, stats = knn_query(
@@ -499,7 +455,6 @@ class TreeSearchService:
                         self.database.filter,
                         counter,
                         matrices=self._matrices,
-                        index=self._index,
                     )
                 generation = self.database.generation
             finally:

@@ -11,8 +11,9 @@ shard (:mod:`repro.sharding.worker`), and serves:
   per-tree and every bound is pairwise — no corpus-global state — so a
   shard refutes exactly the candidates the single-process filter refutes.
 * **k-NN queries** via a distributed version of the optimal multi-step
-  algorithm (paper Alg. 2): each worker sorts its lower bounds once and
-  streams an ascending ``(bound, local_index)`` frontier; the coordinator
+  algorithm (paper Alg. 2): each worker streams an ascending
+  ``(bound, local_index)`` frontier, bounding its rows lazily off the
+  matrix plane (:func:`~repro.search.knn.bound_stream`); the coordinator
   k-way-merges the frontiers keyed by ``(bound, global_index)`` — exactly
   the single-process refinement order — refining one candidate at a time
   and stopping when the result heap is full and the next frontier bound
@@ -48,7 +49,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import InvalidParameterError, QueryError, ShardError
 from repro.features.store import FeatureStore
-from repro.index import CANDIDATE_SOURCES
 from repro.obs import tracing
 from repro.obs.funnel import FilterFunnel, FunnelStage, active_sink
 from repro.search.database import TreeDatabase
@@ -229,16 +229,10 @@ class ShardedTreeService:
         uptime from every worker into the metrics registry).  ``0.0``
         (the default) disables the poller; :meth:`health` can always be
         called explicitly.
-    candidate_source:
-        Forwarded to every worker (and to the ``shards=1`` delegate):
-        ``"vectorized"``/``"auto"`` run each shard's filter cascade over
-        the matrix planes it scatters zero-copy out of its shared-memory
-        columns;
-        ``"ifi"`` additionally builds a shard-local
-        :mod:`repro.index` inverted file over the attached store, so
-        range scatters prune branch-disjoint rows before the cascade and
-        k-NN frontiers stream lazily off the index.  Answers and
-        refined-candidate counts are identical across all sources.
+
+    Every shard filters over the matrix planes it scatters zero-copy out
+    of its shared-memory columns, falling back per stage to the
+    per-candidate loop where a filter has no kernel.
     """
 
     def __init__(
@@ -251,7 +245,6 @@ class ShardedTreeService:
         cache_size: int = 1024,
         prepared_cache_size: int = 8192,
         metrics: Optional[ServiceMetrics] = None,
-        candidate_source: str = "auto",
         health_interval: float = 0.0,
     ) -> None:
         if shards < 1:
@@ -265,14 +258,8 @@ class ShardedTreeService:
                 f"unknown filter {filter_name!r} "
                 f"(choose from {sorted(FILTER_FACTORIES)})"
             )
-        if candidate_source not in CANDIDATE_SOURCES:
-            raise InvalidParameterError(
-                f"candidate_source must be one of {CANDIDATE_SOURCES}, "
-                f"got {candidate_source!r}"
-            )
         self.shards = shards
         self.filter_name = filter_name
-        self.candidate_source = candidate_source
         self._closed = False
         self._delegate: Optional[TreeSearchService] = None
 
@@ -288,7 +275,6 @@ class ShardedTreeService:
                 cache_size=cache_size,
                 prepared_cache_size=prepared_cache_size,
                 metrics=metrics,
-                candidate_source=candidate_source,
             )
             self.metrics = self._delegate.metrics
             return
@@ -326,15 +312,8 @@ class ShardedTreeService:
             ("dimension",),
         )
         #: funnel stage name of the distributed k-NN ordering pass; matches
-        #: the single-process ``order:<filter>`` stage for oracle parity.
-        #: On the ``ifi`` source with a BDist-dominant filter the workers
-        #: use the lazy frontier, so the stage mirrors the single-process
-        #: ``index:ifi`` stage (survivors = frontier rows materialized).
-        self._index_knn = candidate_source == "ifi" and probe.bdist_dominant
-        if self._index_knn:
-            self._order_stage = "index:ifi"
-        else:
-            self._order_stage = f"order:{probe.name}"
+        #: the single-process ``order:<filter>`` stage for oracle parity
+        self._order_stage = f"order:{probe.name}"
 
         assignment = ShardAssignment(shards)
         for index, tree in enumerate(trees):
@@ -360,7 +339,6 @@ class ShardedTreeService:
                     "plane": plane.handle,
                     "vocabulary": store.vocabulary,
                     "prepared_cache_size": prepared_cache_size,
-                    "candidate_source": candidate_source,
                 }
                 process = context.Process(
                     target=run_worker,
@@ -620,8 +598,11 @@ class ShardedTreeService:
                 self._push_next(frontier_heap, frontiers, qid, shard)
             refine_seconds = time.perf_counter() - refine_start
 
-            for shard in range(self.shards):
-                self._call(shard, ("knn_end", qid), "knn")
+            # survivors of the ordering stage: the rows the shards bounded
+            scored = sum(
+                self._call(shard, ("knn_end", qid), "knn")["scored"]
+                for shard in range(self.shards)
+            )
         finally:
             self._rwlock.release_read()
 
@@ -633,17 +614,11 @@ class ShardedTreeService:
             refine_seconds=refine_seconds,
         )
         if sink is not None or tracing.enabled():
-            if self._index_knn:
-                # lazy frontiers: only the rows the global merge actually
-                # pulled were ever materialized/scored on the workers
-                ordered = sum(frontier.fetched for frontier in frontiers)
-            else:
-                ordered = total
             stats.funnel = FilterFunnel(
                 kind="knn",
                 corpus_size=total,
                 stages=[
-                    FunnelStage(self._order_stage, total, ordered, filter_seconds)
+                    FunnelStage(self._order_stage, total, scored, filter_seconds)
                 ],
                 refined=refined,
                 results=len(heap),

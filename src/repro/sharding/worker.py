@@ -17,13 +17,14 @@ tuples ``(op, *operands)``; replies are ``("ok", result)`` or
 =================  =====================================================
 ``ping``           liveness / shard summary
 ``range``          one complete range query over the shard
-``knn_begin``      compute + sort this shard's lower bounds, stream the
-                   first frontier chunk of ``(bound, local_index)`` pairs
+``knn_begin``      open this shard's lazy ``(bound, local_index)`` stream
+                   (:func:`~repro.search.knn.bound_stream`) and send its
+                   first frontier chunk
 ``knn_more``       next frontier chunk for an open k-NN cursor
 ``knn_refine``     edit distance to one local tree, exact up to the
                    caller's budget (the coordinator's current k-th
                    distance, or ``inf`` while its heap is not full)
-``knn_end``        drop a k-NN cursor
+``knn_end``        drop a k-NN cursor; reply with the rows it bounded
 ``add``            insert one tree (bracket form) into the shard
 ``info``           counters for diagnostics
 ``health``         health telemetry: per-op request counts, cumulative
@@ -41,6 +42,7 @@ single-process run refines (see ``docs/SHARDING.md``).
 from __future__ import annotations
 
 import time
+from itertools import islice
 from multiprocessing.connection import Connection
 from typing import Any, Dict, List, Optional, Tuple, Type
 
@@ -53,6 +55,7 @@ from repro.filters.histogram import HistogramFilter
 from repro.filters.traversal_string import TraversalStringFilter
 from repro.obs.funnel import collect_funnels
 from repro.search.database import TreeDatabase
+from repro.search.knn import BoundStream, bound_stream
 from repro.search.range_query import range_query
 from repro.sharding.plane import PlaneHandle, SharedFeaturePlane
 from repro.trees.parse import parse_bracket
@@ -82,41 +85,26 @@ _OPS = frozenset(
 class _KnnCursor:
     """Ascending ``(bound, local)`` frontier for one open k-NN query.
 
-    The eager path materializes the whole shard's frontier at
-    ``knn_begin``.  The index path instead holds the lazy
-    :class:`~repro.index.ordering.OrderedBoundStream` iterator and only
-    extends the materialized prefix when the coordinator's global merge
-    actually asks for a deeper window — values and order are the exact
-    reference frontier either way, so the coordinator cannot tell the
-    two apart (and the refined-candidate counts stay bit-identical).
+    The frontier is the shard's :class:`~repro.search.knn.BoundStream`,
+    materialized only as deep as the coordinator's global merge asks.
+    The stream's keys and rows are fixed at ``knn_begin``, so a later
+    ``add`` to the shard cannot move an open frontier.
     """
 
-    def __init__(
-        self,
-        query: Any,
-        pairs: List[Tuple[float, int]],
-        stream: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, query: Any, stream: BoundStream) -> None:
         self.query = query
-        self._pairs = pairs
-        self._stream = stream
+        self.stream = stream
+        self._rows = iter(stream)
+        self._pairs: List[Tuple[float, int]] = []
 
     def window(self, start: int, size: int) -> List[Tuple[float, int]]:
-        while self._stream is not None and len(self._pairs) < start + size:
-            head = next(self._stream, None)
-            if head is None:
-                self._stream = None
-            else:
-                self._pairs.append((float(head[0]), head[1]))
-        return self._pairs[start : start + size]
-
-    def drain(self) -> None:
-        """Materialize the rest of the frontier (pre-mutation snapshot)."""
-        if self._stream is not None:
+        missing = start + size - len(self._pairs)
+        if missing > 0:
             self._pairs.extend(
-                (float(bound), local) for bound, local in self._stream
+                (float(bound), local)
+                for bound, local in islice(self._rows, missing)
             )
-            self._stream = None
+        return self._pairs[start : start + size]
 
 
 class _ShardState:
@@ -136,10 +124,6 @@ class _ShardState:
         #: python lists); filters whose kernels need artifacts the plane
         #: does not carry (histograms) fall back per stage to the loop.
         self.matrices = store.matrices()
-        #: shard-local inverted file (ifi source); built over the attached
-        #: store, so its BDist vectors are the coordinator's rows
-        source = payload.get("candidate_source", "auto")
-        self.index = self.db.candidate_index() if source == "ifi" else None
         self.counter = EditDistanceCounter(
             UNIT_COSTS,
             cache=PreparedTreeCache(payload.get("prepared_cache_size", 4096)),
@@ -189,7 +173,7 @@ class _ShardState:
             with collect_funnels() as sink:
                 matches, stats = range_query(
                     self.db.trees, query, threshold, self.db.filter,
-                    self.counter, matrices=self.matrices, index=self.index,
+                    self.counter, matrices=self.matrices,
                 )
             funnel = sink.funnels[0]
             stages = [
@@ -199,7 +183,7 @@ class _ShardState:
         else:
             matches, stats = range_query(
                 self.db.trees, query, threshold, self.db.filter,
-                self.counter, matrices=self.matrices, index=self.index,
+                self.counter, matrices=self.matrices,
             )
         self.stage_seconds["filter"] += stats.filter_seconds
         self.stage_seconds["refine"] += stats.refine_seconds
@@ -215,43 +199,8 @@ class _ShardState:
     def knn_begin(self, qid: int, bracket: str) -> Dict[str, Any]:
         query = parse_bracket(bracket)
         start = time.perf_counter()
-        flt = self.db.filter
-        use_index = (
-            self.index is not None
-            and flt.bdist_dominant
-            and getattr(flt, "q", None) == self.index.q
-        )
-        if use_index:
-            assert self.index is not None
-            self.index.sync()
-            from repro.index.ordering import OrderedBoundStream
-
-            query_signature = flt.signature(query)
-            stream = OrderedBoundStream(
-                self.index,
-                lambda row: flt.bound(query_signature, flt.data_signature(row)),
-                self.index.pack(query),
-            )
-            self._knn[qid] = _KnnCursor(query, [], iter(stream))
-        else:
-            bounds: Optional[List[float]] = None
-            if self.matrices is not None:
-                # exact vectorized bounds only — the coordinator's global
-                # optimal-stopping merge compares these values across
-                # shards, so an approximation would change refined counts
-                vectorized = flt.lower_bounds_matrix(
-                    flt.signature(query), self.matrices
-                )
-                if vectorized is not None:
-                    bounds = [float(value) for value in vectorized]
-            if bounds is None:
-                bounds = flt.bounds(query)
-            order = sorted(
-                range(len(bounds)), key=lambda index: (bounds[index], index)
-            )
-            self._knn[qid] = _KnnCursor(
-                query, [(float(bounds[local]), local) for local in order]
-            )
+        stream = bound_stream(self.db.filter, query, self.matrices)
+        self._knn[qid] = _KnnCursor(query, stream)
         filter_seconds = time.perf_counter() - start
         self.stage_seconds["filter"] += filter_seconds
         return {
@@ -273,8 +222,9 @@ class _ShardState:
         self.stage_seconds["refine"] += time.perf_counter() - start
         return {"distance": distance}
 
-    def knn_end(self, qid: int) -> None:
-        self._knn.pop(qid, None)
+    def knn_end(self, qid: int) -> Dict[str, Any]:
+        cursor = self._knn.pop(qid, None)
+        return {"scored": cursor.stream.scored if cursor is not None else 0}
 
     def _cursor(self, qid: int) -> _KnnCursor:
         try:
@@ -285,11 +235,6 @@ class _ShardState:
             ) from None
 
     def add(self, bracket: str) -> Dict[str, Any]:
-        # open lazy cursors iterate over the candidate index; snapshot
-        # them before the mutation so they keep their begin-time frontier
-        # (matching the eager path's materialize-at-begin semantics)
-        for cursor in self._knn.values():
-            cursor.drain()
         local = self.db.add(parse_bracket(bracket))
         return {"local": local, "trees": len(self.db)}
 

@@ -40,10 +40,9 @@ Each oracle audits one class of invariant over a
     the per-candidate loop — per filter family and through vectorized
     shard workers — including under interleaved adds.
 ``search:index-completeness``
-    Inverted-file candidate generation (:mod:`repro.index`) answers
-    exactly like the sequential scan and never refines more candidates
-    than the vectorized cascade — single process and through
-    index-pinned shard workers, under interleaved adds.
+    Inverted-file range candidates (:mod:`repro.index`) answer exactly
+    like the sequential scan and never refine more candidates than the
+    vectorized cascade, under interleaved adds.
 ``service:cache-transparency``
     Under interleaved add/query traffic, every answer the (caching,
     selectively-invalidating) service returns equals a cold answer
@@ -1054,13 +1053,15 @@ class VectorizedEquivalenceOracle(Oracle):
       over :class:`~repro.features.matrix.FeatureMatrices` — and must
       return identical matches **and** an identical refined-candidate
       count (``stats.candidates``), so the matrix cascade prunes exactly
-      the loop's refutations, never more, never fewer.  The
-      ``BiBranchCount`` family pins the ⌈L1/factor⌉ count bound this
-      way: its matrix kernel must order k-NN exactly like the loop.
+      the loop's refutations, never more, never fewer.  For k-NN the
+      matrix path is the lazy :class:`~repro.search.knn.BoundStream` over
+      the filter's ordering keys and the loop path the full
+      ``(bound, row)`` sort, so the ``BiBranch`` family pins the lazy
+      order against the sort and ``BiBranchCount`` pins its ⌈L1/factor⌉
+      kernel against the loop.
     * **sharded**: a :class:`~repro.sharding.coordinator.ShardedTreeService`
-      pinned to ``candidate_source="vectorized"`` (planes scattered
-      zero-copy from shared memory) against a fresh loop-path reference
-      database at every schedule step.
+      (planes scattered zero-copy from shared memory) against a fresh
+      loop-path reference database at every schedule step.
     """
 
     name = "search:vectorized-equivalence"
@@ -1164,7 +1165,6 @@ class VectorizedEquivalenceOracle(Oracle):
                 partitioner=partitioner,
                 filter_name=filter_name,
                 max_workers=1,
-                candidate_source="vectorized",
             )
             try:
                 for step, entry in enumerate(corpus.service_schedule):
@@ -1226,27 +1226,16 @@ class VectorizedEquivalenceOracle(Oracle):
 # search:index-completeness — inverted-file candidates are exact
 # ----------------------------------------------------------------------
 class IndexCompletenessOracle(Oracle):
-    """Inverted-file candidate generation is exact and never over-refines.
+    """Inverted-file range candidates are exact and never over-refine.
 
-    Two legs, both replaying the interleaved add/query schedule so the
-    generation-stamped incremental sync is on the hook, not just the
-    cold build:
-
-    * **single-process**: per filter family, every scheduled range query
-      is answered three ways over the same fitted filter — sequential
-      scan (ground truth), vectorized cascade, and index-pruned cascade.
-      The index answers must equal the sequential matches exactly (the
-      BDist ball may never drop a true result) and must refine **at
-      most** as many candidates as the vectorized path (the ball only
-      shrinks the cascade's domain).  k-NN answers must
-      equal the reference loop bit-for-bit with refined counts exactly
-      equal — the lazy :class:`~repro.index.ordering.OrderedBoundStream`
-      replays the reference ``(bound, row)`` order, including tie-breaks.
-    * **sharded**: a :class:`~repro.sharding.coordinator.ShardedTreeService`
-      pinned to ``candidate_source="ifi"`` (each worker builds its own
-      index over the shared-memory plane), under both partitioners,
-      against a fresh loop-path reference database at every schedule
-      step — identical answers, identical refined counts.
+    Replays the interleaved add/query schedule so the generation-stamped
+    incremental sync is on the hook, not just the cold build.  Per filter
+    family, every scheduled range query is answered three ways over the
+    same fitted filter — sequential scan (ground truth), vectorized
+    cascade, and index-pruned cascade.  The index answers must equal the
+    sequential matches exactly (the BDist ball may never drop a true
+    result) and must refine **at most** as many candidates as the
+    vectorized path (the ball only shrinks the cascade's domain).
     """
 
     name = "search:index-completeness"
@@ -1257,27 +1246,13 @@ class IndexCompletenessOracle(Oracle):
         ("BiBranchCount", BranchCountFilter),
         ("Histo", HistogramFilter),
     )
-    _SHARD_CONFIGS = (
-        (2, "round-robin", "bibranch"),
-        (2, "size-banded", "bibranchcount"),
-    )
 
     def run(self, corpus: VerifyCorpus, distance: DistanceFn) -> OracleOutcome:
         from repro.index import ExtendedInvertedFile
-        from repro.search.knn import knn_query
         from repro.search.range_query import range_query
         from repro.search.sequential import sequential_range_query
 
         outcome = OracleOutcome(self.name)
-
-        def record(message: str, query: TreeNode, details: Dict) -> None:
-            outcome.record(
-                Violation(
-                    oracle=self.name, message=message, t1=query, details=details
-                )
-            )
-
-        # --- single-process leg: sequential vs vectorized vs index ------
         for label, factory in self._FAMILIES:
             shadow: List[TreeNode] = list(corpus.trees)
             flt = factory().fit(shadow)
@@ -1293,132 +1268,43 @@ class IndexCompletenessOracle(Oracle):
                     flt.add(entry[1])
                     store.add(entry[1])
                     continue  # the index re-syncs at the next probe
-                _, query_kind, query, parameter = entry
+                _, query_kind, query, threshold = entry
+                if query_kind != "range":
+                    continue
                 outcome.checks += 1
-                problem = None
-                details: Dict = {
-                    "filter": label,
-                    "kind": query_kind,
-                    "step": step,
-                    "parameter": parameter,
-                }
-                if query_kind == "range":
-                    sequential, _ = sequential_range_query(
-                        shadow, query, parameter
+                sequential, _ = sequential_range_query(shadow, query, threshold)
+                fast_answer, fast_stats = range_query(
+                    shadow, query, threshold, flt, matrices=matrices
+                )
+                indexed, indexed_stats = range_query(
+                    shadow, query, threshold, flt,
+                    matrices=matrices, index=index,
+                )
+                if indexed != sequential:
+                    problem = "range answers differ from sequential"
+                elif indexed_stats.candidates > fast_stats.candidates:
+                    problem = (
+                        f"index refined {indexed_stats.candidates} "
+                        f"candidates, vectorized only {fast_stats.candidates}"
                     )
-                    fast_answer, fast_stats = range_query(
-                        shadow, query, parameter, flt, matrices=matrices
-                    )
-                    indexed, indexed_stats = range_query(
-                        shadow, query, parameter, flt,
-                        matrices=matrices, index=index,
-                    )
-                    if indexed != sequential:
-                        problem = "range answers differ from sequential"
-                        details["sequential"] = sequential
-                    elif indexed_stats.candidates > fast_stats.candidates:
-                        problem = (
-                            f"index refined {indexed_stats.candidates} "
-                            f"candidates, vectorized only "
-                            f"{fast_stats.candidates}"
-                        )
                 else:
-                    k = min(int(parameter), len(shadow))
-                    fast_answer, fast_stats = knn_query(
-                        shadow, query, k, flt, matrices=matrices
+                    continue
+                outcome.record(
+                    Violation(
+                        oracle=self.name,
+                        message=f"{label} range at schedule step {step}: {problem}",
+                        t1=query,
+                        details={
+                            "filter": label,
+                            "step": step,
+                            "threshold": threshold,
+                            "sequential": sequential,
+                            "indexed": indexed,
+                            "vectorized_candidates": fast_stats.candidates,
+                            "indexed_candidates": indexed_stats.candidates,
+                        },
                     )
-                    indexed, indexed_stats = knn_query(
-                        shadow, query, k, flt,
-                        matrices=matrices, index=index,
-                    )
-                    if indexed != fast_answer:
-                        problem = "knn answers differ from reference"
-                    elif indexed_stats.candidates != fast_stats.candidates:
-                        problem = (
-                            f"index refined {indexed_stats.candidates} "
-                            f"candidates, reference refined "
-                            f"{fast_stats.candidates}"
-                        )
-                if problem is not None:
-                    details["reference"] = fast_answer
-                    details["indexed"] = indexed
-                    details["reference_candidates"] = fast_stats.candidates
-                    details["indexed_candidates"] = indexed_stats.candidates
-                    record(
-                        f"{label} {query_kind} at schedule step "
-                        f"{step}: {problem}",
-                        query,
-                        details,
-                    )
-
-        # --- sharded leg: index workers vs loop reference ---------------
-        from repro.search.database import TreeDatabase
-        from repro.sharding.coordinator import ShardedTreeService
-        from repro.sharding.worker import FILTER_FACTORIES
-
-        for shards, partitioner, filter_name in self._SHARD_CONFIGS:
-            shadow = list(corpus.trees)
-            service = ShardedTreeService(
-                shadow,
-                shards=shards,
-                partitioner=partitioner,
-                filter_name=filter_name,
-                max_workers=1,
-                candidate_source="ifi",
-            )
-            try:
-                for step, entry in enumerate(corpus.service_schedule):
-                    if entry[0] == "add":
-                        service.add(entry[1])
-                        shadow.append(entry[1])
-                        continue
-                    _, query_kind, query, parameter = entry
-                    outcome.checks += 1
-                    reference = TreeDatabase(
-                        list(shadow), flt=FILTER_FACTORIES[filter_name]()
-                    )
-                    if query_kind == "range":
-                        served, stats = service.range(query, parameter)
-                        expected, ref_stats = range_query(
-                            reference.trees, query, parameter,
-                            reference.filter, reference.counter,
-                        )
-                    else:
-                        k = min(int(parameter), len(shadow))
-                        served, stats = service.knn(query, k)
-                        expected, ref_stats = knn_query(
-                            reference.trees, query, k,
-                            reference.filter, reference.counter,
-                        )
-                    problem = None
-                    if served != expected:
-                        problem = "answers differ"
-                    elif stats.candidates > ref_stats.candidates:
-                        problem = (
-                            f"index shards refined {stats.candidates} "
-                            f"candidates, loop refined {ref_stats.candidates}"
-                        )
-                    if problem is not None:
-                        record(
-                            f"{query_kind} over {shards} {partitioner}/"
-                            f"{filter_name} ifi shards at schedule step "
-                            f"{step}: {problem}",
-                            query,
-                            {
-                                "step": step,
-                                "kind": query_kind,
-                                "parameter": parameter,
-                                "shards": shards,
-                                "partitioner": partitioner,
-                                "filter": filter_name,
-                                "served": served,
-                                "expected": expected,
-                                "served_candidates": stats.candidates,
-                                "expected_candidates": ref_stats.candidates,
-                            },
-                        )
-            finally:
-                service.close()
+                )
         return outcome
 
 

@@ -57,13 +57,9 @@ class TestIndexCommands:
 
 
 class TestSearchRefuses:
-    @pytest.mark.parametrize("source", ["auto", "vectorized", "ifi"])
-    def test_search_reports_empty_dataset(self, empty_dataset, source, capsys):
+    def test_search_reports_empty_dataset(self, empty_dataset, capsys):
         code = main(
-            [
-                "search", empty_dataset, "--query", "a(b,c)", "--range", "1",
-                "--candidate-source", source,
-            ]
+            ["search", empty_dataset, "--query", "a(b,c)", "--range", "1"]
         )
         assert code == 1
         assert "dataset is empty" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 Hypothesis drives random corpora (small label alphabet — maximal branch
 collisions, the adversarial regime for a candidate index) at branch level
-2 or 3 through three invariant classes of
+2 or 3 through two invariant classes of
 :class:`~repro.index.inverted.ExtendedInvertedFile`, each pinned with
 explicit examples:
 
@@ -11,8 +11,7 @@ explicit examples:
   Branch-disjoint tiny trees under a generous budget reach the ball only
   through the inverted file's norm-prefix scan;
 * **incremental adds** — an index grown by ``sync`` over interleaved
-  ``store.add`` calls answers identically to a fresh cold build;
-* **ascending stream** — complete, keys equal the true BDist, sorted.
+  ``store.add`` calls answers identically to a fresh cold build.
 """
 
 from __future__ import annotations
@@ -108,20 +107,3 @@ class TestIncrementalAdds:
         assert grown.range_rows(vector, budget) == _brute_ball(
             grown, vector, budget
         )
-
-
-class TestAscendingStream:
-    @given(corpora, trees(max_leaves=6), levels)
-    @example(DISJOINT, DISJOINT_QUERY, 2)
-    @example(DISJOINT, DISJOINT_QUERY, 3)
-    @settings(max_examples=60, deadline=None)
-    def test_complete_sorted_and_exact(self, corpus, query, q):
-        store = FeatureStore((q,)).fit(corpus)
-        index = ExtendedInvertedFile(store, q)
-        vector = index.pack(query)
-        emitted = list(index.ascending(vector))
-        assert sorted(row for _, row in emitted) == list(range(len(corpus)))
-        keys = [key for key, _ in emitted]
-        assert keys == sorted(keys)
-        for key, row in emitted:
-            assert key == vector.l1_distance(store.packed_vector(row, index.q))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.datasets import SyntheticSpec, generate_dataset
 from repro.filters import (
     BranchCountFilter,
     HistogramFilter,
@@ -19,7 +20,9 @@ from repro.obs.funnel import (
 )
 from repro.search.knn import knn_query
 from repro.search.range_query import range_query
+from repro.search.database import TreeDatabase
 from repro.search.sequential import sequential_range_query
+from repro.sharding import ShardedTreeService
 from repro.trees import parse_bracket
 
 
@@ -138,6 +141,29 @@ class TestCollection:
         assert funnel.refined == stats.candidates
         assert funnel.results == len(matches) == 2
         assert funnel.check_invariants() == []
+
+    def test_knn_funnel_bounds_lazily_over_planes(self):
+        """Over the matrix planes the ordering stage bounds only the rows
+        optimal stopping consumes, single-process and across shards (whose
+        frontiers stream in chunks, so they bound a little more)."""
+        spec = SyntheticSpec(size_mean=8, size_stddev=2, label_count=8, decay=0.1)
+        corpus = generate_dataset(spec, count=300, seed=3)
+        database = TreeDatabase(corpus)
+        with ShardedTreeService(corpus, shards=2, max_workers=1) as service:
+            for query in corpus[:3]:
+                with collect_funnels() as sink:
+                    knn_query(
+                        corpus, query, 2, database.filter,
+                        matrices=database.matrices(),
+                    )
+                    service.knn(query, 2)
+                for funnel in sink.funnels:
+                    assert [stage.name for stage in funnel.stages] == [
+                        "order:BiBranch"
+                    ]
+                    survivors = funnel.stages[0].survivors
+                    assert funnel.refined <= survivors < funnel.corpus_size
+                    assert funnel.check_invariants() == []
 
     def test_sequential_funnel_refines_everything(self, trees):
         with collect_funnels() as sink:

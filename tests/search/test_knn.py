@@ -6,8 +6,8 @@ import pytest
 
 from repro.datasets import SyntheticSpec, generate_dataset
 from repro.exceptions import QueryError
-from repro.filters import BinaryBranchFilter, HistogramFilter
-from repro.search import knn_query, sequential_knn_query
+from repro.filters import BinaryBranchFilter, BranchCountFilter, HistogramFilter
+from repro.search import TreeDatabase, knn_query, sequential_knn_query
 from repro.trees import parse_bracket
 
 DATASET = [
@@ -99,3 +99,21 @@ class TestOptimalMultiStep:
         neighbors, _ = knn_query(DATASET, parse_bracket("a(b,c)"), 4, flt)
         keys = [(d, i) for i, d in neighbors]
         assert keys == sorted(keys)
+
+
+PLANE_CORPUS = [
+    parse_bracket(text)
+    for text in ["a(b,c)", "a(b,d)", "x(y)", "a(b(c),d)", "q(r,s)", "a"]
+]
+
+
+class TestMatrixPlanes:
+    @pytest.mark.parametrize("filter_cls", [BinaryBranchFilter, BranchCountFilter])
+    @pytest.mark.parametrize("plane_trees", [3, 7], ids=["short", "long"])
+    def test_plane_of_another_corpus_rejected(self, filter_cls, plane_trees):
+        flt = filter_cls().fit(PLANE_CORPUS)
+        other = (PLANE_CORPUS + [parse_bracket("z(y)")])[-plane_trees:]
+        matrices = TreeDatabase(other, flt=filter_cls()).matrices()
+        for k in (1, len(PLANE_CORPUS)):
+            with pytest.raises(QueryError, match="matrix planes"):
+                knn_query(PLANE_CORPUS, parse_bracket("a"), k, flt, matrices=matrices)

@@ -186,6 +186,3 @@ class TestLifecycle:
             TreeSearchService(database, max_workers=0)
         with pytest.raises(InvalidParameterError):
             TreeSearchService(database, cache_size=-1)
-        for source in ("loop", "vptree", "bogus"):
-            with pytest.raises(InvalidParameterError, match="candidate_source"):
-                TreeSearchService(database, candidate_source=source)

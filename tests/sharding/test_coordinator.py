@@ -52,11 +52,6 @@ class TestConstruction:
                 trees, shards=3, partitioner=RoundRobinPartitioner(2)
             )
 
-    @pytest.mark.parametrize("source", ["loop", "vptree"])
-    def test_rejects_unknown_candidate_source(self, trees, source):
-        with pytest.raises(InvalidParameterError, match="candidate_source"):
-            ShardedTreeService(trees, shards=2, candidate_source=source)
-
     def test_accepts_partitioner_instance(self, trees):
         with ShardedTreeService(
             trees, shards=2, partitioner=RoundRobinPartitioner(2)

@@ -28,21 +28,6 @@ class TestParser:
                 ["search", "f", "--query", "a", "--range", "1", "--knn", "2"]
             )
 
-    @pytest.mark.parametrize("command", ["search", "serve-bench"])
-    def test_loop_candidate_source_rejected(self, command):
-        args = [command, "f", "--candidate-source", "loop"]
-        if command == "search":
-            args += ["--query", "a", "--knn", "1"]
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(args)
-
-    @pytest.mark.parametrize("command", ["search", "serve-bench"])
-    def test_vptree_candidate_source_rejected(self, command):
-        args = [command, "f", "--candidate-source", "vptree"]
-        if command == "search":
-            args += ["--query", "a", "--knn", "1"]
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(args)
 
 
 class TestDistanceCommands:
