@@ -23,7 +23,7 @@ order while still emitting the exact ``(bound, row)`` order of step 2.
 Without planes, :func:`bound_stream` falls back to bounding every row and
 sorting — the store-less path and the reference the
 ``search:vectorized-equivalence`` oracle compares against.  The shard
-worker's ``knn_begin`` builds its frontier with the same helper.
+worker's ``knn_begin`` builds its stream with the same helper.
 """
 
 from __future__ import annotations

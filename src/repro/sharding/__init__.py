@@ -5,8 +5,8 @@ each hosted by a persistent worker process
 (:mod:`repro.sharding.worker`) whose packed feature columns live in a
 shared-memory plane (:mod:`repro.sharding.plane`), and the
 :class:`~repro.sharding.coordinator.ShardedTreeService` scatters range
-queries shard-parallel and merges per-shard lower-bound frontiers for
-distributed optimal multi-step k-NN — answer-identical to the
+queries shard-parallel and runs distributed optimal multi-step k-NN in
+exact refine rounds over per-shard lower-bound streams — answer-identical to the
 single-process path (see ``docs/SHARDING.md`` for the argument and the
 ``service:shard-equivalence`` oracle for the enforcement).
 """

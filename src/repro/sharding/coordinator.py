@@ -11,14 +11,19 @@ shard (:mod:`repro.sharding.worker`), and serves:
   per-tree and every bound is pairwise — no corpus-global state — so a
   shard refutes exactly the candidates the single-process filter refutes.
 * **k-NN queries** via a distributed version of the optimal multi-step
-  algorithm (paper Alg. 2): each worker streams an ascending
-  ``(bound, local_index)`` frontier, bounding its rows lazily off the
-  matrix plane (:func:`~repro.search.knn.bound_stream`); the coordinator
-  k-way-merges the frontiers keyed by ``(bound, global_index)`` — exactly
-  the single-process refinement order — refining one candidate at a time
-  and stopping when the result heap is full and the next frontier bound
-  strictly exceeds the k-th distance.  Same refinement set, same answers,
-  same tie-handling; the ``shard:knn-optimality`` oracle enforces it.
+  algorithm (paper Alg. 2) in exact refine rounds: each worker streams
+  its rows in ascending ``(bound, local_index)`` order, bounding them
+  lazily off the matrix plane (:func:`~repro.search.knn.bound_stream`),
+  and reports the bounds of its next ``k`` unrefined rows.  A round's
+  limit is the k-th smallest of the coordinator's heap distances and
+  those bounds; every row at or under it is one single-process Alg. 2
+  refines too, so the coordinator asks each shard with such rows, in
+  parallel, to refine them all, then replays the replies in
+  ``(bound, global_index)`` order — exactly the single-process
+  refinement order — through the same heap rules, and stops when the
+  heap is full and every shard's next bound strictly exceeds the k-th
+  distance.  Same refinement set, same answers, same tie-handling; the
+  ``shard:knn-optimality`` oracle enforces it.
 
 ``shards=1`` skips all of this and delegates to the battle-tested
 single-process :class:`~repro.service.engine.TreeSearchService` (with its
@@ -44,7 +49,7 @@ import multiprocessing
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import InvalidParameterError, QueryError, ShardError
@@ -181,18 +186,6 @@ def _shutdown_backends(
             client.process.join(timeout=1)
     for plane in planes:
         plane.close()
-
-
-class _Frontier:
-    """One shard's ascending ``(bound, local)`` stream, chunk-buffered."""
-
-    __slots__ = ("entries", "cursor", "fetched", "total")
-
-    def __init__(self, entries: List[Tuple[float, int]], total: int) -> None:
-        self.entries = entries
-        self.cursor = 0
-        self.fetched = len(entries)
-        self.total = total
 
 
 class ShardedTreeService:
@@ -461,12 +454,21 @@ class ShardedTreeService:
             raise ShardError(f"shard {shard} {reply[1]}: {reply[2]}")
         return reply[1]
 
-    def _scatter(self, message: tuple, kind: str) -> List[dict]:
-        """Send one message to every shard concurrently; gather in order."""
+    def _scatter(
+        self, message: tuple, kind: str, shards: Optional[List[int]] = None
+    ) -> List[dict]:
+        """Send one message to every shard (or to ``shards``) concurrently;
+        gather in order.
+
+        Waits for every exchange before raising the first failure, so no
+        request is still queued for a shard when the caller cleans up.
+        """
+        targets = range(self.shards) if shards is None else shards
         futures = [
             self._scatter_pool.submit(self._call, shard, message, kind)
-            for shard in range(self.shards)
+            for shard in targets
         ]
+        wait(futures)
         return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
@@ -563,48 +565,76 @@ class ShardedTreeService:
         sink = active_sink()
         qid = next(self._qids)
         start = time.perf_counter()
+        scored: Optional[int] = None
         self._rwlock.acquire_read()
         try:
-            begins = self._scatter(("knn_begin", qid, bracket), "knn")
+            begins = self._scatter(("knn_begin", qid, bracket, k), "knn")
             filter_seconds = sum(reply["filter_seconds"] for reply in begins)
-            frontiers = [
-                _Frontier(reply["chunk"], reply["total"]) for reply in begins
-            ]
-
-            # k-way merge keyed (bound, global index): pops reproduce the
-            # single-process `sorted(..., key=(bounds[i], i))` order exactly
-            frontier_heap: List[Tuple[float, int, int, int]] = []
-            for shard in range(self.shards):
-                self._push_next(frontier_heap, frontiers, qid, shard)
+            # per shard: the bounds of its next k unrefined rows, ascending
+            frontiers: List[List[float]] = [reply["frontier"] for reply in begins]
 
             heap: List[Tuple[float, int]] = []  # (−distance, −global index)
             refined = 0
             refine_start = time.perf_counter()
-            while frontier_heap:
-                bound, global_index, shard, local = heapq.heappop(frontier_heap)
-                if len(heap) == k and bound > -heap[0][0]:
+            while any(frontiers):
+                head = min(frontier[0] for frontier in frontiers if frontier)
+                if len(heap) == k and head > -heap[0][0]:
                     break  # optimal stopping, globally: no shard can improve
-                # the merge heap's k-th distance bounds what can still enter
+                # every unrefined row's distance is at least its bound, so
+                # the final k-th distance is at least this limit: Alg. 2
+                # refines every row bounded at or under it
+                limit = heapq.nsmallest(
+                    k,
+                    itertools.chain(
+                        (-neg_distance for neg_distance, _ in heap), *frontiers
+                    ),
+                )[-1]
+                # the k-th distance only shrinks, so the one at the start of
+                # the round is at least every sequential per-row budget
                 budget = -heap[0][0] if len(heap) == k else math.inf
-                reply = self._call(
-                    shard, ("knn_refine", qid, local, budget), "knn"
+                shards = [
+                    shard
+                    for shard, frontier in enumerate(frontiers)
+                    if frontier and frontier[0] <= limit
+                ]
+                replies = self._scatter(
+                    ("knn_refine_upto", qid, limit, budget), "knn", shards
                 )
-                distance = reply["distance"]
-                refined += 1
-                if len(heap) < k:
-                    heapq.heappush(heap, (-distance, -global_index))
-                elif distance < -heap[0][0]:
-                    heapq.heapreplace(heap, (-distance, -global_index))
-                self._push_next(frontier_heap, frontiers, qid, shard)
+                rows: List[Tuple[float, int, float]] = []
+                for shard, reply in zip(shards, replies):
+                    frontiers[shard] = reply["frontier"]
+                    members = self._assignment.by_shard[shard]
+                    rows.extend(
+                        (bound, members[local], distance)
+                        for bound, local, distance in reply["refined"]
+                    )
+                # replay in (bound, global index) order: the single-process
+                # refinement order, through the same heap rules
+                rows.sort()
+                refined += len(rows)
+                for _bound, global_index, distance in rows:
+                    if len(heap) < k:
+                        heapq.heappush(heap, (-distance, -global_index))
+                    elif distance < -heap[0][0]:
+                        heapq.heapreplace(heap, (-distance, -global_index))
             refine_seconds = time.perf_counter() - refine_start
 
             # survivors of the ordering stage: the rows the shards bounded
             scored = sum(
-                self._call(shard, ("knn_end", qid), "knn")["scored"]
-                for shard in range(self.shards)
+                reply["scored"]
+                for reply in self._scatter(("knn_end", qid), "knn")
             )
         finally:
             self._rwlock.release_read()
+            if scored is None:
+                # a failed k-NN must not leave its cursor and stream on any
+                # live shard (a dead worker took its cursors along)
+                live = [
+                    client.shard
+                    for client in self._clients
+                    if client.process.is_alive()
+                ]
+                self._scatter(("knn_end", qid), "knn", live)
 
         stats = SearchStats(
             dataset_size=total,
@@ -636,31 +666,6 @@ class ShardedTreeService:
             "knn", stats, time.perf_counter() - start, cache_hit=False
         )
         return neighbors, stats
-
-    def _push_next(
-        self,
-        frontier_heap: List[Tuple[float, int, int, int]],
-        frontiers: List[_Frontier],
-        qid: int,
-        shard: int,
-    ) -> None:
-        """Advance one shard's frontier cursor onto the merge heap."""
-        frontier = frontiers[shard]
-        if frontier.cursor >= len(frontier.entries):
-            if frontier.fetched >= frontier.total:
-                return  # shard exhausted
-            reply = self._call(shard, ("knn_more", qid, frontier.fetched), "knn")
-            frontier.entries = reply["chunk"]
-            frontier.cursor = 0
-            frontier.fetched += len(frontier.entries)
-            if not frontier.entries:
-                return
-        bound, local = frontier.entries[frontier.cursor]
-        frontier.cursor += 1
-        heapq.heappush(
-            frontier_heap,
-            (bound, self._assignment.by_shard[shard][local], shard, local),
-        )
 
     # ------------------------------------------------------------------
     # Batches

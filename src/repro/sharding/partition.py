@@ -11,8 +11,8 @@ The :class:`ShardAssignment` records the layout both ways — global index →
 ever extends the maps, mirroring the append-only semantics of
 :meth:`repro.search.database.TreeDatabase.add`, and within each shard the
 local order preserves the ascending global order.  That monotonicity is
-what lets the coordinator merge per-shard k-NN frontiers (sorted by
-``(bound, local)``) into the exact global ``(bound, index)`` refinement
+what lets the coordinator replay per-shard k-NN refines (sorted by
+``(bound, local)``) in the exact global ``(bound, index)`` refinement
 order of the single-process Algorithm 2.
 """
 

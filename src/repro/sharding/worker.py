@@ -14,37 +14,38 @@ worker, so the worker is single-threaded and lock-free.  Requests are
 tuples ``(op, *operands)``; replies are ``("ok", result)`` or
 ``("error", exception_type, message)``.  Ops:
 
-=================  =====================================================
-``ping``           liveness / shard summary
-``range``          one complete range query over the shard
-``knn_begin``      open this shard's lazy ``(bound, local_index)`` stream
-                   (:func:`~repro.search.knn.bound_stream`) and send its
-                   first frontier chunk
-``knn_more``       next frontier chunk for an open k-NN cursor
-``knn_refine``     edit distance to one local tree, exact up to the
-                   caller's budget (the coordinator's current k-th
-                   distance, or ``inf`` while its heap is not full)
-``knn_end``        drop a k-NN cursor; reply with the rows it bounded
-``add``            insert one tree (bracket form) into the shard
-``info``           counters for diagnostics
-``health``         health telemetry: per-op request counts, cumulative
-                   per-stage seconds, open cursors, RSS, uptime
-``shutdown``       acknowledge and exit the loop
-=================  =====================================================
+=====================  =================================================
+``ping``               liveness / shard summary
+``range``              one complete range query over the shard
+``knn_begin``          open this shard's lazy ``(bound, local_index)``
+                       stream (:func:`~repro.search.knn.bound_stream`)
+                       and send the bounds of its first ``k`` rows
+``knn_refine_upto``    refine every unrefined stream row whose bound is
+                       ≤ the round limit, exact up to the caller's budget;
+                       reply with ``(bound, local, distance)`` triples
+                       and the bounds of the next ``k`` rows
+``knn_end``            drop a k-NN cursor; reply with the rows it bounded
+``add``                insert one tree (bracket form) into the shard
+``info``               counters for diagnostics
+``health``             health telemetry: per-op request counts, cumulative
+                       per-stage seconds, open cursors, RSS, uptime
+``shutdown``           acknowledge and exit the loop
+=====================  =================================================
 
-k-NN is split into begin/more/refine because Algorithm 2's optimal
-stopping is a *global* decision: the coordinator merges every shard's
-ascending frontier and asks for exact distances one candidate at a time,
-so the distributed query refines exactly the candidates the
-single-process run refines (see ``docs/SHARDING.md``).
+k-NN is split into begin/refine rounds because Algorithm 2's optimal
+stopping is a *global* decision: the coordinator derives each round's
+limit from its heap and every shard's next ``k`` bounds, so a round
+refines only rows the single-process run refines too, and the
+distributed query refines exactly the single-process candidates (see
+``docs/SHARDING.md``).
 """
 
 from __future__ import annotations
 
 import time
-from itertools import islice
+from collections import deque
 from multiprocessing.connection import Connection
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.editdist.costs import UNIT_COSTS
 from repro.editdist.zhang_shasha import EditDistanceCounter, PreparedTreeCache
@@ -60,7 +61,7 @@ from repro.search.range_query import range_query
 from repro.sharding.plane import PlaneHandle, SharedFeaturePlane
 from repro.trees.parse import parse_bracket
 
-__all__ = ["FILTER_FACTORIES", "FRONTIER_CHUNK", "run_worker"]
+__all__ = ["FILTER_FACTORIES", "run_worker"]
 
 #: Filter constructors a worker can instantiate by name (CLI spellings).
 FILTER_FACTORIES: Dict[str, Type[LowerBoundFilter]] = {
@@ -70,41 +71,47 @@ FILTER_FACTORIES: Dict[str, Type[LowerBoundFilter]] = {
     "traversal": TraversalStringFilter,
 }
 
-#: ``(bound, local_index)`` pairs per k-NN frontier message.  Chunking
-#: bounds the per-message payload while keeping the common case (the
-#: merge stops early) to a single round trip per shard.
-FRONTIER_CHUNK = 64
-
 #: Ops the request loop will dispatch; anything else is a protocol error.
 _OPS = frozenset(
-    {"ping", "range", "knn_begin", "knn_more", "knn_refine", "knn_end",
+    {"ping", "range", "knn_begin", "knn_refine_upto", "knn_end",
      "add", "info", "health"}
 )
 
 
 class _KnnCursor:
-    """Ascending ``(bound, local)`` frontier for one open k-NN query.
+    """One open k-NN query: the shard's stream, bounded ``k`` rows ahead.
 
-    The frontier is the shard's :class:`~repro.search.knn.BoundStream`,
-    materialized only as deep as the coordinator's global merge asks.
-    The stream's keys and rows are fixed at ``knn_begin``, so a later
-    ``add`` to the shard cannot move an open frontier.
+    The stream is the shard's :class:`~repro.search.knn.BoundStream`,
+    materialized only as deep as the coordinator's rounds ask.  Its keys
+    and rows are fixed at ``knn_begin``, so a later ``add`` to the shard
+    cannot move an open stream.
     """
 
-    def __init__(self, query: Any, stream: BoundStream) -> None:
+    def __init__(self, query: Any, stream: BoundStream, k: int) -> None:
         self.query = query
         self.stream = stream
+        self.k = k
         self._rows = iter(stream)
-        self._pairs: List[Tuple[float, int]] = []
+        #: the unrefined rows already pulled, in stream order
+        self._ahead: Deque[Tuple[float, int]] = deque()
 
-    def window(self, start: int, size: int) -> List[Tuple[float, int]]:
-        missing = start + size - len(self._pairs)
-        if missing > 0:
-            self._pairs.extend(
-                (float(bound), local)
-                for bound, local in islice(self._rows, missing)
-            )
-        return self._pairs[start : start + size]
+    def _pull(self) -> bool:
+        pair = next(self._rows, None)
+        if pair is None:
+            return False
+        self._ahead.append((float(pair[0]), pair[1]))
+        return True
+
+    def frontier(self) -> List[float]:
+        """The bounds of the next ``k`` unrefined rows (fewer at the end)."""
+        while len(self._ahead) < self.k and self._pull():
+            pass
+        return [bound for bound, _ in self._ahead]
+
+    def take_upto(self, limit: float) -> Iterator[Tuple[float, int]]:
+        """Consume every unrefined row with bound ≤ ``limit``, in order."""
+        while (self._ahead or self._pull()) and self._ahead[0][0] <= limit:
+            yield self._ahead.popleft()
 
 
 class _ShardState:
@@ -196,31 +203,33 @@ class _ShardState:
             "stages": stages,
         }
 
-    def knn_begin(self, qid: int, bracket: str) -> Dict[str, Any]:
+    def knn_begin(self, qid: int, bracket: str, k: int) -> Dict[str, Any]:
         query = parse_bracket(bracket)
         start = time.perf_counter()
-        stream = bound_stream(self.db.filter, query, self.matrices)
-        self._knn[qid] = _KnnCursor(query, stream)
+        cursor = _KnnCursor(
+            query, bound_stream(self.db.filter, query, self.matrices), k
+        )
+        self._knn[qid] = cursor
+        frontier = cursor.frontier()
         filter_seconds = time.perf_counter() - start
         self.stage_seconds["filter"] += filter_seconds
-        return {
-            "filter_seconds": filter_seconds,
-            "total": len(self.db),
-            "chunk": self._chunk(qid, 0),
-        }
+        return {"filter_seconds": filter_seconds, "frontier": frontier}
 
-    def knn_more(self, qid: int, start: int) -> Dict[str, Any]:
-        return {"chunk": self._chunk(qid, start)}
-
-    def _chunk(self, qid: int, start: int) -> List[Tuple[float, int]]:
-        return self._cursor(qid).window(start, FRONTIER_CHUNK)
-
-    def knn_refine(self, qid: int, local: int, budget: float) -> Dict[str, Any]:
-        query = self._cursor(qid).query
+    def knn_refine_upto(
+        self, qid: int, limit: float, budget: float
+    ) -> Dict[str, Any]:
+        cursor = self._cursor(qid)
+        query, trees = cursor.query, self.db.trees
         start = time.perf_counter()
-        distance = self.counter.distance(query, self.db.trees[local], budget)
-        self.stage_seconds["refine"] += time.perf_counter() - start
-        return {"distance": distance}
+        refined = [
+            (bound, local, self.counter.distance(query, trees[local], budget))
+            for bound, local in cursor.take_upto(limit)
+        ]
+        middle = time.perf_counter()
+        frontier = cursor.frontier()
+        self.stage_seconds["refine"] += middle - start
+        self.stage_seconds["filter"] += time.perf_counter() - middle
+        return {"refined": refined, "frontier": frontier}
 
     def knn_end(self, qid: int) -> Dict[str, Any]:
         cursor = self._knn.pop(qid, None)

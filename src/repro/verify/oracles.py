@@ -53,8 +53,9 @@ Each oracle audits one class of invariant over a
     the single-process path, under interleaved add/query traffic, across
     partitioners and filters.
 ``shard:knn-optimality``
-    The coordinator's merged-frontier k-NN refines *exactly* the
-    candidates the single-process Algorithm 2 refines: distributing the
+    The coordinator's round-based k-NN refines *exactly* the candidates
+    the single-process Algorithm 2 refines — counted by the coordinator
+    and by the shards' own distance computations: distributing the
     corpus never gives up the optimal multi-step stopping guarantee.
 ``obs:funnel-consistency``
     The funnel telemetry (:mod:`repro.obs.funnel`) tells the truth: the
@@ -945,18 +946,27 @@ class ShardEquivalenceOracle(Oracle):
         return outcome
 
 
+def _shard_distances(service) -> int:
+    """Exact distances the service's shard workers have computed so far."""
+    return sum(int(info["distance_computations"]) for info in service.shard_info())
+
+
 class ShardKnnOptimalityOracle(Oracle):
     """Distributed k-NN refines exactly the single-process candidate set.
 
     Algorithm 2's optimality theorem says the multi-step search refines
     the unique minimal candidate set the lower bounds permit.  The
-    coordinator's merged-frontier protocol claims to preserve that:
-    per-shard frontiers ascend in ``(bound, local)``, the merge heap
-    restores the global ``(bound, index)`` order, and the stop test runs
-    *before* each refinement.  This oracle replays k-NN queries at
+    coordinator's refine rounds claim to preserve that: per-shard
+    streams ascend in ``(bound, local)``, a round refines only rows whose
+    bound is at most a limit the final k-th distance cannot undercut, the
+    replay restores the global ``(bound, index)`` order, and the stop test
+    runs before every round.  This oracle replays k-NN queries at
     several ``k`` against both paths and requires identical neighbours
     **and** an identical refined-candidate count — a sharded run that
-    refines even one extra tree breaks the guarantee.
+    refines even one extra tree breaks the guarantee.  The count is taken
+    twice: from the coordinator's ``candidates`` and from the shards' own
+    ``distance_computations`` delta, so a protocol that refines rows
+    speculatively and reports only the ones it replays fails too.
     """
 
     name = "shard:knn-optimality"
@@ -994,7 +1004,9 @@ class ShardKnnOptimalityOracle(Oracle):
                         if k > len(trees):
                             continue
                         outcome.checks += 1
+                        before = _shard_distances(service)
                         served, stats = service.knn(query, k)
+                        computed = _shard_distances(service) - before
                         expected, ref_stats = knn_query(
                             reference.trees, query, k,
                             reference.filter, reference.counter,
@@ -1005,6 +1017,12 @@ class ShardKnnOptimalityOracle(Oracle):
                         elif stats.candidates != ref_stats.candidates:
                             problem = (
                                 f"refined {stats.candidates} candidates, "
+                                f"single-process refined "
+                                f"{ref_stats.candidates}"
+                            )
+                        elif computed != ref_stats.candidates:
+                            problem = (
+                                f"shards computed {computed} distances, "
                                 f"single-process refined "
                                 f"{ref_stats.candidates}"
                             )
@@ -1026,6 +1044,7 @@ class ShardKnnOptimalityOracle(Oracle):
                                         "served": served,
                                         "expected": expected,
                                         "served_candidates": stats.candidates,
+                                        "shard_distances": computed,
                                         "expected_candidates": (
                                             ref_stats.candidates
                                         ),

@@ -145,7 +145,7 @@ class TestCollection:
     def test_knn_funnel_bounds_lazily_over_planes(self):
         """Over the matrix planes the ordering stage bounds only the rows
         optimal stopping consumes, single-process and across shards (whose
-        frontiers stream in chunks, so they bound a little more)."""
+        streams report k bounds ahead, so they bound a little more)."""
         spec = SyntheticSpec(size_mean=8, size_stddev=2, label_count=8, decay=0.1)
         corpus = generate_dataset(spec, count=300, seed=3)
         database = TreeDatabase(corpus)

@@ -5,7 +5,8 @@ import pickle
 
 import pytest
 
-from repro.exceptions import InvalidParameterError, QueryError
+from repro.datasets.dblp import generate_dblp_dataset
+from repro.exceptions import InvalidParameterError, QueryError, ShardError
 from repro.search.database import TreeDatabase
 from repro.service.engine import QueryRequest, TreeSearchService
 from repro.sharding import ShardedTreeService, encode_query
@@ -166,6 +167,26 @@ class TestLifecycle:
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.range(parse_bracket("a"), 1.0)
+
+    def test_failed_knn_leaves_no_open_cursor(self):
+        """A k-NN whose refine request fails still ends its cursor on
+        every shard that began it."""
+        trees = generate_dblp_dataset(60)
+        with ShardedTreeService(trees, shards=2, max_workers=2) as service:
+            call = service._call
+
+            def failing(shard, message, kind):
+                # any refine-side request of shard 1; begin and end pass
+                if shard == 1 and message[0] not in ("knn_begin", "knn_end"):
+                    raise ShardError("injected refine failure")
+                return call(shard, message, kind)
+
+            service._call = failing
+            with pytest.raises(ShardError, match="injected"):
+                service.knn(trees[0], 5)
+            service._call = call
+            health = service.health()
+            assert [s["open_cursors"] for s in health["shards"]] == [0, 0]
 
     def test_shard_info_counts_workers(self, service, trees):
         info = service.shard_info()

@@ -107,35 +107,63 @@ def test_equivalence_survives_incremental_adds(shards):
         assert service.generation == 4
 
 
-def test_knn_refine_budget_keeps_answers_and_candidates():
-    """``knn_refine`` carries the merge heap's k-th distance as its budget
-    once the heap is full (``inf`` before), and the budgeted refine leaves
-    answers and refined counts identical to the single-process run."""
-    trees = _corpus(3, count=20)
-    queries = _corpus(103, count=3)
+def test_knn_refine_rounds_keep_answers_candidates_and_budgets():
+    """Every ``knn_refine_upto`` round refines only rows the single-process
+    run refines: answers, refined counts and the refined triples agree,
+    each shard gets at most one request per round, a round clears at
+    least one distinct bound value, and the budget is ``inf`` until the
+    heap is full, then the non-increasing k-th distance, never below the
+    answer's."""
+    trees = _corpus(3, count=40)
+    queries = _corpus(103, count=4)
     reference = _reference(trees, "bibranch")
-    budgets = []
+    exchanges = []  # (message, shard, reply); one message object per round
+    multi_round = 0
     with ShardedTreeService(trees, shards=2, max_workers=2) as service:
         call = service._call
 
         def spy(shard, message, kind):
-            if message[0] == "knn_refine":
-                budgets.append(message[3])
-            return call(shard, message, kind)
+            reply = call(shard, message, kind)
+            if message[0] == "knn_refine_upto":
+                exchanges.append((message, shard, reply))
+            return reply
 
         service._call = spy
         for query in queries:
-            for k in (1, 3):
-                budgets.clear()
+            for k in (1, 3, 6):
+                exchanges.clear()
                 served = service.knn(query, k)
                 expected = knn_query(
                     reference.trees, query, k, reference.filter, reference.counter
                 )
                 assert served[0] == expected[0]
                 assert served[1].candidates == expected[1].candidates
-                assert served[1].candidates == len(budgets)
-                assert budgets[:k] == [math.inf] * k
-                bounded = budgets[k:]
+
+                rounds = []
+                for message, shard, reply in exchanges:
+                    if not rounds or rounds[-1][0] is not message:
+                        rounds.append((message, []))
+                    rounds[-1][1].append((shard, reply["refined"]))
+                triples = [
+                    triple for _, shards in rounds for _, refined in shards
+                    for triple in refined
+                ]
+                assert len(triples) == served[1].candidates
+                for _, shards in rounds:
+                    sent = [shard for shard, _ in shards]
+                    assert len(sent) == len(set(sent))
+                assert len(rounds) <= len({bound for bound, _, _ in triples})
+                multi_round += len(rounds) > 1
+
+                done = 0
+                budgets = []
+                for message, shards in rounds:
+                    budget = message[3]
+                    assert (budget == math.inf) == (done < k)
+                    if budget < math.inf:
+                        budgets.append(budget)
+                    done += sum(len(refined) for _, refined in shards)
                 # the k-th distance only shrinks, and never below the answer's
-                assert bounded == sorted(bounded, reverse=True)
-                assert all(budget >= served[0][-1][1] for budget in bounded)
+                assert budgets == sorted(budgets, reverse=True)
+                assert all(budget >= served[0][-1][1] for budget in budgets)
+    assert multi_round

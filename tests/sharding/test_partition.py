@@ -76,7 +76,7 @@ class TestShardAssignment:
         assert assignment.shard_sizes() == [2, 3]
 
     def test_local_order_preserves_global_order(self):
-        # the k-NN frontier merge relies on this monotonicity
+        # the k-NN round replay relies on this monotonicity
         assignment = ShardAssignment(3)
         for index in range(20):
             assignment.append(index % 3)
