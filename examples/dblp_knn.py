@@ -14,7 +14,7 @@ import sys
 from repro import TreeDatabase
 from repro.bench import average_pairwise_distance, select_queries
 from repro.datasets import generate_dblp_dataset
-from repro.filters import space_parity_histogram_filter
+from repro.filters import BinaryBranchFilter, space_parity_histogram_filter
 from repro.trees import dataset_summary, to_bracket
 
 
@@ -29,7 +29,9 @@ def main(count: int = 200) -> None:
           f"{average_pairwise_distance(records, sample_pairs=100):.2f} "
           f"(paper reports 5.03 on real DBLP)\n")
 
-    bibranch_db = TreeDatabase(records)
+    # the paper's filter alone; TreeDatabase(records) would serve the
+    # BiBranch + label-histogram composite
+    bibranch_db = TreeDatabase(records, flt=BinaryBranchFilter())
     # the histogram comparator uses the paper's space-parity folding
     histogram_db = TreeDatabase(records, flt=space_parity_histogram_filter(records))
 

@@ -74,7 +74,7 @@ def main() -> None:
     molecules.append(duplicate)
     labels.append("hairpin")
 
-    db = TreeDatabase(molecules)
+    db = TreeDatabase(molecules, flt=BinaryBranchFilter())
     print(f"indexed {len(db)} RNA structures "
           f"({', '.join(sorted(families))})\n")
 

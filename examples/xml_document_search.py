@@ -9,6 +9,7 @@ Run with:  python examples/xml_document_search.py
 """
 
 from repro import TreeDatabase, parse_xml_string
+from repro.filters import BinaryBranchFilter
 
 CATALOG = [
     """
@@ -65,7 +66,7 @@ QUERY = """
 
 def main() -> None:
     documents = [parse_xml_string(text) for text in CATALOG]
-    database = TreeDatabase(documents)
+    database = TreeDatabase(documents, flt=BinaryBranchFilter())
 
     query = parse_xml_string(QUERY)
     print(f"query tree has {query.size} nodes; database holds "

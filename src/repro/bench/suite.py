@@ -4,14 +4,15 @@ Three legs, each measuring one of the system's load-bearing claims over
 a pinned synthetic corpus:
 
 * ``serve_throughput`` — a deterministic workload replayed serially
-  through :class:`~repro.service.engine.TreeSearchService` (cache off,
-  no repeats, so every candidate count is a pure function of corpus and
-  seed): throughput, exact latency percentiles, and the per-kind cascade
-  cost report (actual seconds, measured speedup vs unfiltered);
+  through :class:`~repro.service.engine.TreeSearchService` on the serving
+  default filter (cache off, no repeats, so every candidate count is a
+  pure function of corpus and seed): throughput, exact latency
+  percentiles, and the per-kind cascade cost report (actual seconds,
+  measured speedup vs unfiltered);
 * ``vectorized_filters`` — the same range-query stream answered by the
   per-candidate loop and by the matrix-plane cascade; records both
   filter-stage timings, their speedup, and the (identical) refined
-  counts;
+  counts, on the pure BiBranch filter;
 * ``index_candidates`` — the same stream again through the ``ifi``
   inverted file; records the rows it examined (the sublinearity claim)
   and the refined count.
@@ -68,7 +69,7 @@ def _serve_throughput(
         seed=seed,
     )
     workload = generate_workload(trees, spec)
-    database = TreeDatabase(list(trees), flt=BinaryBranchFilter())
+    database = TreeDatabase(list(trees))
     with collect_funnels() as sink:
         with TreeSearchService(database, cache_size=0) as service:
             _, report = replay(service, workload, clients=1)

@@ -36,11 +36,7 @@ from repro.core.lower_bounds import branch_lower_bound, positional_lower_bound
 from repro.core.vectors import branch_distance
 from repro.datasets import generate_dblp_dataset, generate_dataset, parse_spec
 from repro.editdist import tree_edit_distance, tree_edit_mapping
-from repro.filters import (
-    BinaryBranchFilter,
-    HistogramFilter,
-    TraversalStringFilter,
-)
+from repro.filters import DEFAULT_FILTER, FILTERS
 from repro.search import knn_query, range_query, similarity_self_join
 from repro.sharding.partition import PARTITIONERS
 from repro.storage import load_forest, load_xml_directory, save_forest
@@ -50,12 +46,6 @@ from repro.trees.xml_io import parse_xml_file
 from repro.trees.render import render_tree
 
 __all__ = ["main", "build_parser"]
-
-_FILTERS = {
-    "bibranch": BinaryBranchFilter,
-    "histogram": HistogramFilter,
-    "traversal": TraversalStringFilter,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--range", type=float, dest="range_threshold")
     mode.add_argument("--knn", type=int, dest="knn_k")
     search.add_argument(
-        "--filter", choices=sorted(_FILTERS), default="bibranch"
+        "--filter", choices=sorted(FILTERS), default=DEFAULT_FILTER
     )
     search.add_argument(
         "--shards",
@@ -244,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-size", type=int, default=1024, help="result-cache bound (0 = off)"
     )
     serve_bench.add_argument(
-        "--filter", choices=sorted(_FILTERS), default="bibranch"
+        "--filter", choices=sorted(FILTERS), default=DEFAULT_FILTER
     )
     serve_bench.add_argument(
         "--shards",
@@ -390,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_mode = trace.add_mutually_exclusive_group(required=True)
     trace_mode.add_argument("--range", type=float, dest="range_threshold")
     trace_mode.add_argument("--knn", type=int, dest="knn_k")
-    trace.add_argument("--filter", choices=sorted(_FILTERS), default="bibranch")
+    trace.add_argument("--filter", choices=sorted(FILTERS), default=DEFAULT_FILTER)
     trace.add_argument(
         "--chrome-trace",
         metavar="PATH",
@@ -420,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_dump.add_argument("--queries", type=int, default=20)
     metrics_dump.add_argument("--seed", type=int, default=0)
     metrics_dump.add_argument(
-        "--filter", choices=sorted(_FILTERS), default="bibranch"
+        "--filter", choices=sorted(FILTERS), default=DEFAULT_FILTER
     )
     metrics_dump.add_argument(
         "--shards",
@@ -553,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("file")
     join.add_argument("--threshold", type=float, required=True)
     join.add_argument(
-        "--filter", choices=sorted(_FILTERS), default="bibranch"
+        "--filter", choices=sorted(FILTERS), default=DEFAULT_FILTER
     )
     return parser
 
@@ -673,7 +663,7 @@ def _cmd_search(args) -> int:
                 # planes something to scatter from
                 from repro.search.database import TreeDatabase
 
-                database = TreeDatabase(trees, flt=_FILTERS[args.filter]())
+                database = TreeDatabase(trees, flt=FILTERS[args.filter]())
                 matrices = database.matrices()
                 flt = database.filter
                 if args.range_threshold is not None:
@@ -815,7 +805,7 @@ def _cmd_serve_bench(args) -> int:
             else:
                 # unfitted: let the database fit from its feature store so
                 # the vectorized candidate path has planes to work with
-                database = TreeDatabase(trees, flt=_FILTERS[args.filter]())
+                database = TreeDatabase(trees, flt=FILTERS[args.filter]())
                 service = stack.enter_context(
                     TreeSearchService(
                         database,
@@ -900,7 +890,7 @@ def _cmd_trace(args) -> int:
         print("dataset is empty", file=sys.stderr)
         return 1
     query = parse_bracket(args.query)
-    flt = _FILTERS[args.filter]().fit(trees)
+    flt = FILTERS[args.filter]().fit(trees)
     tracer = Tracer(sample_rate=1.0)
     set_tracer(tracer)
     try:
@@ -980,7 +970,7 @@ def _cmd_metrics(args) -> int:
         else:
             # unfitted, as serve-bench does: the database fits from its
             # feature store, so the service serves off the matrix planes
-            database = TreeDatabase(trees, flt=_FILTERS[args.filter]())
+            database = TreeDatabase(trees, flt=FILTERS[args.filter]())
             with TreeSearchService(database, metrics=metrics) as service:
                 replay(service, workload)
     if args.json:
@@ -1119,7 +1109,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_join(args) -> int:
     trees = load_forest(args.file)
-    flt = _FILTERS[args.filter]().fit(trees)
+    flt = FILTERS[args.filter]().fit(trees)
     pairs, stats = similarity_self_join(trees, args.threshold, flt)
     for i, j, distance in pairs:
         print(f"{i}\t{j}\t{distance:g}")

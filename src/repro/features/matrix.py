@@ -3,16 +3,18 @@
 The filter framework's per-candidate loop (``for data in signatures:
 bound(query, data)``) pays interpreter cost per tree.  This module flips
 that loop inside out: all packed per-tree vectors of one feature family
-are stacked into a single contiguous ``np.int64`` matrix — a
+are stacked into a single contiguous ``np.int32`` count matrix — a
 :class:`MatrixPlane` — and a query's lower bounds against the *entire
-corpus* come out of a handful of numpy passes.
+corpus* come out of a handful of numpy passes.  Counts are per-tree
+occurrence counts, far below ``2**31``; row totals and every kernel
+result stay ``int64``.
 
 Row ``i`` of every plane is tree ``i`` of the owning
-:class:`~repro.features.store.FeatureStore`; planes grow by row appends
-on incremental ``add`` (capacity-doubling, generation-stamped) and widen
-by zero-padded columns when the vocabulary grows — sound because the
-vocabulary is append-only, so no existing row can contain a
-newly-interned dimension.
+:class:`~repro.features.store.FeatureStore`; a sync appends every new
+row in one batch (one capacity-doubling allocation, one scatter;
+generation-stamped) and widens by zero-padded columns when the
+vocabulary grows — sound because the vocabulary is append-only, so no
+existing row can contain a newly-interned dimension.
 
 The L1 kernel is a *column gather*, not a dense ``np.abs(M - q)`` pass:
 for sparse count vectors,
@@ -45,12 +47,12 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
 )
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
+from repro.features.store import HISTOGRAM_FAMILIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.features.packed import PackedVector
@@ -72,7 +74,8 @@ __all__ = [
     "stable_order",
 ]
 
-_HISTOGRAM_FAMILIES = ("labels", "degrees")
+#: dtype of every plane's count matrix (row totals stay int64)
+_COUNT_DTYPE = np.int32
 
 
 def _column(values: Any) -> "np.ndarray":
@@ -100,14 +103,14 @@ def _row_index(rows: Sequence[int]) -> "np.ndarray":
 
 
 class MatrixPlane:
-    """One feature family as a dense ``rows × width`` int64 matrix.
+    """One feature family as a dense ``rows × width`` int32 count matrix.
 
     ``matrix[i, d]`` is tree ``i``'s count for dimension ``d``;
-    ``row_totals[i]`` caches ``matrix[i].sum()`` (plus any mass the
-    packed source carried outside its in-vocabulary dims) so the L1
-    kernel never re-reduces full rows.  Appends amortize via
-    capacity doubling in both axes; :attr:`generation` records the
-    store generation the plane was last synced at.
+    ``row_totals[i]`` (int64) caches ``matrix[i].sum()`` (plus any mass
+    the packed source carried outside its in-vocabulary dims) so the L1
+    kernel never re-reduces full rows.  Appends amortize via capacity
+    doubling in both axes; :attr:`generation` records the store
+    generation the plane was last synced at.
     """
 
     __slots__ = ("kind", "rows", "width", "generation", "_matrix", "_totals")
@@ -117,7 +120,7 @@ class MatrixPlane:
         self.rows = 0
         self.width = 0
         self.generation = -1
-        self._matrix = np.zeros((0, 0), dtype=np.int64)
+        self._matrix = np.zeros((0, 0), dtype=_COUNT_DTYPE)
         self._totals = np.zeros(0, dtype=np.int64)
 
     @property
@@ -150,7 +153,7 @@ class MatrixPlane:
                 new_width = max(8, new_width * 2)
             # column-major: the hot kernel gathers whole columns
             # (matrix[:, query_dims]), which Fortran order makes contiguous
-            grown = np.zeros((new_rows, new_width), dtype=np.int64, order="F")
+            grown = np.zeros((new_rows, new_width), dtype=_COUNT_DTYPE, order="F")
             grown[: self.rows, : self.width] = self.matrix
             self._matrix = grown
             totals = np.zeros(new_rows, dtype=np.int64)
@@ -163,20 +166,44 @@ class MatrixPlane:
         """Widen so every dimension id ``< width`` is addressable."""
         self._ensure(self.rows, width)
 
+    def extend(
+        self,
+        dims: Sequence[Any],
+        counts: Sequence[Any],
+        totals: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Append one dense row per sparse ``(dims[i], counts[i])`` pair.
+
+        One capacity check and one scatter for the whole batch.  Dims
+        need not be sorted (histogram columns intern in feature iteration
+        order).  ``totals`` overrides the per-row count sums.
+        """
+        added = len(dims)
+        if not added:
+            return
+        dim_columns = [_column(column) for column in dims]
+        lengths = np.fromiter(
+            (len(column) for column in dim_columns), dtype=np.intp, count=added
+        )
+        flat_dims = np.concatenate(dim_columns)
+        flat_counts = np.concatenate([_column(column) for column in counts])
+        needed = int(flat_dims.max()) + 1 if len(flat_dims) else 0
+        first = self.rows
+        self._ensure(first + added, max(self.width, needed))
+        self._matrix[
+            np.repeat(np.arange(first, first + added), lengths), flat_dims
+        ] = flat_counts
+        if totals is None:
+            sums = np.concatenate(([0], np.cumsum(flat_counts)))
+            ends = np.cumsum(lengths)
+            self._totals[first : first + added] = sums[ends] - sums[ends - lengths]
+        else:
+            self._totals[first : first + added] = totals
+        self.rows = first + added
+
     def append(self, dims: Any, counts: Any, total: Optional[int] = None) -> None:
         """Append one tree's sparse (dims, counts) as the next dense row."""
-        dim_column = _column(dims)
-        count_column = _column(counts)
-        # dims need not be sorted (histogram columns intern in feature
-        # iteration order), so the width requirement is the max, not the last
-        needed = int(dim_column.max()) + 1 if len(dim_column) else 0
-        self._ensure(self.rows + 1, max(self.width, needed))
-        if len(dim_column):
-            self._matrix[self.rows, dim_column] = count_column
-        self._totals[self.rows] = (
-            int(count_column.sum()) if total is None else total
-        )
-        self.rows += 1
+        self.extend([dims], [counts], None if total is None else [total])
 
     def adopt(self, matrix: "np.ndarray", totals: "np.ndarray") -> None:
         """Install persisted dense contents (the sidecar load path)."""
@@ -185,7 +212,8 @@ class MatrixPlane:
                 f"matrix sidecar misaligned for {self.kind!r}: "
                 f"{matrix.shape} rows vs {len(totals)} totals"
             )
-        self._matrix = np.asfortranarray(matrix, dtype=np.int64)
+        # sidecars written before planes were int32 hold int64 counts
+        self._matrix = np.asfortranarray(matrix, dtype=_COUNT_DTYPE)
         self._totals = np.array(totals, dtype=np.int64)
         self.rows, self.width = self._matrix.shape
 
@@ -210,7 +238,11 @@ class MatrixPlane:
             if not len(dims):
                 return totals + total
             gathered = self._matrix[np.ix_(row_index, dims)]
-        overlap = np.minimum(gathered, counts).sum(axis=1)
+        # the overlap never exceeds the query's own total, so it sums in
+        # int32 too; adding it to the int64 totals widens the result
+        overlap = np.minimum(gathered, counts.astype(_COUNT_DTYPE)).sum(
+            axis=1, dtype=_COUNT_DTYPE
+        )
         return totals + total - 2 * overlap
 
     def describe(self) -> Dict[str, object]:
@@ -218,7 +250,7 @@ class MatrixPlane:
         return {
             "rows": self.rows,
             "width": self.width,
-            "dtype": "int64",
+            "dtype": str(self._matrix.dtype),
             "bytes": self.nbytes,
         }
 
@@ -246,7 +278,7 @@ class FeatureMatrices:
         self._lock = threading.Lock()
         self._branch: Dict[int, MatrixPlane] = {}
         self._sizes = np.zeros(0, dtype=np.int64)
-        self._histograms: Dict[str, Tuple[MatrixPlane, Dict[Hashable, int]]] = {}
+        self._histograms: Dict[str, MatrixPlane] = {}
 
     # ------------------------------------------------------------------
     # Plane construction / sync
@@ -260,9 +292,12 @@ class FeatureMatrices:
             if plane is None:
                 plane = MatrixPlane(f"branch-q{level}")
                 self._branch[level] = plane
-            vectors = store.packed_vectors(level)
-            for vector in vectors[plane.rows:]:
-                plane.append(vector.dims, vector.counts, total=vector.total)
+            fresh = store.packed_vectors(level)[plane.rows:]
+            plane.extend(
+                [vector.dims for vector in fresh],
+                [vector.counts for vector in fresh],
+                [vector.total for vector in fresh],
+            )
             plane.ensure_width(len(store.vocabulary))
             plane.generation = store.generation
             return plane
@@ -302,44 +337,36 @@ class FeatureMatrices:
             return sizes
         return sizes[_row_index(rows)]
 
-    def histogram_plane(
-        self, family: str
-    ) -> Tuple[MatrixPlane, Dict[Hashable, int]]:
-        """The unfolded label/degree histogram plane plus its key→column map.
+    def histogram_plane(self, family: str) -> MatrixPlane:
+        """The unfolded label/degree histogram plane, synced to the store.
 
-        Raises :class:`InvalidParameterError` for packed-only stores
-        (shard workers): histogram records never cross the shared plane,
-        so callers fall back to the per-candidate loop there.
+        Column ``d`` is id ``d`` of ``store.histogram_vocabulary(family)``.
+        Works on packed-only stores whose adopted rows came with
+        histogram columns (shard workers); a store adopted without them
+        raises :class:`InvalidParameterError` from
+        :meth:`FeatureStore.histogram_columns`.
         """
-        if family not in _HISTOGRAM_FAMILIES:
+        if family not in HISTOGRAM_FAMILIES:
             raise InvalidParameterError(
                 f"no histogram matrix family {family!r} "
-                f"(have: {_HISTOGRAM_FAMILIES})"
+                f"(have: {HISTOGRAM_FAMILIES})"
             )
         store = self._store
         with self._lock:
-            entry = self._histograms.get(family)
-            if entry is None:
-                entry = (MatrixPlane(f"histogram-{family}"), {})
-                self._histograms[family] = entry
-            plane, index = entry
-            count = len(store)
-            for position in range(plane.rows, count):
-                counts: Mapping[Any, int] = getattr(
-                    store.features(position), family
-                )
-                dims = np.fromiter(
-                    (index.setdefault(key, len(index)) for key in counts),
-                    dtype=np.int64,
-                    count=len(counts),
-                )
-                values = np.fromiter(
-                    counts.values(), dtype=np.int64, count=len(counts)
-                )
-                plane.append(dims, values)
-            plane.ensure_width(len(index))
+            plane = self._histograms.get(family)
+            if plane is None:
+                plane = MatrixPlane(f"histogram-{family}")
+                self._histograms[family] = plane
+            fresh = [
+                store.histogram_columns(family, row)
+                for row in range(plane.rows, len(store))
+            ]
+            plane.extend(
+                [dims for dims, _ in fresh], [counts for _, counts in fresh]
+            )
+            plane.ensure_width(len(store.histogram_vocabulary(family)))
             plane.generation = store.generation
-            return plane, index
+            return plane
 
     # ------------------------------------------------------------------
     # Query kernels
@@ -403,13 +430,14 @@ class FeatureMatrices:
         rows: Optional[Sequence[int]] = None,
     ) -> "np.ndarray":
         """L1 between a query histogram dict and every (selected) row."""
-        plane, index = self.histogram_plane(family)
+        plane = self.histogram_plane(family)
+        lookup = self._store.histogram_vocabulary(family).lookup
         dims: List[int] = []
         values: List[int] = []
         total = 0
         for key, count in counts.items():
             total += count
-            dimension = index.get(key)
+            dimension = lookup(key)
             if dimension is not None:
                 dims.append(dimension)
                 values.append(count)
@@ -426,16 +454,9 @@ class FeatureMatrices:
         for q in self._store.q_levels:
             plane = self.branch_plane(q)
             out[plane.kind] = plane.describe()
-        try:
-            for family in _HISTOGRAM_FAMILIES:
-                plane, _ = self.histogram_plane(family)
-                out[plane.kind] = plane.describe()
-        # expected-absence control flow, not a swallowed failure: a
-        # packed-only store never materialized histogram planes, and
-        # stats() reports whatever planes exist
-        # repro-lint: disable=RL012
-        except InvalidParameterError:
-            pass  # packed-only store: histograms never crossed the plane
+        for family in HISTOGRAM_FAMILIES:
+            plane = self.histogram_plane(family)
+            out[plane.kind] = plane.describe()
         sizes = self.size_column()
         out["sizes"] = {
             "rows": int(len(sizes)),

@@ -36,6 +36,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FeatureStore"]
 
+#: the unfolded histogram families a store can serve as sparse columns
+HISTOGRAM_FAMILIES = ("labels", "degrees")
+
+#: one tree's sparse histogram: parallel interned dims and counts
+HistogramColumns = Tuple[Sequence[int], Sequence[int]]
+
 
 class FeatureStore:
     """All derived per-tree artifacts of a corpus, extracted once, shared.
@@ -65,6 +71,14 @@ class FeatureStore:
         if not self.q_levels:
             raise InvalidParameterError("feature store needs at least one q level")
         self.vocabulary = Vocabulary()
+        #: label and degree intern tables of the histogram matrix planes;
+        #: append-only like :attr:`vocabulary`, grown as rows are synced
+        self._histogram_vocabularies: Dict[str, Vocabulary] = {
+            family: Vocabulary() for family in HISTOGRAM_FAMILIES
+        }
+        #: per family, the ``(dims, counts)`` histogram columns of trees
+        #: adopted packed-only (see :meth:`from_packed`)
+        self._adopted_histograms: Dict[str, Sequence[HistogramColumns]] = {}
         #: one entry per tree; ``None`` for trees adopted in packed-only
         #: form from a shared plane (see :meth:`from_packed`)
         self._features: List[Optional[TreeFeatures]] = []
@@ -88,16 +102,24 @@ class FeatureStore:
         vocabulary: Vocabulary,
         packed: Dict[int, Sequence[PackedVector]],
         q_levels: Sequence[int],
+        histograms: Optional[
+            Dict[str, Tuple[Vocabulary, Sequence[HistogramColumns]]]
+        ] = None,
     ) -> "FeatureStore":
         """Adopt externally built packed vectors as a packed-only store.
 
         This is how a shard worker turns an attached shared-memory plane
         into a store without re-extracting anything: the vectors (usually
         buffer-backed, zero-copy) and the interning vocabulary come from
-        the coordinator.  Only the packed accessors (:meth:`packed_vector`,
-        :meth:`packed_vectors`, :meth:`pack_query`, :meth:`tree_size`) work
-        for adopted trees; :meth:`features`/:meth:`profile` raise, since
-        the full artifacts were never shipped.  :meth:`add` still works and
+        the coordinator.  ``histograms`` optionally adds, per family
+        (``"labels"``, ``"degrees"``), the coordinator's intern table and
+        one ``(dims, counts)`` column pair per tree, which is what the
+        histogram matrix planes are built from.  Only the packed
+        accessors (:meth:`packed_vector`, :meth:`packed_vectors`,
+        :meth:`pack_query`, :meth:`tree_size`, and
+        :meth:`histogram_columns` for the shipped families) work for
+        adopted trees; :meth:`features`/:meth:`profile` raise, since the
+        full artifacts were never shipped.  :meth:`add` still works and
         appends fully extracted trees on top of the adopted prefix.
         """
         store = cls(q_levels)
@@ -115,6 +137,18 @@ class FeatureStore:
                     f"(given: {sorted(packed)})"
                 )
             store._packed[q] = list(packed[q])
+        for family, (table, columns) in (histograms or {}).items():
+            if family not in HISTOGRAM_FAMILIES:
+                raise InvalidParameterError(
+                    f"no histogram family {family!r} (have: {HISTOGRAM_FAMILIES})"
+                )
+            if len(columns) != count:
+                raise InvalidParameterError(
+                    f"{len(columns)} {family} histogram columns for "
+                    f"{count} adopted trees"
+                )
+            store._histogram_vocabularies[family] = table
+            store._adopted_histograms[family] = columns
         store._features = [None] * count
         return store
 
@@ -204,6 +238,31 @@ class FeatureStore:
             # adopted packed-only: the packed vector carries the size
             return self._packed[self.q_levels[0]][index].tree_size
         return features.size
+
+    def histogram_vocabulary(self, family: str) -> Vocabulary:
+        """The intern table of one histogram family's matrix columns."""
+        return self._histogram_vocabularies[family]
+
+    def histogram_columns(self, family: str, index: int) -> HistogramColumns:
+        """One tree's unfolded ``family`` histogram as ``(dims, counts)``.
+
+        Dims are ids in :meth:`histogram_vocabulary`; an extracted tree's
+        unseen keys are interned here (the table is append-only, so ids
+        already handed out stay valid).  Raises for adopted trees whose
+        histograms were not shipped.
+        """
+        features = self._features[index]
+        if features is None:
+            adopted = self._adopted_histograms.get(family)
+            if adopted is None:
+                raise InvalidParameterError(
+                    f"tree {index} was adopted without {family} histogram "
+                    "columns"
+                )
+            return adopted[index]
+        counts: Dict = getattr(features, family)
+        intern = self._histogram_vocabularies[family].intern
+        return [intern(key) for key in counts], list(counts.values())
 
     def profile(self, index: int, q: Optional[int] = None) -> PositionalProfile:
         """Positional profile of one tree at branch level ``q``."""

@@ -2,7 +2,7 @@
 
 The paper's binary branch filter, the histogram filtration comparator
 (Kailing et al.), the traversal-string baseline (Guha et al.), and
-composition utilities.
+composition utilities, and the name registry the serving surfaces share.
 """
 
 from repro.filters.base import LowerBoundFilter
@@ -20,6 +20,7 @@ from repro.filters.histogram import (
     label_histogram_bound,
     space_parity_histogram_filter,
 )
+from repro.filters.registry import DEFAULT_FILTER, FILTERS
 from repro.filters.traversal_string import TraversalStringFilter, TraversalStringSignature
 
 __all__ = [
@@ -40,4 +41,6 @@ __all__ = [
     "MaxCompositeFilter",
     "CostScaledFilter",
     "SizeDifferenceFilter",
+    "FILTERS",
+    "DEFAULT_FILTER",
 ]

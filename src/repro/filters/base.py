@@ -63,6 +63,14 @@ class LowerBoundFilter(ABC, Generic[Signature]):
     #: Whether this filter can derive its signatures from a FeatureStore.
     supports_store: bool = False
 
+    #: Whether a query's :meth:`signature` depends on index state, so a
+    #: signature computed earlier may differ from one computed after an
+    #: :meth:`add` (BranchCount: unseen branches stay out of the vector
+    #: until the index interns them).  Callers that keep query
+    #: signatures across mutations (the service result cache) may reuse
+    #: them only when this is false.
+    signature_depends_on_index: bool = False
+
     def __init__(self) -> None:
         self._signatures: List[Signature] = []
         self._fitted = False

@@ -173,6 +173,8 @@ class BranchCountFilter(LowerBoundFilter[PackedVector]):
     """
 
     supports_store = True
+    # query vectors are interned against the growing vocabulary
+    signature_depends_on_index = True
 
     def __init__(self, q: int = 2) -> None:
         super().__init__()

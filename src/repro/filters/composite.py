@@ -89,6 +89,10 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
     def supports_store(self) -> bool:  # type: ignore[override]
         return all(child.supports_store for child in self.filters)
 
+    @property
+    def signature_depends_on_index(self) -> bool:  # type: ignore[override]
+        return any(child.signature_depends_on_index for child in self.filters)
+
     def required_q_levels(self) -> Tuple[int, ...]:
         levels: List[int] = []
         for child in self.filters:
@@ -142,6 +146,25 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
             columns.append(column)
         return elementwise_max(columns)
 
+    def order_keys(
+        self, query: CompositeSignature, matrices: "FeatureMatrices"
+    ) -> Optional[Sequence[float]]:
+        """Elementwise max of the children's ordering keys.
+
+        Children without keys are skipped; ``None`` only when no child
+        has any.  Sound: each child's key is at most its bound, which is
+        at most the composite bound (the max over the children).
+        """
+        columns = [
+            column
+            for column in (
+                child.order_keys(query[position], matrices)
+                for position, child in enumerate(self.filters)
+            )
+            if column is not None
+        ]
+        return elementwise_max(columns) if columns else None
+
     def _sync_child_signatures(self) -> None:
         """Mirror each child's signature components into the child.
 
@@ -175,9 +198,12 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
 
         Equivalent to the ``any``-refutation of :meth:`refutes` because
         each child's ``refute_rows`` keeps exactly its own survivors.
+        Stops once a stage leaves no rows.
         """
         self._sync_child_signatures()
         for position, child in enumerate(self.filters):
+            if not len(rows):
+                break
             rows = child.refute_rows(query[position], threshold, rows, matrices)
         return rows
 
@@ -212,6 +238,8 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
                 _child: LowerBoundFilter[Any] = child,
                 _position: int = position,
             ) -> Sequence[int]:
+                if not len(rows):
+                    return rows  # an earlier stage refuted every row
                 self._sync_child_signatures()
                 return _child.refute_rows(
                     query[_position], threshold, rows, matrices

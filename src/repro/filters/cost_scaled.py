@@ -59,6 +59,10 @@ class CostScaledFilter(LowerBoundFilter[Signature]):
     def supports_store(self) -> bool:  # type: ignore[override]
         return self.inner.supports_store
 
+    @property
+    def signature_depends_on_index(self) -> bool:  # type: ignore[override]
+        return self.inner.signature_depends_on_index
+
     def required_q_levels(self) -> Tuple[int, ...]:
         return self.inner.required_q_levels()
 

@@ -264,9 +264,9 @@ class HistogramFilter(LowerBoundFilter[HistogramSignature]):
         Only sound on *unfolded* configurations: the matrix planes hold
         raw histograms, and folding merges bins, which can only shrink
         L1 — testing unfolded values against a folded filter's loop
-        would prune rows the loop keeps.  Folded filters (and
-        packed-only shard stores, where histograms never crossed the
-        shared plane) fall back to the per-candidate loop.
+        would prune rows the loop keeps.  Folded filters (and stores
+        adopted without histogram columns) fall back to the
+        per-candidate loop.
         """
         if self.label_bins is not None or self.degree_bins is not None:
             return super().refute_rows(query, threshold, rows, matrices)
@@ -369,11 +369,30 @@ class _UnfoldedHistogramFilter(LowerBoundFilter[HistogramSignature]):
 
 
 class LabelHistogramFilter(_UnfoldedHistogramFilter):
-    """Label histogram only (component ablation)."""
+    """Label histogram only: the label half of the serving filter.
+
+    Its signatures carry the label counts alone (empty degree and height
+    fields), the only part :meth:`bound` reads.
+    """
 
     name = "Histo-label"
     _matrix_family = "labels"
     _matrix_divisor = 2
+
+    def signature(self, tree: TreeNode) -> HistogramSignature:
+        labels: Dict[object, int] = {}
+        size = 0
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            size += 1
+            labels[node.label] = labels.get(node.label, 0) + 1
+            stack.extend(node.children)
+        return HistogramSignature(labels, {}, [], size)
+
+    def store_signature(self, store: "FeatureStore", index: int) -> HistogramSignature:
+        features = store.features(index)
+        return HistogramSignature(features.labels, {}, [], features.size)
 
     def bound(self, query: HistogramSignature, data: HistogramSignature) -> float:
         return label_histogram_bound(query, data)

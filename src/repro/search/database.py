@@ -1,6 +1,7 @@
 """TreeDatabase — the user-facing entry point for similarity search.
 
-Bundles a tree collection, a lower-bound filter (BiBranch by default), the
+Bundles a tree collection, a lower-bound filter (by default the serving
+filter, the max of positional BiBranch and the label histogram), the
 lazily built inverted file, and a shared edit-distance counter so
 prepared trees are reused across queries.
 
@@ -26,7 +27,7 @@ from repro.editdist.zhang_shasha import EditDistanceCounter
 from repro.exceptions import InvalidParameterError
 from repro.features.store import FeatureStore
 from repro.filters.base import LowerBoundFilter
-from repro.filters.binary_branch import BinaryBranchFilter
+from repro.filters.registry import DEFAULT_FILTER, FILTERS
 from repro.search.knn import knn_query
 from repro.search.range_query import range_query
 from repro.search.sequential import sequential_knn_query, sequential_range_query
@@ -48,9 +49,12 @@ class TreeDatabase:
     trees:
         The database content (kept by reference; do not mutate afterwards).
     flt:
-        The lower-bound filter; default is the paper's positional
-        :class:`~repro.filters.binary_branch.BinaryBranchFilter`.  It is
-        fitted here if not already fitted — from the shared feature plane
+        The lower-bound filter; default is the serving filter
+        ``FILTERS[DEFAULT_FILTER]()`` (:mod:`repro.filters.registry`): the
+        pointwise max of the paper's positional
+        :class:`~repro.filters.binary_branch.BinaryBranchFilter` and the
+        label histogram bound.  Pass ``BinaryBranchFilter()`` to measure
+        BiBranch alone.  It is fitted here if not already fitted — from the shared feature plane
         when the filter supports it, so all signatures come out of one
         extraction pass per tree.
     costs:
@@ -71,7 +75,9 @@ class TreeDatabase:
     ) -> None:
         self.trees: List[TreeNode] = list(trees)
         self.counter = EditDistanceCounter(costs)
-        self.filter: LowerBoundFilter = flt if flt is not None else BinaryBranchFilter()
+        self.filter: LowerBoundFilter = (
+            flt if flt is not None else FILTERS[DEFAULT_FILTER]()
+        )
         self._features: Optional[FeatureStore] = None
         if feature_store is not None:
             if len(feature_store) != len(self.trees):

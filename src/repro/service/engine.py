@@ -55,7 +55,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.editdist.zhang_shasha import EditDistanceCounter, PreparedTreeCache
 from repro.exceptions import InvalidParameterError, QueryError
@@ -133,16 +133,19 @@ class _ReadWriteLock:
 class _CacheEntry:
     """One cached answer plus what the invalidation pruner needs.
 
-    ``query`` is the original query tree (so its filter signature can be
-    recomputed against the *current* state — a signature frozen at caching
-    time could under-count overlap with branches interned later, which
-    would overestimate the bound and unsoundly retain the entry);
-    ``generation`` is the database generation the answer was computed at.
+    ``query`` is the original query tree; ``generation`` is the database
+    generation the answer was computed at.  ``signature`` memoizes the
+    query's filter signature, computed the first time an :meth:`add`
+    needs it — unless the filter's ``signature_depends_on_index``: a
+    signature frozen then could under-count overlap with branches
+    interned later, which would overestimate the bound and unsoundly
+    retain the entry, so those filters recompute it on every add.
     """
 
     answer: QueryAnswer
     query: TreeNode
     generation: int
+    signature: Any = None
 
 
 class _ResultCache:
@@ -337,16 +340,23 @@ class TreeSearchService:
     ) -> Callable[[CacheKey, _CacheEntry], bool]:
         """Build the keep-predicate for :meth:`add` of tree ``index``.
 
-        The cached query's signature is recomputed against the *current*
-        filter state (vocabularies may have grown since the answer was
-        cached), so every bound below is a true edit-distance lower bound.
+        The cached query's signature is memoized on its entry, or, when
+        the filter's signatures depend on index state, recomputed against
+        the *current* filter state (vocabularies may have grown since the
+        answer was cached), so every bound below is a true edit-distance
+        lower bound.
         """
         flt = self.database.filter
         new_signature = flt.data_signature(index)
+        memoize = not flt.signature_depends_on_index
 
         def keep(key: CacheKey, entry: _CacheEntry) -> bool:
             kind, _, parameter = key
-            query_signature = flt.signature(entry.query)
+            query_signature = entry.signature
+            if query_signature is None or not memoize:
+                query_signature = flt.signature(entry.query)
+                if memoize:
+                    entry.signature = query_signature
             if kind == "range":
                 return flt.refutes(query_signature, new_signature, parameter)
             matches = entry.answer[0]

@@ -53,7 +53,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import InvalidParameterError, QueryError, ShardError
-from repro.features.store import FeatureStore
+from repro.features.store import HISTOGRAM_FAMILIES, FeatureStore
+from repro.filters.registry import DEFAULT_FILTER, FILTERS
 from repro.obs import tracing
 from repro.obs.funnel import FilterFunnel, FunnelStage, active_sink
 from repro.search.database import TreeDatabase
@@ -71,7 +72,7 @@ from repro.sharding.partition import (
     make_partitioner,
 )
 from repro.sharding.plane import SharedFeaturePlane
-from repro.sharding.worker import FILTER_FACTORIES, run_worker
+from repro.sharding.worker import run_worker
 from repro.trees.node import TreeNode
 from repro.trees.parse import to_bracket
 
@@ -201,9 +202,9 @@ class ShardedTreeService:
         single-process :class:`TreeSearchService` — same API, plus its
         result cache.
     filter_name:
-        Key into :data:`repro.sharding.worker.FILTER_FACTORIES`
-        (``"bibranch"``, ``"bibranchcount"``, ``"histogram"``,
-        ``"traversal"``); every shard fits the same filter type.
+        Key into :data:`repro.filters.FILTERS` (default
+        :data:`~repro.filters.DEFAULT_FILTER`, ``"bibranch+label"``);
+        every shard fits the same filter.
     partitioner:
         A :class:`~repro.sharding.partition.Partitioner` instance or a
         registry name (``"round-robin"``, ``"size-banded"``).
@@ -232,7 +233,7 @@ class ShardedTreeService:
         self,
         trees: Sequence[TreeNode],
         shards: int = 1,
-        filter_name: str = "bibranch",
+        filter_name: str = DEFAULT_FILTER,
         partitioner: Union[str, Partitioner] = "round-robin",
         max_workers: int = 4,
         cache_size: int = 1024,
@@ -246,10 +247,10 @@ class ShardedTreeService:
             raise InvalidParameterError(
                 f"health_interval must be >= 0, got {health_interval}"
             )
-        if filter_name not in FILTER_FACTORIES:
+        if filter_name not in FILTERS:
             raise InvalidParameterError(
                 f"unknown filter {filter_name!r} "
-                f"(choose from {sorted(FILTER_FACTORIES)})"
+                f"(choose from {sorted(FILTERS)})"
             )
         self.shards = shards
         self.filter_name = filter_name
@@ -257,7 +258,7 @@ class ShardedTreeService:
         self._delegate: Optional[TreeSearchService] = None
 
         self._started_monotonic = time.monotonic()
-        factory = FILTER_FACTORIES[filter_name]
+        factory = FILTERS[filter_name]
         probe = factory()
         trees = list(trees)
         if shards == 1:
@@ -331,6 +332,11 @@ class ShardedTreeService:
                     "filter": filter_name,
                     "plane": plane.handle,
                     "vocabulary": store.vocabulary,
+                    # complete for this shard's rows: publish interned them
+                    "histogram_vocabularies": {
+                        family: store.histogram_vocabulary(family)
+                        for family in HISTOGRAM_FAMILIES
+                    },
                     "prepared_cache_size": prepared_cache_size,
                 }
                 process = context.Process(

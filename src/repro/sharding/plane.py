@@ -17,6 +17,15 @@ Segment layout (all int64 words)::
         for tree in shard:        # ascending local index
             dims[0..n)            # strictly ascending interned dimension ids
             counts[0..n)          # parallel occurrence counts
+    for family in ("labels", "degrees"):
+        for tree in shard:
+            dims[0..n)            # ids in the store's histogram vocabulary
+            counts[0..n)          # parallel occurrence counts
+
+The unfolded label and degree histograms ride along so a worker's
+histogram matrix planes (the label half of the serving filter) build off
+the segment too; their intern tables ship once per worker, next to the
+branch vocabulary.
 
 Lifecycle: the *publishing* side (coordinator) creates the segment and is
 responsible for ``unlink``; every side that attached must ``close``.
@@ -35,11 +44,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.features.packed import PackedVector
-from repro.features.store import FeatureStore
+from repro.features.store import HISTOGRAM_FAMILIES, FeatureStore
 from repro.features.vocabulary import Vocabulary
 
 __all__ = ["PlaneHandle", "SharedFeaturePlane"]
@@ -61,6 +70,8 @@ class PlaneHandle:
     sizes: Tuple[int, ...]
     #: per q level: one ``(word offset, dimension count)`` span per tree
     spans: Dict[int, Tuple[Tuple[int, int], ...]]
+    #: per histogram family: one ``(word offset, bin count)`` span per tree
+    histogram_spans: Dict[str, Tuple[Tuple[int, int], ...]]
     #: total payload length in int64 words
     words: int
 
@@ -86,6 +97,8 @@ class SharedFeaturePlane:
         # (we allocate words*8 bytes and the kernel rounds up to pages)
         self._view: Optional[memoryview] = memoryview(shm.buf).cast("q")
         self._vectors: List[PackedVector] = []
+        #: histogram column slices handed out; released on close
+        self._slices: List[memoryview] = []
 
     # ------------------------------------------------------------------
     # Construction
@@ -102,7 +115,10 @@ class SharedFeaturePlane:
         This is the single copy of the whole scheme — every subsequent
         reader is zero-copy.  Only data-side vectors can be published;
         vectors with out-of-vocabulary ``extra`` entries (query-side) are
-        rejected because the layout has no slot for raw branch keys.
+        rejected because the layout has no slot for raw branch keys.  The
+        label and degree histograms are interned against the store's
+        histogram vocabularies, which readers need to attach them (see
+        :meth:`store`).
         """
         if indices is None:
             indices = range(len(store))
@@ -110,7 +126,7 @@ class SharedFeaturePlane:
         sizes = tuple(store.tree_size(index) for index in indices)
         spans: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         offset = 0
-        columns: List[PackedVector] = []
+        columns: List[Tuple[Sequence[int], Sequence[int]]] = []
         for q in q_levels:
             q_spans = []
             for index in indices:
@@ -123,8 +139,17 @@ class SharedFeaturePlane:
                     )
                 q_spans.append((offset, len(vector.dims)))
                 offset += 2 * len(vector.dims)
-                columns.append(vector)
+                columns.append((vector.dims, vector.counts))
             spans[q] = tuple(q_spans)
+        histogram_spans: Dict[str, Tuple[Tuple[int, int], ...]] = {}
+        for family in HISTOGRAM_FAMILIES:
+            family_spans = []
+            for index in indices:
+                dims, counts = store.histogram_columns(family, index)
+                family_spans.append((offset, len(dims)))
+                offset += 2 * len(dims)
+                columns.append((dims, counts))
+            histogram_spans[family] = tuple(family_spans)
         handle_words = offset
         shm = shared_memory.SharedMemory(
             create=True, size=max(8, handle_words * 8)
@@ -134,14 +159,15 @@ class SharedFeaturePlane:
             q_levels=q_levels,
             sizes=sizes,
             spans=spans,
+            histogram_spans=histogram_spans,
             words=handle_words,
         )
         view = memoryview(shm.buf).cast("q")
         position = 0
-        for vector in columns:
-            n = len(vector.dims)
-            view[position : position + n] = array("q", vector.dims)
-            view[position + n : position + 2 * n] = array("q", vector.counts)
+        for dims, counts in columns:
+            n = len(dims)
+            view[position : position + n] = array("q", dims)
+            view[position + n : position + 2 * n] = array("q", counts)
             position += 2 * n
         view.release()
         return cls(shm, handle, owner=True)
@@ -195,15 +221,45 @@ class SharedFeaturePlane:
         self._vectors.extend(built)
         return built
 
-    def store(self, vocabulary: Vocabulary) -> FeatureStore:
+    def histogram_columns(self, family: str) -> List[Tuple[memoryview, memoryview]]:
+        """Borrowed ``(dims, counts)`` histogram columns, one per shard tree.
+
+        Zero-copy ``memoryview`` slices like :meth:`vectors`; :meth:`close`
+        releases them, so a read after close raises ``ValueError``.
+        """
+        if self._closed or self._view is None:
+            raise InvalidParameterError("plane is closed")
+        view = self._view
+        columns = [
+            (view[offset : offset + n], view[offset + n : offset + 2 * n])
+            for offset, n in self.handle.histogram_spans[family]
+        ]
+        for dims, counts in columns:
+            self._slices.extend((dims, counts))
+        return columns
+
+    def store(
+        self,
+        vocabulary: Vocabulary,
+        histogram_vocabularies: Optional[Mapping[str, Vocabulary]] = None,
+    ) -> FeatureStore:
         """A packed-only :class:`FeatureStore` over this plane.
 
         ``vocabulary`` is the coordinator's interning table (shipped once
         per worker); the resulting store serves every store-backed filter
         that runs on packed vectors without re-extracting a single tree.
+        With ``histogram_vocabularies`` (the publishing store's
+        :meth:`~FeatureStore.histogram_vocabulary` tables) it also serves
+        the label and degree histogram planes.
         """
         packed = {q: self.vectors(q) for q in self.handle.q_levels}
-        return FeatureStore.from_packed(vocabulary, packed, self.handle.q_levels)
+        histograms = {
+            family: (table, self.histogram_columns(family))
+            for family, table in (histogram_vocabularies or {}).items()
+        }
+        return FeatureStore.from_packed(
+            vocabulary, packed, self.handle.q_levels, histograms
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -216,6 +272,9 @@ class SharedFeaturePlane:
         for vector in self._vectors:
             vector.detach()
         self._vectors.clear()
+        for borrowed in self._slices:
+            borrowed.release()
+        self._slices.clear()
         if self._view is not None:
             self._view.release()
             self._view = None

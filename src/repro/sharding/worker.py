@@ -45,15 +45,13 @@ from __future__ import annotations
 import time
 from collections import deque
 from multiprocessing.connection import Connection
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.editdist.costs import UNIT_COSTS
 from repro.editdist.zhang_shasha import EditDistanceCounter, PreparedTreeCache
 from repro.exceptions import InvalidParameterError, ShardError
 from repro.filters.base import LowerBoundFilter
-from repro.filters.binary_branch import BinaryBranchFilter, BranchCountFilter
-from repro.filters.histogram import HistogramFilter
-from repro.filters.traversal_string import TraversalStringFilter
+from repro.filters.registry import FILTERS
 from repro.obs.funnel import collect_funnels
 from repro.search.database import TreeDatabase
 from repro.search.knn import BoundStream, bound_stream
@@ -61,15 +59,7 @@ from repro.search.range_query import range_query
 from repro.sharding.plane import PlaneHandle, SharedFeaturePlane
 from repro.trees.parse import parse_bracket
 
-__all__ = ["FILTER_FACTORIES", "run_worker"]
-
-#: Filter constructors a worker can instantiate by name (CLI spellings).
-FILTER_FACTORIES: Dict[str, Type[LowerBoundFilter]] = {
-    "bibranch": BinaryBranchFilter,
-    "bibranchcount": BranchCountFilter,
-    "histogram": HistogramFilter,
-    "traversal": TraversalStringFilter,
-}
+__all__ = ["run_worker"]
 
 #: Ops the request loop will dispatch; anything else is a protocol error.
 _OPS = frozenset(
@@ -122,14 +112,15 @@ class _ShardState:
         trees = [parse_bracket(bracket) for bracket in payload["brackets"]]
         handle: PlaneHandle = payload["plane"]
         self.plane = SharedFeaturePlane.attach(handle)
-        store = self.plane.store(payload["vocabulary"])
+        store = self.plane.store(
+            payload["vocabulary"], payload["histogram_vocabularies"]
+        )
         flt = self._fit_filter(payload["filter"], store, trees)
         self.db = TreeDatabase(trees, flt=flt, feature_store=store)
-        #: corpus-level matrix planes over the attached store.  The dense
-        #: rows are scattered zero-copy out of the shared-memory columns
-        #: (np.frombuffer over the borrowed memoryviews — no intermediate
-        #: python lists); filters whose kernels need artifacts the plane
-        #: does not carry (histograms) fall back per stage to the loop.
+        #: corpus-level matrix planes over the attached store: branch and
+        #: label/degree histogram rows are scattered zero-copy out of the
+        #: shared-memory columns (np.frombuffer over the borrowed
+        #: memoryviews — no intermediate python lists)
         self.matrices = store.matrices()
         self.counter = EditDistanceCounter(
             UNIT_COSTS,
@@ -152,11 +143,11 @@ class _ShardState:
         straight off the attached store — no tree traversal at all, and
         the store's vocabulary (the coordinator's) keeps query-side
         interning identical across shards.  Filters needing artifacts the
-        plane does not carry (positional profiles, histograms) fall back
-        to a local fit over the shard's trees; their signatures are
-        per-tree, so the bounds still match the single-process filter.
+        plane does not carry (positional profiles, histogram signatures)
+        fall back to a local fit over the shard's trees; their signatures
+        are per-tree, so the bounds still match the single-process filter.
         """
-        factory = FILTER_FACTORIES[name]
+        factory = FILTERS[name]
         flt = factory()
         if flt.supports_store:
             try:

@@ -91,6 +91,7 @@ from repro.filters.histogram import (
     HistogramFilter,
     LabelHistogramFilter,
 )
+from repro.filters.registry import FILTERS, bibranch_label_filter
 from repro.filters.traversal_string import TraversalStringFilter
 from repro.trees.node import TreeNode
 from repro.trees.parse import to_bracket
@@ -871,11 +872,13 @@ class ShardEquivalenceOracle(Oracle):
     description = "sharded answers equal single-process answers at every step"
 
     #: layouts under test: both partitioners, an uneven shard count, and
-    #: a second filter family (count bound ⇒ different frontier orders)
+    #: two more filter families (count bound ⇒ different frontier orders;
+    #: the serving filter ⇒ histogram planes built off the shared segment)
     _CONFIGS = (
         (2, "round-robin", "bibranch"),
         (3, "size-banded", "bibranch"),
         (2, "round-robin", "bibranchcount"),
+        (2, "round-robin", "bibranch+label"),
     )
 
     def run(self, corpus: VerifyCorpus, distance: DistanceFn) -> OracleOutcome:
@@ -883,7 +886,6 @@ class ShardEquivalenceOracle(Oracle):
         from repro.search.knn import knn_query
         from repro.search.range_query import range_query
         from repro.sharding.coordinator import ShardedTreeService
-        from repro.sharding.worker import FILTER_FACTORIES
 
         outcome = OracleOutcome(self.name)
         for shards, partitioner, filter_name in self._CONFIGS:
@@ -904,7 +906,7 @@ class ShardEquivalenceOracle(Oracle):
                     _, kind, query, parameter = entry
                     outcome.checks += 1
                     reference = TreeDatabase(
-                        list(shadow), flt=FILTER_FACTORIES[filter_name]()
+                        list(shadow), flt=FILTERS[filter_name]()
                     )
                     if kind == "range":
                         served = service.range(query, parameter)[0]
@@ -975,6 +977,7 @@ class ShardKnnOptimalityOracle(Oracle):
     _CONFIGS = (
         (2, "round-robin", "bibranch"),
         (3, "size-banded", "bibranch"),
+        (2, "round-robin", "bibranch+label"),
     )
     _KS = (1, 2, 4)
 
@@ -982,14 +985,13 @@ class ShardKnnOptimalityOracle(Oracle):
         from repro.search.database import TreeDatabase
         from repro.search.knn import knn_query
         from repro.sharding.coordinator import ShardedTreeService
-        from repro.sharding.worker import FILTER_FACTORIES
 
         outcome = OracleOutcome(self.name)
         trees = list(corpus.trees)
         queries = [pair.t2 for pair in corpus.pairs[:6]]
         for shards, partitioner, filter_name in self._CONFIGS:
             reference = TreeDatabase(
-                list(trees), flt=FILTER_FACTORIES[filter_name]()
+                list(trees), flt=FILTERS[filter_name]()
             )
             service = ShardedTreeService(
                 trees,
@@ -1101,10 +1103,12 @@ class VectorizedEquivalenceOracle(Oracle):
                 [BranchCountFilter(), SizeDifferenceFilter(), HistogramFilter()]
             ),
         ),
+        ("BiBranch+Label", bibranch_label_filter),
     )
     _SHARD_CONFIGS = (
         (2, "round-robin", "bibranch"),
         (2, "size-banded", "bibranchcount"),
+        (2, "round-robin", "bibranch+label"),
     )
 
     def run(self, corpus: VerifyCorpus, distance: DistanceFn) -> OracleOutcome:
@@ -1174,7 +1178,6 @@ class VectorizedEquivalenceOracle(Oracle):
 
         # --- sharded leg: vectorized workers vs loop reference ----------
         from repro.sharding.coordinator import ShardedTreeService
-        from repro.sharding.worker import FILTER_FACTORIES
 
         for shards, partitioner, filter_name in self._SHARD_CONFIGS:
             shadow = list(corpus.trees)
@@ -1194,7 +1197,7 @@ class VectorizedEquivalenceOracle(Oracle):
                     _, kind, query, parameter = entry
                     outcome.checks += 1
                     reference = TreeDatabase(
-                        list(shadow), flt=FILTER_FACTORIES[filter_name]()
+                        list(shadow), flt=FILTERS[filter_name]()
                     )
                     if kind == "range":
                         served, stats = service.range(query, parameter)
@@ -1489,6 +1492,7 @@ _STORE_FILTERS: List[Tuple[str, Callable[[], LowerBoundFilter]]] = [
             [BranchCountFilter(), SizeDifferenceFilter(), HistogramFilter()]
         ),
     ),
+    ("BiBranch+Label", bibranch_label_filter),
 ]
 
 ORACLE_FACTORIES: Dict[str, Callable[[], Oracle]] = {}

@@ -232,9 +232,9 @@ def test_stats_reports_every_family():
     assert set(stats) == {
         "branch-q2", "histogram-labels", "histogram-degrees", "sizes"
     }
-    for shape in stats.values():
+    for kind, shape in stats.items():
         assert shape["rows"] == 2
-        assert shape["dtype"] == "int64"
+        assert shape["dtype"] == ("int64" if kind == "sizes" else "int32")
         assert shape["bytes"] > 0
 
 
@@ -277,3 +277,72 @@ def test_missing_sidecar_rebuilds_lazily(tmp_path):
     restored = load_feature_plane(str(path))
     rebuilt = restored.matrices().branch_plane(2)
     assert np.array_equal(rebuilt.matrix, store.matrices().branch_plane(2).matrix)
+
+
+def test_int64_sidecar_still_loads(tmp_path):
+    """Sidecars written when planes were int64 load into int32 planes."""
+    corpus = [parse_bracket(b) for b in ["a(b,c)", "a(b(d),c)", "x(y,z(w))"]]
+    store = FeatureStore((2,)).fit(corpus)
+    fresh = store.matrices().branch_plane(2)
+    path = tmp_path / "plane.json"
+    save_feature_plane(store, str(path))
+    sidecar = matrix_sidecar_path(str(path))
+    with np.load(sidecar) as data:
+        widened = {key: data[key].astype(np.int64) for key in data.files}
+    assert widened["branch_q2"].dtype == np.int64
+    with open(sidecar, "wb") as handle:
+        np.savez_compressed(handle, **widened)
+
+    restored = load_feature_plane(str(path))
+    adopted = restored.matrices().branch_plane(2)
+    assert adopted.matrix.dtype == np.int32
+    assert adopted.describe()["dtype"] == "int32"
+    assert np.array_equal(adopted.matrix, fresh.matrix)
+    assert np.array_equal(adopted.row_totals, fresh.row_totals)
+    query = {key: 1 for key in restored.vocabulary}
+    assert list(restored.matrices().branch_l1(2, query)) == list(
+        store.matrices().branch_l1(2, query)
+    )
+
+
+# ----------------------------------------------------------------------
+# Bulk sync: one scatter per sync equals row-by-row construction
+# ----------------------------------------------------------------------
+def _dense(rows, width):
+    """Row-by-row reference: a python loop over the sparse rows."""
+    expected = np.zeros((len(rows), width), dtype=np.int64)
+    for position, (dims, counts) in enumerate(rows):
+        for dim, count in zip(dims, counts):
+            expected[position, dim] = count
+    return expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    corpus=st.lists(trees(max_leaves=6), min_size=1, max_size=6),
+    batches=st.lists(
+        st.lists(trees(max_leaves=6), min_size=1, max_size=3), max_size=3
+    ),
+)
+def test_bulk_planes_equal_per_row_planes(corpus, batches):
+    store = FeatureStore((2,)).fit(corpus)
+    matrices = store.matrices()
+    for batch in [[]] + batches:
+        for tree in batch:
+            store.add(tree)
+        branch = matrices.branch_plane(2)
+        vectors = store.packed_vectors(2)
+        rows = [(vector.dims, vector.counts) for vector in vectors]
+        assert branch.matrix.dtype == np.int32
+        assert np.array_equal(branch.matrix, _dense(rows, branch.width))
+        assert list(branch.row_totals) == [vector.total for vector in vectors]
+        for family in ("labels", "degrees"):
+            plane = matrices.histogram_plane(family)
+            rows = [
+                store.histogram_columns(family, index)
+                for index in range(len(store))
+            ]
+            assert plane.matrix.dtype == np.int32
+            assert plane.width == len(store.histogram_vocabulary(family))
+            assert np.array_equal(plane.matrix, _dense(rows, plane.width))
+            assert list(plane.row_totals) == [sum(counts) for _, counts in rows]

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from repro.editdist.costs import UNIT_COSTS
 from repro.features import FeatureStore
 from repro.filters import (
+    DEFAULT_FILTER,
+    FILTERS,
     BinaryBranchFilter,
     BranchCountFilter,
     CostScaledFilter,
@@ -41,6 +43,7 @@ FILTER_FACTORIES = [
         [BinaryBranchFilter(), HistogramFilter(), SizeDifferenceFilter()]
     )),
     ("cost-scaled", lambda: CostScaledFilter(BinaryBranchFilter(), UNIT_COSTS)),
+    ("serving", lambda: FILTERS[DEFAULT_FILTER]()),
 ]
 
 forests = st.lists(trees(max_leaves=6), min_size=1, max_size=6)
@@ -78,7 +81,11 @@ class TestBoundEquivalence:
 
 
 class TestQueryAnswerEquivalence:
-    """End-to-end: store-backed TreeDatabase answers equal the legacy ones."""
+    """End-to-end: store-backed TreeDatabase answers equal the legacy ones.
+
+    The legacy database gets a pre-fitted copy of the serving default, so
+    both sides run the same filter and k-NN ties break the same way.
+    """
 
     @given(
         forest=forests,
@@ -87,7 +94,7 @@ class TestQueryAnswerEquivalence:
     )
     @settings(max_examples=20, deadline=None)
     def test_range_answers_identical(self, forest, query, threshold):
-        legacy_db = TreeDatabase(forest, flt=BinaryBranchFilter().fit(forest))
+        legacy_db = TreeDatabase(forest, flt=FILTERS[DEFAULT_FILTER]().fit(forest))
         store_db = TreeDatabase(forest)
         assert legacy_db.features is None and store_db.features is not None
         legacy_matches, _ = legacy_db.range_query(query, threshold)
@@ -103,7 +110,7 @@ class TestQueryAnswerEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_knn_answers_identical_after_add(self, forest, added, query, k):
         k = min(k, len(forest))  # knn rejects k beyond the dataset size
-        legacy_db = TreeDatabase(forest, flt=BinaryBranchFilter().fit(forest))
+        legacy_db = TreeDatabase(forest, flt=FILTERS[DEFAULT_FILTER]().fit(forest))
         store_db = TreeDatabase(forest)
         legacy_db.add(added)
         store_db.add(added)

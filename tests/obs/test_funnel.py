@@ -159,7 +159,7 @@ class TestCollection:
                     service.knn(query, 2)
                 for funnel in sink.funnels:
                     assert [stage.name for stage in funnel.stages] == [
-                        "order:BiBranch"
+                        "order:BiBranch+Label"
                     ]
                     survivors = funnel.stages[0].survivors
                     assert funnel.refined <= survivors < funnel.corpus_size

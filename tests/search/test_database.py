@@ -13,9 +13,9 @@ TREES = [parse_bracket(t) for t in ["a(b,c)", "a(b,d)", "x(y)", "a(b(c,d))"]]
 
 
 class TestConstruction:
-    def test_default_filter_is_bibranch(self):
+    def test_default_is_the_serving_filter(self):
         db = TreeDatabase(TREES)
-        assert db.filter.name == "BiBranch"
+        assert db.filter.name == "BiBranch+Label"
         assert db.filter.size == len(TREES)
 
     def test_custom_filter(self):

@@ -10,6 +10,7 @@ of adds equals a freshly computed one.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.filters import BranchCountFilter
 from repro.search.database import TreeDatabase
 from repro.service import TreeSearchService
 from repro.trees import parse_bracket
@@ -122,6 +123,37 @@ class TestSelectiveInvalidation:
             )
             # … and their payload equals a from-scratch computation
             assert entry.answer[0] == expected
+
+    def test_branch_count_entries_see_branches_interned_by_adds(self):
+        """BranchCount query vectors depend on the vocabulary, so cached
+        entries must not reuse a query signature memoized before an add
+        interned the query's unseen branches: its ``extra`` mass would
+        overestimate the bound and keep a stale entry."""
+        database = TreeDatabase(
+            [parse_bracket(text) for text in ["a(c,d,e)", "x(y(z),w)", "p(q,r)"]],
+            flt=BranchCountFilter(),
+        )
+        service = TreeSearchService(database)
+        query = parse_bracket("a(b(c,d),e)")
+        assert database.filter.signature(query).extra  # unseen branches
+        service.range(query, 1)
+        service.knn(query, 1)
+        # a distant add keeps both entries (and lets a memo form) …
+        service.add(parse_bracket("z(w(v,u),t(s,r),p,o,n)"))
+        assert service.metrics.snapshot()["cache"]["entries_retained"] == 2
+        # … then an add interns the query's branches and answers both
+        index = service.add(parse_bracket("a(b(c,d),e)"))
+        cold = TreeDatabase(list(service.database.trees), flt=BranchCountFilter())
+        for (kind, bracket, parameter), entry in service._cache._entries.items():
+            cached = parse_bracket(bracket)
+            expected = (
+                cold.range_query(cached, parameter)[0]
+                if kind == "range"
+                else cold.knn(cached, int(parameter))[0]
+            )
+            assert entry.answer[0] == expected
+        assert (index, 0.0) in service.range(query, 1)[0]
+        assert service.knn(query, 1)[0] == [(index, 0.0)]
 
     def test_generation_mismatch_is_a_miss_never_a_stale_hit(self):
         """A mis-stamped entry must be dropped, not served."""

@@ -192,7 +192,7 @@ class TestLifecycle:
         info = service.shard_info()
         assert [entry["shard"] for entry in info] == [0, 1]
         assert sum(entry["trees"] for entry in info) == len(trees)
-        assert all(entry["filter"] == "BiBranch" for entry in info)
+        assert all(entry["filter"] == "BiBranch+Label" for entry in info)
 
 
 class TestMetrics:

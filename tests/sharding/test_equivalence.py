@@ -9,17 +9,21 @@ adds routed through the coordinator, where the workers' vocabularies
 have diverged from the coordinator's.
 """
 
+import itertools
 import math
 import random
 
 import pytest
 
+from repro.datasets import generate_dblp_dataset
+from repro.datasets.dblp import make_variant
 from repro.datasets.synthetic import SyntheticSpec, generate_dataset
+from repro.filters import DEFAULT_FILTER, FILTERS
+from repro.obs.funnel import collect_funnels
 from repro.search.database import TreeDatabase
-from repro.search.knn import knn_query
+from repro.search.knn import BoundStream, knn_query
 from repro.search.range_query import range_query
 from repro.sharding import ShardedTreeService
-from repro.sharding.worker import FILTER_FACTORIES
 from repro.trees.edits import random_edit_script
 
 SPEC = SyntheticSpec(
@@ -37,7 +41,7 @@ def _corpus(seed, count=14):
 
 
 def _reference(trees, filter_name):
-    return TreeDatabase(list(trees), flt=FILTER_FACTORIES[filter_name]())
+    return TreeDatabase(list(trees), flt=FILTERS[filter_name]())
 
 
 def _check_equivalence(service, trees, filter_name, queries):
@@ -71,11 +75,11 @@ def test_sharded_answers_equal_single_process(seed, shards, partitioner):
     with ShardedTreeService(
         trees, shards=shards, partitioner=partitioner, max_workers=2
     ) as service:
-        _check_equivalence(service, trees, "bibranch", queries)
+        _check_equivalence(service, trees, DEFAULT_FILTER, queries)
 
 
 @pytest.mark.parametrize(
-    "filter_name", sorted(set(FILTER_FACTORIES) - {"bibranch"})
+    "filter_name", sorted(set(FILTERS) - {DEFAULT_FILTER})
 )
 def test_every_filter_family_is_equivalent(filter_name):
     trees = _corpus(7)
@@ -103,7 +107,7 @@ def test_equivalence_survives_incremental_adds(shards):
             )
             assert service.add(mutated) == len(shadow)
             shadow.append(mutated)
-            _check_equivalence(service, shadow, "bibranch", queries[:2])
+            _check_equivalence(service, shadow, DEFAULT_FILTER, queries[:2])
         assert service.generation == 4
 
 
@@ -116,7 +120,7 @@ def test_knn_refine_rounds_keep_answers_candidates_and_budgets():
     answer's."""
     trees = _corpus(3, count=40)
     queries = _corpus(103, count=4)
-    reference = _reference(trees, "bibranch")
+    reference = _reference(trees, DEFAULT_FILTER)
     exchanges = []  # (message, shard, reply); one message object per round
     multi_round = 0
     with ShardedTreeService(trees, shards=2, max_workers=2) as service:
@@ -167,3 +171,61 @@ def test_knn_refine_rounds_keep_answers_candidates_and_budgets():
                 assert budgets == sorted(budgets, reverse=True)
                 assert all(budget >= served[0][-1][1] for budget in budgets)
     assert multi_round
+
+
+def _expected_shard_scored(reference, query, k, kth, by_shard):
+    """Rows the shards' streams bound, replayed single-process.
+
+    Each shard streams its rows over the same per-row keys and bounds as
+    the single-process filter, and pulls the rows it refines (those
+    bounded at or under the final k-th distance) plus its ``k`` rows
+    ahead.
+    """
+    flt = reference.filter
+    keys = flt.order_keys(flt.signature(query), reference.matrices())
+    bounds = flt.bounds(query)
+    scored = 0
+    for members in by_shard:
+        refined = sum(1 for row in members if bounds[row] <= kth)
+        stream = BoundStream(
+            [keys[row] for row in members],
+            lambda local, members=members: bounds[members[local]],
+        )
+        pulled = refined + min(k, len(members) - refined)
+        for _ in itertools.islice(stream, pulled):
+            pass
+        scored += stream.scored
+    return scored
+
+
+def test_serving_filter_orders_lazily_on_the_shards():
+    """On ``bibranch+label`` the shards stream off their matrix planes,
+    label histograms included: same answers and refined counts as single
+    process, and the ordering stage bounds exactly the rows the same
+    streams bound single-process when pulled to the shards' depth."""
+    trees = generate_dblp_dataset(80, rng=random.Random(4))
+    rng = random.Random(5)
+    queries = [make_variant(rng.choice(trees), rng) for _ in range(4)]
+    reference = _reference(trees, "bibranch+label")
+    with ShardedTreeService(
+        trees, shards=2, filter_name="bibranch+label", max_workers=2
+    ) as service:
+        by_shard = service._assignment.by_shard
+        for query in queries:
+            for k in (1, 3):
+                with collect_funnels() as sink:
+                    expected = knn_query(
+                        reference.trees, query, k, reference.filter,
+                        reference.counter, matrices=reference.matrices(),
+                    )
+                    served = service.knn(query, k)
+                single, sharded = sink.funnels
+                assert served[0] == expected[0]
+                assert served[1].candidates == expected[1].candidates
+                assert single.stages[0].name == sharded.stages[0].name
+                kth = expected[0][-1][1]
+                scored = sharded.stages[0].survivors
+                assert scored == _expected_shard_scored(
+                    reference, query, k, kth, by_shard
+                )
+                assert single.stages[0].survivors <= scored < len(trees)

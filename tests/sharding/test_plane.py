@@ -70,6 +70,44 @@ class TestPublishAttach:
             attached.close()
             plane.close()
 
+    def test_attached_histogram_planes_match(self, store, trees):
+        """Label and degree histograms cross the segment, interned against
+        the publishing store's tables: an attached packed-only store serves
+        the same histogram L1 as the full store, also after a local add."""
+        indices = [1, 3, 4]
+        queries = {"labels": {"a": 1, "b": 2, "q": 1}, "degrees": {0: 3, 2: 1}}
+        plane = SharedFeaturePlane.publish(store, indices)
+        attached = SharedFeaturePlane.attach(plane.handle)
+        tables = {
+            family: store.histogram_vocabulary(family)
+            for family in ("labels", "degrees")
+        }
+        try:
+            mirror = attached.store(store.vocabulary, tables)
+            mirror.add(parse_bracket("z(a,b)"))
+            reference = FeatureStore((2, 3)).fit(
+                [trees[i] for i in indices] + [parse_bracket("z(a,b)")]
+            )
+            for family, counts in queries.items():
+                got = mirror.matrices().histogram_l1(family, counts)
+                expected = reference.matrices().histogram_l1(family, counts)
+                assert list(got) == list(expected)
+            assert mirror.matrices().stats()["histogram-labels"]["rows"] == 4
+        finally:
+            attached.close()
+            plane.close()
+
+    def test_histograms_refused_after_close(self, store):
+        plane = SharedFeaturePlane.publish(store)
+        attached = SharedFeaturePlane.attach(plane.handle)
+        columns = attached.histogram_columns("labels")
+        attached.close()
+        plane.close()
+        with pytest.raises(ValueError):
+            bytes(columns[0][0])
+        with pytest.raises(InvalidParameterError, match="closed"):
+            attached.histogram_columns("labels")
+
     def test_rejects_query_side_vectors(self, store):
         # out-of-vocabulary branches have no slot in the segment layout
         unseen = store.pack_query(parse_bracket("zzz(qqq)"), 2)
