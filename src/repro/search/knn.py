@@ -6,9 +6,10 @@ The Seidl–Kriegel multi-step strategy the paper adopts:
    database object;
 2. process objects in ascending order of that bound, refining each with the
    exact edit distance and maintaining a max-heap of the ``k`` best;
-3. stop as soon as the next object's lower bound exceeds the current ``k``-th
-   distance — no unseen object can beat it, because its true distance is at
-   least its bound.
+3. stop as soon as the heap is full and the next object's lower bound
+   reaches the current ``k``-th distance — no unseen object can beat it,
+   because its true distance is at least its bound and a full heap admits
+   only a strictly smaller distance.
 
 The number of refined objects is provably minimal for the given bound
 (Seidl & Kriegel, SIGMOD 1998), which makes the accessed-data percentage a
@@ -191,8 +192,10 @@ def knn_query(
         refined = 0
         with tracing.span("search.refine") as refine_span:
             for bound_value, row in stream:
-                if len(heap) == k and bound_value > -heap[0][0]:
-                    break  # optimal stopping: no unseen object can improve the result
+                if len(heap) == k and bound_value >= -heap[0][0]:
+                    # optimal stopping: every unseen distance is at least this
+                    # bound, and a full heap admits only a strictly smaller one
+                    break
                 # only a distance below the k-th can enter a full heap
                 budget = -heap[0][0] if len(heap) == k else math.inf
                 distance = counter.distance(query, trees[row], budget)

@@ -24,7 +24,7 @@ The result cache is invalidated **selectively** on
 proves, for each cached answer, whether the newly inserted tree could
 possibly appear in it (range: the bound between the cached query and the
 new tree exceeds the threshold; k-NN: the result is full and the bound
-strictly exceeds the current k-th distance).  Provably unaffected entries
+reaches the current k-th distance).  Provably unaffected entries
 are retained, everything else is evicted; entries are additionally stamped
 with the database's :attr:`~repro.search.database.TreeDatabase.generation`
 counter, so answers cached against a database state the service did not
@@ -315,8 +315,9 @@ class TreeSearchService:
         cannot appear in it — for a range query, the bound between the
         cached query and the new tree exceeds the threshold; for a k-NN
         query, the cached result already has ``k`` members and the bound
-        strictly exceeds the current k-th distance (the new tree is then
-        provably farther than every cached neighbor).  Everything else is
+        reaches the current k-th distance (a fresh run then stops at the
+        new tree, whose index is the largest, without refining it: same
+        answer, same refined count).  Everything else is
         evicted.  The prepared-tree cache is kept — preparation depends
         only on the tree object, not on database membership.
         """
@@ -363,7 +364,7 @@ class TreeSearchService:
             if len(matches) < int(parameter):
                 return False  # the new tree completes an under-full answer
             kth_distance = matches[-1][1]
-            return flt.bound(query_signature, new_signature) > kth_distance
+            return flt.bound(query_signature, new_signature) >= kth_distance
 
         return keep
 

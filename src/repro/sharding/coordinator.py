@@ -14,16 +14,16 @@ shard (:mod:`repro.sharding.worker`), and serves:
   algorithm (paper Alg. 2) in exact refine rounds: each worker streams
   its rows in ascending ``(bound, local_index)`` order, bounding them
   lazily off the matrix plane (:func:`~repro.search.knn.bound_stream`),
-  and reports the bounds of its next ``k`` unrefined rows.  A round's
-  limit is the k-th smallest of the coordinator's heap distances and
-  those bounds; every row at or under it is one single-process Alg. 2
-  refines too, so the coordinator asks each shard with such rows, in
-  parallel, to refine them all, then replays the replies in
-  ``(bound, global_index)`` order — exactly the single-process
-  refinement order — through the same heap rules, and stops when the
-  heap is full and every shard's next bound strictly exceeds the k-th
-  distance.  Same refinement set, same answers, same tie-handling; the
-  ``shard:knn-optimality`` oracle enforces it.
+  and reports its next ``k`` unrefined ``(bound, local_index)`` pairs.
+  A round's limit is the k-th smallest of the coordinator's heap
+  distances and those bounds; every row under it, and a counted quota of
+  the rows exactly at it, is one single-process Alg. 2 refines too, so
+  the coordinator asks each shard with such rows, in parallel, to refine
+  them, then replays the replies in ``(bound, global_index)`` order —
+  exactly the single-process refinement order — through the same heap
+  rules, and stops when the heap is full and every shard's next bound
+  reaches the k-th distance.  Same refinement set, same answers, same
+  tie-handling; the ``shard:knn-optimality`` oracle enforces it.
 
 ``shards=1`` skips all of this and delegates to the battle-tested
 single-process :class:`~repro.service.engine.TreeSearchService` (with its
@@ -470,9 +470,16 @@ class ShardedTreeService:
         request is still queued for a shard when the caller cleans up.
         """
         targets = range(self.shards) if shards is None else shards
+        return self._exchange([(shard, message) for shard in targets], kind)
+
+    def _exchange(
+        self, requests: List[Tuple[int, tuple]], kind: str
+    ) -> List[dict]:
+        """Send each ``(shard, message)`` concurrently; gather in order,
+        waiting for every exchange before raising the first failure."""
         futures = [
             self._scatter_pool.submit(self._call, shard, message, kind)
-            for shard in targets
+            for shard, message in requests
         ]
         wait(futures)
         return [future.result() for future in futures]
@@ -576,40 +583,62 @@ class ShardedTreeService:
         try:
             begins = self._scatter(("knn_begin", qid, bracket, k), "knn")
             filter_seconds = sum(reply["filter_seconds"] for reply in begins)
-            # per shard: the bounds of its next k unrefined rows, ascending
-            frontiers: List[List[float]] = [reply["frontier"] for reply in begins]
+            # per shard: its next k unrefined (bound, local) pairs, ascending
+            frontiers: List[List[Tuple[float, int]]] = [
+                reply["frontier"] for reply in begins
+            ]
+            by_shard = self._assignment.by_shard
 
             heap: List[Tuple[float, int]] = []  # (−distance, −global index)
             refined = 0
             refine_start = time.perf_counter()
             while any(frontiers):
-                head = min(frontier[0] for frontier in frontiers if frontier)
-                if len(heap) == k and head > -heap[0][0]:
+                head = min(frontier[0][0] for frontier in frontiers if frontier)
+                if len(heap) == k and head >= -heap[0][0]:
                     break  # optimal stopping, globally: no shard can improve
                 # every unrefined row's distance is at least its bound, so
                 # the final k-th distance is at least this limit: Alg. 2
-                # refines every row bounded at or under it
+                # refines every row bounded under it
                 limit = heapq.nsmallest(
                     k,
                     itertools.chain(
-                        (-neg_distance for neg_distance, _ in heap), *frontiers
+                        (-neg_distance for neg_distance, _ in heap),
+                        (bound for frontier in frontiers for bound, _ in frontier),
                     ),
                 )[-1]
+                # a row bounded exactly at the limit is refined iff fewer
+                # than k earlier rows have a distance at or under it; each
+                # earlier row adds at most one, so the first `quota` tied
+                # rows in global order are all refined single-process
+                below = sum(
+                    1 for frontier in frontiers for bound, _ in frontier
+                    if bound < limit
+                )
+                quota = k - below - sum(
+                    1 for neg_distance, _ in heap if -neg_distance <= limit
+                )
+                tied = sorted(
+                    (by_shard[shard][local], shard)
+                    for shard, frontier in enumerate(frontiers)
+                    for bound, local in frontier
+                    if bound == limit
+                )
+                ties = [0] * self.shards
+                for _, shard in tied[:max(quota, 0)]:
+                    ties[shard] += 1
                 # the k-th distance only shrinks, so the one at the start of
                 # the round is at least every sequential per-row budget
                 budget = -heap[0][0] if len(heap) == k else math.inf
-                shards = [
-                    shard
+                requests = [
+                    (shard, ("knn_refine_upto", qid, limit, budget, ties[shard]))
                     for shard, frontier in enumerate(frontiers)
-                    if frontier and frontier[0] <= limit
+                    if ties[shard] or (frontier and frontier[0][0] < limit)
                 ]
-                replies = self._scatter(
-                    ("knn_refine_upto", qid, limit, budget), "knn", shards
-                )
+                replies = self._exchange(requests, "knn")
                 rows: List[Tuple[float, int, float]] = []
-                for shard, reply in zip(shards, replies):
+                for (shard, _), reply in zip(requests, replies):
                     frontiers[shard] = reply["frontier"]
-                    members = self._assignment.by_shard[shard]
+                    members = by_shard[shard]
                     rows.extend(
                         (bound, members[local], distance)
                         for bound, local, distance in reply["refined"]

@@ -19,11 +19,12 @@ tuples ``(op, *operands)``; replies are ``("ok", result)`` or
 ``range``              one complete range query over the shard
 ``knn_begin``          open this shard's lazy ``(bound, local_index)``
                        stream (:func:`~repro.search.knn.bound_stream`)
-                       and send the bounds of its first ``k`` rows
+                       and send its first ``k`` ``(bound, local)`` pairs
 ``knn_refine_upto``    refine every unrefined stream row whose bound is
-                       ≤ the round limit, exact up to the caller's budget;
-                       reply with ``(bound, local, distance)`` triples
-                       and the bounds of the next ``k`` rows
+                       below the round limit, then the next ``ties`` rows
+                       bounded exactly at it, exact up to the caller's
+                       budget; reply with ``(bound, local, distance)``
+                       triples and the next ``k`` ``(bound, local)`` pairs
 ``knn_end``            drop a k-NN cursor; reply with the rows it bounded
 ``add``                insert one tree (bracket form) into the shard
 ``info``               counters for diagnostics
@@ -34,10 +35,10 @@ tuples ``(op, *operands)``; replies are ``("ok", result)`` or
 
 k-NN is split into begin/refine rounds because Algorithm 2's optimal
 stopping is a *global* decision: the coordinator derives each round's
-limit from its heap and every shard's next ``k`` bounds, so a round
-refines only rows the single-process run refines too, and the
-distributed query refines exactly the single-process candidates (see
-``docs/SHARDING.md``).
+limit and per-shard tie quota from its heap and every shard's next ``k``
+pairs, so a round refines only rows the single-process run refines too,
+and the distributed query refines exactly the single-process candidates
+(see ``docs/SHARDING.md``).
 """
 
 from __future__ import annotations
@@ -92,15 +93,23 @@ class _KnnCursor:
         self._ahead.append((float(pair[0]), pair[1]))
         return True
 
-    def frontier(self) -> List[float]:
-        """The bounds of the next ``k`` unrefined rows (fewer at the end)."""
+    def frontier(self) -> List[Tuple[float, int]]:
+        """The next ``k`` unrefined ``(bound, local)`` pairs (fewer at the end)."""
         while len(self._ahead) < self.k and self._pull():
             pass
-        return [bound for bound, _ in self._ahead]
+        return list(self._ahead)
 
-    def take_upto(self, limit: float) -> Iterator[Tuple[float, int]]:
-        """Consume every unrefined row with bound ≤ ``limit``, in order."""
-        while (self._ahead or self._pull()) and self._ahead[0][0] <= limit:
+    def take_round(self, limit: float, ties: int) -> Iterator[Tuple[float, int]]:
+        """Consume every unrefined row with bound < ``limit``, then the
+        next ``ties`` rows bounded exactly ``limit``, in stream order."""
+        while self._ahead or self._pull():
+            bound = self._ahead[0][0]
+            if bound == limit:
+                if ties == 0:
+                    return
+                ties -= 1
+            elif bound > limit:
+                return
             yield self._ahead.popleft()
 
 
@@ -207,14 +216,14 @@ class _ShardState:
         return {"filter_seconds": filter_seconds, "frontier": frontier}
 
     def knn_refine_upto(
-        self, qid: int, limit: float, budget: float
+        self, qid: int, limit: float, budget: float, ties: int
     ) -> Dict[str, Any]:
         cursor = self._cursor(qid)
         query, trees = cursor.query, self.db.trees
         start = time.perf_counter()
         refined = [
             (bound, local, self.counter.distance(query, trees[local], budget))
-            for bound, local in cursor.take_upto(limit)
+            for bound, local in cursor.take_round(limit, ties)
         ]
         middle = time.perf_counter()
         frontier = cursor.frontier()

@@ -33,7 +33,8 @@ Each oracle audits one class of invariant over a
     ``save_database``/``load_database`` round-trips answer-identically with
     zero re-extraction.
 ``search:completeness``
-    Filter-and-refine range/k-NN answers equal brute-force sequential scans.
+    Filter-and-refine range/k-NN answers equal brute-force sequential scans,
+    and k-NN refines exactly the rows optimal stopping cannot skip.
 ``search:vectorized-equivalence``
     The corpus-level matrix candidate funnel (:mod:`repro.features.matrix`)
     returns bit-identical answers and identical refined-candidate counts to
@@ -70,6 +71,7 @@ lets the runner shrink their violations to minimal counterexamples.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -703,7 +705,8 @@ class RoundTripOracle(Oracle):
 # search:completeness — filter-and-refine equals sequential scan
 # ----------------------------------------------------------------------
 class SearchCompletenessOracle(Oracle):
-    """Range/k-NN through the filter pipeline equal brute-force answers."""
+    """Range/k-NN through the filter pipeline equal brute-force answers,
+    and the k-NN refined count is the minimal one for the filter's bounds."""
 
     name = "search:completeness"
     description = "filtered range/k-NN answers equal sequential ground truth"
@@ -738,8 +741,9 @@ class SearchCompletenessOracle(Oracle):
                     )
             outcome.checks += 1
             k = 3
-            filtered_knn = database.knn(query, k)[0]
-            sequential_knn = database.sequential_knn(query, k)[0]
+            filtered_knn, knn_stats = database.knn(query, k)
+            ranked = database.sequential_knn(query, len(database))[0]
+            sequential_knn = ranked[:k]
             # ties at the k-th distance make the member set ambiguous; the
             # invariant is the sorted distance profile
             if [d for _, d in filtered_knn] != [d for _, d in sequential_knn]:
@@ -755,7 +759,47 @@ class SearchCompletenessOracle(Oracle):
                         },
                     )
                 )
+            outcome.checks += 1
+            distances = [distance for _, distance in sorted(ranked)]
+            minimal = _minimal_knn_refines(
+                database.filter.bounds(query), distances, k
+            )
+            if knn_stats.candidates != minimal:
+                outcome.record(
+                    Violation(
+                        oracle=self.name,
+                        message=(
+                            f"k-NN refined {knn_stats.candidates} trees; "
+                            f"optimal stopping refines {minimal}"
+                        ),
+                        t1=query,
+                        details={
+                            "k": k,
+                            "refined": knn_stats.candidates,
+                            "minimal": minimal,
+                        },
+                    )
+                )
         return outcome
+
+
+def _minimal_knn_refines(
+    bounds: Sequence[float], distances: Sequence[float], k: int
+) -> int:
+    """Rows optimal multi-step k-NN refines over ``bounds``.
+
+    Rows are taken in ``(bound, row)`` order up to the first one with at
+    least ``k`` earlier rows at a distance ≤ its bound: the heap is then
+    full with a k-th distance ≤ that bound, and every later distance is at
+    least the bound, so no later row can enter.
+    """
+    order = sorted(range(len(bounds)), key=lambda row: (bounds[row], row))
+    earlier: List[float] = []
+    for position, row in enumerate(order):
+        if bisect.bisect_right(earlier, bounds[row]) >= k:
+            return position
+        bisect.insort(earlier, distances[row])
+    return len(order)
 
 
 # ----------------------------------------------------------------------

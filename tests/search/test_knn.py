@@ -1,12 +1,20 @@
 """Unit and property tests for the multi-step k-NN algorithm (Algorithm 2)."""
 
+import heapq
 import random
 
 import pytest
 
 from repro.datasets import SyntheticSpec, generate_dataset
+from repro.editdist.zhang_shasha import EditDistanceCounter
 from repro.exceptions import QueryError
-from repro.filters import BinaryBranchFilter, BranchCountFilter, HistogramFilter
+from repro.filters import (
+    DEFAULT_FILTER,
+    FILTERS,
+    BinaryBranchFilter,
+    BranchCountFilter,
+    HistogramFilter,
+)
 from repro.search import TreeDatabase, knn_query, sequential_knn_query
 from repro.trees import parse_bracket
 
@@ -99,6 +107,69 @@ class TestOptimalMultiStep:
         neighbors, _ = knn_query(DATASET, parse_bracket("a(b,c)"), 4, flt)
         keys = [(d, i) for i, d in neighbors]
         assert keys == sorted(keys)
+
+
+#: many rows bounded exactly at the k-th distance of ``a(b,c)``, under both
+#: the histogram and the serving filter
+TIED_CORPUS = [
+    parse_bracket(text)
+    for text in [
+        "a(b,d)", "a(c,b)", "a(e,c)", "a(b,c,d)", "a(b)", "a(c,b)",
+        "a(c)", "a(b,c)", "a(b,x)", "a(d,b)", "a(c,b)", "a(b,e)",
+    ]
+]
+
+
+def _strict_stop_answer(bounds, distances, k):
+    """Alg. 2 stopping only at a bound strictly above the k-th distance."""
+    heap = []
+    for row in sorted(range(len(bounds)), key=lambda row: (bounds[row], row)):
+        if len(heap) == k and bounds[row] > -heap[0][0]:
+            break
+        if len(heap) < k:
+            heapq.heappush(heap, (-distances[row], -row))
+        elif distances[row] < -heap[0][0]:
+            heapq.heapreplace(heap, (-distances[row], -row))
+    return sorted(
+        ((-row, -distance) for distance, row in heap),
+        key=lambda pair: (pair[1], pair[0]),
+    )
+
+
+def _minimal_refined(bounds, distances, k):
+    """Rows before the first one, in ``(bound, row)`` order, that has at
+    least ``k`` earlier rows with distance at or under its bound."""
+    order = sorted(range(len(bounds)), key=lambda row: (bounds[row], row))
+    for position, row in enumerate(order):
+        earlier = [distances[other] for other in order[:position]]
+        if sum(distance <= bounds[row] for distance in earlier) >= k:
+            return position
+    return len(order)
+
+
+class TestTiedBounds:
+    @pytest.mark.parametrize("filter_name", ["histogram", DEFAULT_FILTER])
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_rows_bounded_at_the_kth_distance_are_not_refined(
+        self, filter_name, k
+    ):
+        """A full heap admits only a strictly smaller distance, so a row
+        bounded at the k-th distance cannot change the answer: the refined
+        count is the minimal one, and the answer, tie members included, is
+        the one a strict ``bound > k-th`` stop gives."""
+        flt = FILTERS[filter_name]().fit(TIED_CORPUS)
+        query = parse_bracket("a(b,c)")
+        bounds = [float(bound) for bound in flt.bounds(query)]
+        counter = EditDistanceCounter()
+        distances = [counter.distance(query, tree) for tree in TIED_CORPUS]
+        neighbors, stats = knn_query(TIED_CORPUS, query, k, flt)
+        assert neighbors == _strict_stop_answer(bounds, distances, k)
+        minimal = _minimal_refined(bounds, distances, k)
+        assert stats.candidates == minimal
+        # a strict stop refines every row bounded at or under the k-th
+        # distance; rows tied with it are the difference
+        kth = neighbors[-1][1]
+        assert minimal < sum(bound <= kth for bound in bounds)
 
 
 PLANE_CORPUS = [

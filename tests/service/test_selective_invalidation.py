@@ -76,6 +76,29 @@ class TestSelectiveInvalidation:
         neighbors, _ = service.knn(query, 2)
         assert {i for i, _ in neighbors} == {0, index}
 
+    def test_full_knn_entry_with_add_bounded_at_kth_is_retained(self):
+        """A new tree bounded exactly at the cached k-th distance sorts
+        after every old row with that bound, and a fresh run stops at it
+        unrefined: the entry stays and equals a cold answer, refined count
+        included."""
+        service = _service(["a(b,c)", "a(b,d)", "x(y)"])
+        query = parse_bracket("a(b,c)")
+        first, _ = service.knn(query, 2)
+        added = parse_bracket("a(b,e)")
+        flt = service.database.filter
+        kth = first[-1][1]
+        assert flt.bound(flt.signature(query), flt.signature(added)) == kth
+        service.add(added)
+        second, stats = service.knn(query, 2)
+        cache = service.metrics.snapshot()["cache"]
+        assert cache["entries_retained"] == 1
+        assert cache["hits"] == 1
+        cold_answer, cold_stats = TreeDatabase(
+            list(service.database.trees)
+        ).knn(query, 2)
+        assert second == first == cold_answer
+        assert stats.candidates == cold_stats.candidates
+
     def test_invalidation_metrics_accumulate(self):
         service = _service(["a(b,c)", "x(y)"])
         service.range(parse_bracket("a(b,c)"), 1)

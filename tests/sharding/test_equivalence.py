@@ -9,6 +9,7 @@ adds routed through the coordinator, where the workers' vocabularies
 have diverged from the coordinator's.
 """
 
+import heapq
 import itertools
 import math
 import random
@@ -112,30 +113,37 @@ def test_equivalence_survives_incremental_adds(shards):
 
 
 def test_knn_refine_rounds_keep_answers_candidates_and_budgets():
-    """Every ``knn_refine_upto`` round refines only rows the single-process
-    run refines: answers, refined counts and the refined triples agree,
-    each shard gets at most one request per round, a round clears at
-    least one distinct bound value, and the budget is ``inf`` until the
-    heap is full, then the non-increasing k-th distance, never below the
-    answer's."""
+    """Every ``knn_refine_upto`` round is exactly the round rule: with L
+    the k-th smallest of the heap's distances and every shard's next ``k``
+    bounds, it refines all unrefined rows bounded under L plus the first
+    ``min(q, tied)`` rows bounded exactly L in global order, where
+    ``q = k − c − b`` (c heap distances ≤ L, b rows under L), with one
+    request per shard.  Answers and refined counts equal single process,
+    and the budget is ``inf`` until the heap is full, then the k-th
+    distance at the round's start."""
     trees = _corpus(3, count=40)
     queries = _corpus(103, count=4)
     reference = _reference(trees, DEFAULT_FILTER)
-    exchanges = []  # (message, shard, reply); one message object per round
-    multi_round = 0
+    rounds = []  # (requests, replies) of every knn_refine_upto round
+    multi_round = tie_quota = 0
     with ShardedTreeService(trees, shards=2, max_workers=2) as service:
-        call = service._call
+        exchange = service._exchange
 
-        def spy(shard, message, kind):
-            reply = call(shard, message, kind)
-            if message[0] == "knn_refine_upto":
-                exchanges.append((message, shard, reply))
-            return reply
+        def spy(requests, kind):
+            replies = exchange(requests, kind)
+            if requests[0][1][0] == "knn_refine_upto":
+                rounds.append((requests, replies))
+            return replies
 
-        service._call = spy
+        service._exchange = spy
+        by_shard = service._assignment.by_shard
+        shard_of = {
+            row: shard for shard, members in enumerate(by_shard) for row in members
+        }
         for query in queries:
+            bounds = [float(bound) for bound in reference.filter.bounds(query)]
             for k in (1, 3, 6):
-                exchanges.clear()
+                rounds.clear()
                 served = service.knn(query, k)
                 expected = knn_query(
                     reference.trees, query, k, reference.filter, reference.counter
@@ -143,50 +151,84 @@ def test_knn_refine_rounds_keep_answers_candidates_and_budgets():
                 assert served[0] == expected[0]
                 assert served[1].candidates == expected[1].candidates
 
-                rounds = []
-                for message, shard, reply in exchanges:
-                    if not rounds or rounds[-1][0] is not message:
-                        rounds.append((message, []))
-                    rounds[-1][1].append((shard, reply["refined"]))
-                triples = [
-                    triple for _, shards in rounds for _, refined in shards
-                    for triple in refined
+                # per shard, its unrefined (bound, global index) rows, ascending
+                unrefined = [
+                    sorted((bounds[row], row) for row in members)
+                    for members in by_shard
                 ]
-                assert len(triples) == served[1].candidates
-                for _, shards in rounds:
-                    sent = [shard for shard, _ in shards]
+                heap = []  # (−distance, −global index), the coordinator's rules
+                refined = 0
+                for requests, replies in rounds:
+                    sent = [shard for shard, _ in requests]
                     assert len(sent) == len(set(sent))
-                assert len(rounds) <= len({bound for bound, _, _ in triples})
+                    limit, budget = requests[0][1][2:4]
+                    assert all(
+                        message[2:4] == (limit, budget) for _, message in requests
+                    )
+                    assert budget == (-heap[0][0] if len(heap) == k else math.inf)
+                    assert limit == heapq.nsmallest(
+                        k,
+                        [-distance for distance, _ in heap]
+                        + [bound for rows in unrefined for bound, _ in rows[:k]],
+                    )[-1]
+                    below = [
+                        pair for rows in unrefined for pair in rows
+                        if pair[0] < limit
+                    ]
+                    tied = sorted(
+                        pair for rows in unrefined for pair in rows
+                        if pair[0] == limit
+                    )
+                    quota = k - len(below) - sum(
+                        -distance <= limit for distance, _ in heap
+                    )
+                    chosen = tied[:max(quota, 0)]
+                    tie_quota += 0 < len(chosen) < len(tied)
+                    for shard, message in requests:
+                        assert message[4] == sum(
+                            shard_of[row] == shard for _, row in chosen
+                        )
+                    rows = sorted(
+                        (bound, by_shard[shard][local], distance)
+                        for (shard, _), reply in zip(requests, replies)
+                        for bound, local, distance in reply["refined"]
+                    )
+                    assert [(bound, row) for bound, row, _ in rows] == sorted(
+                        below + chosen
+                    )
+                    for bound, row, distance in rows:
+                        unrefined[shard_of[row]].remove((bound, row))
+                        if len(heap) < k:
+                            heapq.heappush(heap, (-distance, -row))
+                        elif distance < -heap[0][0]:
+                            heapq.heapreplace(heap, (-distance, -row))
+                    refined += len(rows)
+                assert refined == served[1].candidates
+                # the rounds stop exactly where optimal stopping does
+                heads = [rows[0][0] for rows in unrefined if rows]
+                assert len(heap) == k
+                assert not heads or min(heads) >= -heap[0][0]
                 multi_round += len(rounds) > 1
-
-                done = 0
-                budgets = []
-                for message, shards in rounds:
-                    budget = message[3]
-                    assert (budget == math.inf) == (done < k)
-                    if budget < math.inf:
-                        budgets.append(budget)
-                    done += sum(len(refined) for _, refined in shards)
-                # the k-th distance only shrinks, and never below the answer's
-                assert budgets == sorted(budgets, reverse=True)
-                assert all(budget >= served[0][-1][1] for budget in budgets)
     assert multi_round
+    assert tie_quota
 
 
-def _expected_shard_scored(reference, query, k, kth, by_shard):
+def _expected_shard_scored(reference, query, k, candidates, by_shard):
     """Rows the shards' streams bound, replayed single-process.
 
     Each shard streams its rows over the same per-row keys and bounds as
-    the single-process filter, and pulls the rows it refines (those
-    bounded at or under the final k-th distance) plus its ``k`` rows
-    ahead.
+    the single-process filter, and pulls the rows it refines (the
+    single-process refined rows in that shard: the first ``candidates``
+    rows of the global ``(bound, row)`` order) plus its ``k`` rows ahead.
     """
     flt = reference.filter
     keys = flt.order_keys(flt.signature(query), reference.matrices())
     bounds = flt.bounds(query)
+    order = sorted(range(len(bounds)), key=lambda row: (bounds[row], row))
+    single = set(order[:candidates])
     scored = 0
     for members in by_shard:
-        refined = sum(1 for row in members if bounds[row] <= kth)
+        refined = sum(1 for row in members if row in single)
         stream = BoundStream(
             [keys[row] for row in members],
             lambda local, members=members: bounds[members[local]],
@@ -223,9 +265,8 @@ def test_serving_filter_orders_lazily_on_the_shards():
                 assert served[0] == expected[0]
                 assert served[1].candidates == expected[1].candidates
                 assert single.stages[0].name == sharded.stages[0].name
-                kth = expected[0][-1][1]
                 scored = sharded.stages[0].survivors
                 assert scored == _expected_shard_scored(
-                    reference, query, k, kth, by_shard
+                    reference, query, k, expected[1].candidates, by_shard
                 )
                 assert single.stages[0].survivors <= scored < len(trees)
