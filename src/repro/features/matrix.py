@@ -476,33 +476,42 @@ class FeatureMatrices:
 # ``repro.filters`` is strict-typed without numpy on the mypy path, so
 # these are the only callables filters use; ``Sequence[int]`` /
 # ``Sequence[float]`` describe the returned ndarrays accurately enough
-# for every consumer (len, iteration, indexing, comparison).
+# for every consumer (len, iteration, indexing, comparison).  The kernel
+# helpers take ``matrices=None`` (no planes) and raise
+# :class:`InvalidParameterError` for it, the same "use the loop" signal
+# a plane without the needed family raises.
 # ----------------------------------------------------------------------
 
 
+def _planes(matrices: Optional["FeatureMatrices"]) -> "FeatureMatrices":
+    if matrices is None:
+        raise InvalidParameterError("no matrix planes: filter per candidate")
+    return matrices
+
+
 def branch_l1_counts(
-    matrices: "FeatureMatrices",
+    matrices: Optional["FeatureMatrices"],
     q: Optional[int],
     counts: Mapping[Any, int],
     rows: Optional[Sequence[int]],
 ) -> Sequence[int]:
     """Per-row packed-branch L1 for a query given as a count mapping."""
-    return matrices.branch_l1(q, counts, rows)
+    return _planes(matrices).branch_l1(q, counts, rows)
 
 
 def branch_l1_packed(
-    matrices: "FeatureMatrices",
+    matrices: Optional["FeatureMatrices"],
     q: Optional[int],
     vector: "PackedVector",
     vocabulary: "Vocabulary",
     rows: Optional[Sequence[int]],
 ) -> Sequence[int]:
     """Per-row packed-branch L1 for an already-packed query vector."""
-    return matrices.branch_l1_packed(q, vector, vocabulary, rows)
+    return _planes(matrices).branch_l1_packed(q, vector, vocabulary, rows)
 
 
 def branch_count_bounds(
-    matrices: "FeatureMatrices",
+    matrices: Optional["FeatureMatrices"],
     q: Optional[int],
     vector: "PackedVector",
     vocabulary: "Vocabulary",
@@ -510,24 +519,28 @@ def branch_count_bounds(
     rows: Optional[Sequence[int]],
 ) -> Sequence[int]:
     """``ceil(L1 / factor)`` per row — the BranchCount lower bound."""
-    return ceil_div(matrices.branch_l1_packed(q, vector, vocabulary, rows), factor)
+    return ceil_div(
+        _planes(matrices).branch_l1_packed(q, vector, vocabulary, rows), factor
+    )
 
 
 def histogram_l1(
-    matrices: "FeatureMatrices",
+    matrices: Optional["FeatureMatrices"],
     family: str,
     counts: Mapping[Any, int],
     rows: Optional[Sequence[int]],
 ) -> Sequence[int]:
     """Per-row histogram L1 for the given (unfolded) family."""
-    return matrices.histogram_l1(family, counts, rows)
+    return _planes(matrices).histogram_l1(family, counts, rows)
 
 
 def size_bounds(
-    matrices: "FeatureMatrices", query_size: int, rows: Optional[Sequence[int]]
+    matrices: Optional["FeatureMatrices"],
+    query_size: int,
+    rows: Optional[Sequence[int]],
 ) -> Sequence[int]:
     """``| |T_i| - |Q| |`` per row — the size-difference lower bound."""
-    return np.abs(matrices.size_column(rows) - query_size)
+    return np.abs(_planes(matrices).size_column(rows) - query_size)
 
 
 def ceil_div(values: Sequence[int], divisor: int) -> Sequence[int]:

@@ -41,9 +41,16 @@ if TYPE_CHECKING:  # import cycle: features.store fits via filter signatures
     from repro.features.matrix import FeatureMatrices
     from repro.features.store import FeatureStore
 
-__all__ = ["LowerBoundFilter", "Signature"]
+__all__ = ["LowerBoundFilter", "RowStage", "Signature"]
 
 Signature = TypeVar("Signature")
+
+#: One range-cascade stage: ``(query_signature, τ, rows, matrices)`` to the
+#: rows it cannot refute; ``matrices=None`` runs it per candidate.
+RowStage = Callable[
+    [Signature, float, Sequence[int], Optional["FeatureMatrices"]],
+    Sequence[int],
+]
 
 
 class LowerBoundFilter(ABC, Generic[Signature]):
@@ -188,23 +195,8 @@ class LowerBoundFilter(ABC, Generic[Signature]):
         return self.bound(query, data) > threshold
 
     # ------------------------------------------------------------------
-    # Vectorized (matrix-plane) candidate generation
+    # Row-set filtering (range cascade) and k-NN ordering keys
     # ------------------------------------------------------------------
-    def lower_bounds_matrix(
-        self, query: Signature, matrices: "FeatureMatrices"
-    ) -> Optional[Sequence[float]]:
-        """Per-row lower bounds against *every* indexed tree, or ``None``.
-
-        Filters whose numeric bound is exactly computable from a
-        corpus-level :class:`~repro.features.matrix.MatrixPlane` override
-        this to return one value per tree (equal, row by row, to
-        ``bound(query, data_signature(row))``).  ``None`` means "no exact
-        vectorized bound" and callers fall back to :meth:`bounds` — knn
-        ordering must never use an approximation, or optimal-stopping
-        refined-candidate counts would drift from the reference path.
-        """
-        return None
-
     def order_keys(
         self, query: Signature, matrices: "FeatureMatrices"
     ) -> Optional[Sequence[float]]:
@@ -214,28 +206,29 @@ class LowerBoundFilter(ABC, Generic[Signature]):
         the k-NN stream (:class:`~repro.search.knn.BoundStream`) walks rows
         in ascending key order and bounds a row only when its key could
         still place it before the rows already bounded, so a key above the
-        bound would reorder answers.  Default: the exact
-        :meth:`lower_bounds_matrix`.  ``None`` sends k-NN to the full
-        ``(bound, row)`` sort over :meth:`bounds`.
+        bound would reorder answers.  Default ``None``: no kernel, so k-NN
+        falls back to the full ``(bound, row)`` sort over :meth:`bounds`.
         """
-        return self.lower_bounds_matrix(query, matrices)
+        return None
 
     def refute_rows(
         self,
         query: Signature,
         threshold: float,
         rows: Sequence[int],
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
     ) -> Sequence[int]:
         """Survivors of ``rows`` — exactly those :meth:`refutes` keeps.
 
-        The vectorized range cascade shrinks the active-row set through
-        each funnel stage with this method.  Overrides may prescreen
-        with matrix kernels, but the contract is strict set equality
-        with the per-candidate loop: ``refute_rows(q, t, rows, m) ==
-        [i for i in rows if not refutes(q, sig[i], t)]`` — pinned by the
-        ``search:vectorized-equivalence`` oracle.  This default *is*
-        that loop, so every filter is cascade-correct out of the box.
+        The range cascade shrinks the active-row set through each funnel
+        stage with this method.  Overrides may prescreen with matrix
+        kernels, but the contract is strict set equality with the
+        per-candidate loop: ``refute_rows(q, t, rows, m) == [i for i in
+        rows if not refutes(q, sig[i], t)]`` — pinned by the
+        ``search:vectorized-equivalence`` oracle.  This default *is* that
+        loop, so every filter is cascade-correct out of the box; it is
+        also where every override lands when ``matrices`` is ``None``
+        (the kernel helpers raise :class:`InvalidParameterError`).
         """
         signatures = self._signatures
         return [
@@ -244,38 +237,17 @@ class LowerBoundFilter(ABC, Generic[Signature]):
             if not self.refutes(query, signatures[index], threshold)
         ]
 
-    def matrix_funnel_components(
-        self,
-    ) -> List[
-        Tuple[
-            str,
-            Callable[
-                [Signature, float, Sequence[int], "FeatureMatrices"],
-                Sequence[int],
-            ],
-        ]
-    ]:
-        """Vectorized counterpart of :meth:`funnel_components`.
+    def funnel_components(self) -> List[Tuple[str, RowStage[Signature]]]:
+        """Per-stage ``(name, refute_rows)`` decomposition of the cascade.
 
-        Same stage names, same pruning attribution — each stage maps the
-        active-row set to its survivors, so funnel telemetry comes from
-        ``len(rows)`` before/after instead of per-candidate counting.
+        Each stage maps the active-row set to its survivors, so funnel
+        telemetry comes from ``len(rows)`` before/after.  Default: the
+        filter is a single stage; composites expose one stage per
+        sub-filter, so pruning is attributed to the component that did
+        it.  Applying the stages in order keeps exactly the rows
+        :meth:`refutes` keeps.
         """
         return [(self.name, self.refute_rows)]
-
-    def funnel_components(
-        self,
-    ) -> List[Tuple[str, Callable[[Signature, Signature, float], bool]]]:
-        """Per-stage ``(name, refute)`` decomposition for funnel telemetry.
-
-        Each ``refute(query_signature, data_signature, threshold)`` callable
-        operates on this filter's *full* signature objects.  Default: the
-        filter is a single funnel stage; composites override this to expose
-        one stage per sub-filter, so the observability layer can attribute
-        pruning to the component that did it.  Applying the stages as a
-        cascade must refute exactly the candidates :meth:`refutes` refutes.
-        """
-        return [(self.name, self.refutes)]
 
     def __repr__(self) -> str:
         status = f"{self.size} trees" if self._fitted else "unfitted"

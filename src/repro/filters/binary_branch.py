@@ -100,7 +100,7 @@ class BinaryBranchFilter(LowerBoundFilter[PositionalProfile]):
     def _branch_l1(
         self,
         query: PositionalProfile,
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
         rows: Optional[Sequence[int]],
     ) -> Sequence[int]:
         """Count-vector BDist to each row off the branch plane at this q."""
@@ -130,7 +130,7 @@ class BinaryBranchFilter(LowerBoundFilter[PositionalProfile]):
         query: PositionalProfile,
         threshold: float,
         rows: Sequence[int],
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
     ) -> Sequence[int]:
         """Vectorized count-L1 prescreen, then the exact positional test.
 
@@ -212,7 +212,7 @@ class BranchCountFilter(LowerBoundFilter[PackedVector]):
     def bound(self, query: PackedVector, data: PackedVector) -> float:
         return -(-query.l1_distance(data) // self.factor)
 
-    def lower_bounds_matrix(
+    def order_keys(
         self, query: PackedVector, matrices: "FeatureMatrices"
     ) -> Optional[Sequence[float]]:
         """Exact per-row ``⌈L1/factor⌉`` from the branch plane.
@@ -233,7 +233,7 @@ class BranchCountFilter(LowerBoundFilter[PackedVector]):
         query: PackedVector,
         threshold: float,
         rows: Sequence[int],
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
     ) -> Sequence[int]:
         try:
             bounds = branch_count_bounds(

@@ -8,11 +8,11 @@ compose freely; Kailing et al. combine their three histograms this way, and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.features.matrix import elementwise_max, keep_at_most, size_bounds
-from repro.filters.base import LowerBoundFilter
+from repro.filters.base import LowerBoundFilter, RowStage
 from repro.trees.node import TreeNode
 
 if TYPE_CHECKING:
@@ -40,9 +40,10 @@ class SizeDifferenceFilter(LowerBoundFilter[int]):
     def bound(self, query: int, data: int) -> float:
         return abs(query - data)
 
-    def lower_bounds_matrix(
+    def order_keys(
         self, query: int, matrices: "FeatureMatrices"
     ) -> Optional[Sequence[float]]:
+        """The exact size difference per row, off the size column."""
         try:
             return size_bounds(matrices, query, None)
         except InvalidParameterError:
@@ -53,7 +54,7 @@ class SizeDifferenceFilter(LowerBoundFilter[int]):
         query: int,
         threshold: float,
         rows: Sequence[int],
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
     ) -> Sequence[int]:
         try:
             bounds = size_bounds(matrices, query, rows)
@@ -129,23 +130,6 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
             for child, q, d in zip(self.filters, query, data)
         )
 
-    def lower_bounds_matrix(
-        self, query: CompositeSignature, matrices: "FeatureMatrices"
-    ) -> Optional[Sequence[float]]:
-        """Elementwise max of the children's exact vectorized bounds.
-
-        Exact only when *every* child is — one child without a kernel
-        makes the whole composite fall back (a partial max would be a
-        weaker bound and would change knn refined-candidate counts).
-        """
-        columns: List[Sequence[float]] = []
-        for position, child in enumerate(self.filters):
-            column = child.lower_bounds_matrix(query[position], matrices)
-            if column is None:
-                return None
-            columns.append(column)
-        return elementwise_max(columns)
-
     def order_keys(
         self, query: CompositeSignature, matrices: "FeatureMatrices"
     ) -> Optional[Sequence[float]]:
@@ -192,90 +176,41 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
         query: CompositeSignature,
         threshold: float,
         rows: Sequence[int],
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
     ) -> Sequence[int]:
         """Cascade the children over a shrinking row set.
 
         Equivalent to the ``any``-refutation of :meth:`refutes` because
         each child's ``refute_rows`` keeps exactly its own survivors.
-        Stops once a stage leaves no rows.
         """
-        self._sync_child_signatures()
-        for position, child in enumerate(self.filters):
-            if not len(rows):
-                break
-            rows = child.refute_rows(query[position], threshold, rows, matrices)
+        for _, stage in self.funnel_components():
+            rows = stage(query, threshold, rows, matrices)
         return rows
 
-    def matrix_funnel_components(
-        self,
-    ) -> List[
-        Tuple[
-            str,
-            Callable[
-                [CompositeSignature, float, Sequence[int], "FeatureMatrices"],
-                Sequence[int],
-            ],
-        ]
-    ]:
-        """Vectorized cascade, one stage per sub-filter (names as loop path)."""
-        components: List[
-            Tuple[
-                str,
-                Callable[
-                    [CompositeSignature, float, Sequence[int], "FeatureMatrices"],
-                    Sequence[int],
-                ],
-            ]
-        ] = []
+    def funnel_components(self) -> List[Tuple[str, RowStage[CompositeSignature]]]:
+        """One stage per sub-filter, applied as a cascade.
+
+        Stage names are position-prefixed so two children of the same
+        class stay distinguishable.  A stage entered with no rows (an
+        earlier one refuted them all) returns them untouched.
+        """
+        components: List[Tuple[str, RowStage[CompositeSignature]]] = []
         for position, child in enumerate(self.filters):
 
             def refute_rows(
                 query: CompositeSignature,
                 threshold: float,
                 rows: Sequence[int],
-                matrices: "FeatureMatrices",
+                matrices: Optional["FeatureMatrices"],
                 _child: LowerBoundFilter[Any] = child,
                 _position: int = position,
             ) -> Sequence[int]:
                 if not len(rows):
-                    return rows  # an earlier stage refuted every row
+                    return rows
                 self._sync_child_signatures()
                 return _child.refute_rows(
                     query[_position], threshold, rows, matrices
                 )
 
             components.append((f"{position}:{child.name}", refute_rows))
-        return components
-
-    def funnel_components(
-        self,
-    ) -> List[
-        Tuple[str, Callable[[CompositeSignature, CompositeSignature, float], bool]]
-    ]:
-        """One funnel stage per sub-filter, applied as a cascade.
-
-        Stage names are position-prefixed so two children of the same class
-        stay distinguishable.  A candidate surviving every stage survives
-        :meth:`refutes` and vice versa (refutation is an ``any`` over the
-        children), so the cascade's final survivor set is identical.
-        """
-        components: List[
-            Tuple[
-                str,
-                Callable[[CompositeSignature, CompositeSignature, float], bool],
-            ]
-        ] = []
-        for position, child in enumerate(self.filters):
-
-            def refute(
-                query: CompositeSignature,
-                data: CompositeSignature,
-                threshold: float,
-                _child: LowerBoundFilter[Any] = child,
-                _position: int = position,
-            ) -> bool:
-                return _child.refutes(query[_position], data[_position], threshold)
-
-            components.append((f"{position}:{child.name}", refute))
         return components

@@ -257,7 +257,7 @@ class HistogramFilter(LowerBoundFilter[HistogramSignature]):
         query: HistogramSignature,
         threshold: float,
         rows: Sequence[int],
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
     ) -> Sequence[int]:
         """Vectorized label+degree L1 stages, then the height loop.
 
@@ -337,7 +337,7 @@ class _UnfoldedHistogramFilter(LowerBoundFilter[HistogramSignature]):
     def _matrix_counts(self, query: HistogramSignature) -> Dict:
         return query.labels if self._matrix_family == "labels" else query.degrees
 
-    def lower_bounds_matrix(
+    def order_keys(
         self, query: HistogramSignature, matrices: "FeatureMatrices"
     ) -> Optional[Sequence[float]]:
         if self._matrix_family is None:
@@ -355,7 +355,7 @@ class _UnfoldedHistogramFilter(LowerBoundFilter[HistogramSignature]):
         query: HistogramSignature,
         threshold: float,
         rows: Sequence[int],
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
     ) -> Sequence[int]:
         if self._matrix_family is None:
             return super().refute_rows(query, threshold, rows, matrices)

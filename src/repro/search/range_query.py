@@ -56,12 +56,11 @@ def range_query(
         Optional shared :class:`EditDistanceCounter` (reuses prepared trees
         across queries and accumulates the distance-computation count).
     matrices:
-        Optional corpus-level matrix planes over the same trees.  When
-        given, the filter cascade runs vectorized (each funnel stage maps
-        the active-row set to its survivors via matrix kernels) instead
-        of per candidate — same survivor set, same stage names, same
-        funnel invariants; the loop below stays the reference
-        implementation.
+        Optional corpus-level matrix planes over the same trees.  Each
+        funnel stage maps the active-row set to its survivors; given
+        planes, it does so with matrix kernels, and without them (the
+        reference path) per candidate — same survivor set, same stage
+        names, same funnel invariants either way.
     index:
         Optional :class:`~repro.index.inverted.ExtendedInvertedFile` over
         the same corpus.  When given, candidate generation starts from the exact
@@ -127,68 +126,25 @@ def range_query(
                 )
         with tracing.span("search.filter"):
             query_signature = flt.signature(query)
-            if matrices is not None:
-                rows: Sequence[int] = domain
+            rows: Sequence[int] = domain
+            for name, refute_rows in flt.funnel_components():
                 if not observing:
-                    for _, refute_rows in flt.matrix_funnel_components():
-                        rows = refute_rows(
-                            query_signature, threshold, rows, matrices
-                        )
-                else:
-                    for name, refute_rows in flt.matrix_funnel_components():
-                        with tracing.span(f"filter.{name}") as stage_span:
-                            entered = len(rows)
-                            stage_start = time.perf_counter()
-                            rows = refute_rows(
-                                query_signature, threshold, rows, matrices
-                            )
-                            stage_seconds = time.perf_counter() - stage_start
-                            stages.append(
-                                FunnelStage(
-                                    name, entered, len(rows), stage_seconds
-                                )
-                            )
-                            stage_span.set(
-                                entered=entered,
-                                survivors=len(rows),
-                                refuted=entered - len(rows),
-                            )
-                survivors = as_indices(rows)
-            elif not observing:
-                survivors = [
-                    row
-                    for row in domain
-                    if not flt.refutes(
-                        query_signature, flt.data_signature(row), threshold
+                    rows = refute_rows(query_signature, threshold, rows, matrices)
+                    continue
+                with tracing.span(f"filter.{name}") as stage_span:
+                    entered = len(rows)
+                    stage_start = time.perf_counter()
+                    rows = refute_rows(query_signature, threshold, rows, matrices)
+                    stage_seconds = time.perf_counter() - stage_start
+                    stages.append(
+                        FunnelStage(name, entered, len(rows), stage_seconds)
                     )
-                ]
-            else:
-                # staged cascade: same survivor set as the one-pass
-                # `refutes` (refutation is an `any` over the stages), but
-                # pruning is attributed to the stage that did it
-                survivors = list(domain)
-                for name, refute in flt.funnel_components():
-                    with tracing.span(f"filter.{name}") as stage_span:
-                        entered = len(survivors)
-                        stage_start = time.perf_counter()
-                        survivors = [
-                            index
-                            for index in survivors
-                            if not refute(
-                                query_signature,
-                                flt.data_signature(index),
-                                threshold,
-                            )
-                        ]
-                        stage_seconds = time.perf_counter() - stage_start
-                        stages.append(
-                            FunnelStage(name, entered, len(survivors), stage_seconds)
-                        )
-                        stage_span.set(
-                            entered=entered,
-                            survivors=len(survivors),
-                            refuted=entered - len(survivors),
-                        )
+                    stage_span.set(
+                        entered=entered,
+                        survivors=len(rows),
+                        refuted=entered - len(rows),
+                    )
+            survivors = as_indices(rows)
         stats.filter_seconds = time.perf_counter() - start
 
         matches: List[Tuple[int, float]] = []

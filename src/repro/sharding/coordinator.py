@@ -25,11 +25,10 @@ shard (:mod:`repro.sharding.worker`), and serves:
   reaches the k-th distance.  Same refinement set, same answers, same
   tie-handling; the ``shard:knn-optimality`` oracle enforces it.
 
-``shards=1`` skips all of this and delegates to the battle-tested
-single-process :class:`~repro.service.engine.TreeSearchService` (with its
-result cache).  With ``shards > 1`` there is no cross-process result
-cache — every query is counted as a miss, mirroring the single-process
-``cache_size=0`` semantics.
+It needs at least two shards; one process is the single-process
+:class:`~repro.service.engine.TreeSearchService`.  There is no
+cross-process result cache — every query is counted as a miss, mirroring
+the single-process ``cache_size=0`` semantics.
 
 Mutations (:meth:`ShardedTreeService.add`) route the new tree to its
 shard under the writer side of a read/write lock, so queries never see a
@@ -57,14 +56,9 @@ from repro.features.store import HISTOGRAM_FAMILIES, FeatureStore
 from repro.filters.registry import DEFAULT_FILTER, FILTERS
 from repro.obs import tracing
 from repro.obs.funnel import FilterFunnel, FunnelStage, active_sink
-from repro.search.database import TreeDatabase
 from repro.search.knn import check_k
 from repro.search.statistics import SearchStats
-from repro.service.engine import (
-    QueryRequest,
-    TreeSearchService,
-    _ReadWriteLock,
-)
+from repro.service.engine import QueryRequest, _ReadWriteLock
 from repro.service.metrics import ServiceMetrics
 from repro.sharding.partition import (
     Partitioner,
@@ -198,9 +192,9 @@ class ShardedTreeService:
         The corpus.  Trees are shipped to the workers in bracket form at
         startup; afterwards the coordinator only keeps the partition map.
     shards:
-        Number of worker processes.  ``1`` delegates every call to a
-        single-process :class:`TreeSearchService` — same API, plus its
-        result cache.
+        Number of worker processes, at least 2 (serve one partition with
+        the single-process
+        :class:`~repro.service.engine.TreeSearchService`).
     filter_name:
         Key into :data:`repro.filters.FILTERS` (default
         :data:`~repro.filters.DEFAULT_FILTER`, ``"bibranch+label"``);
@@ -210,9 +204,6 @@ class ShardedTreeService:
         registry name (``"round-robin"``, ``"size-banded"``).
     max_workers:
         Thread-pool width for :meth:`batch` fan-out (coordinator-side).
-    cache_size:
-        Result-cache bound — only meaningful for the ``shards=1``
-        delegate; the multi-shard path serves uncached.
     prepared_cache_size:
         Per-worker prepared-tree cache bound.
     metrics:
@@ -232,17 +223,19 @@ class ShardedTreeService:
     def __init__(
         self,
         trees: Sequence[TreeNode],
-        shards: int = 1,
+        shards: int = 2,
         filter_name: str = DEFAULT_FILTER,
         partitioner: Union[str, Partitioner] = "round-robin",
         max_workers: int = 4,
-        cache_size: int = 1024,
         prepared_cache_size: int = 8192,
         metrics: Optional[ServiceMetrics] = None,
         health_interval: float = 0.0,
     ) -> None:
-        if shards < 1:
-            raise InvalidParameterError(f"need >= 1 shards, got {shards}")
+        if shards < 2:
+            raise InvalidParameterError(
+                f"need >= 2 shards, got {shards}; serve one partition with "
+                "TreeSearchService"
+            )
         if health_interval < 0:
             raise InvalidParameterError(
                 f"health_interval must be >= 0, got {health_interval}"
@@ -255,23 +248,8 @@ class ShardedTreeService:
         self.shards = shards
         self.filter_name = filter_name
         self._closed = False
-        self._delegate: Optional[TreeSearchService] = None
-
-        self._started_monotonic = time.monotonic()
-        factory = FILTERS[filter_name]
-        probe = factory()
+        probe = FILTERS[filter_name]()
         trees = list(trees)
-        if shards == 1:
-            database = TreeDatabase(trees, flt=factory())
-            self._delegate = TreeSearchService(
-                database,
-                max_workers=max_workers,
-                cache_size=cache_size,
-                prepared_cache_size=prepared_cache_size,
-                metrics=metrics,
-            )
-            self.metrics = self._delegate.metrics
-            return
 
         if isinstance(partitioner, str):
             partitioner = make_partitioner(partitioner, shards)
@@ -383,9 +361,6 @@ class ShardedTreeService:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop workers, unlink segments, shut down pools (idempotent)."""
-        if self._delegate is not None:
-            self._delegate.close()
-            return
         self._closed = True
         self._health_stop.set()
         if self._health_thread is not None:
@@ -401,20 +376,14 @@ class ShardedTreeService:
         self.close()
 
     def __len__(self) -> int:
-        if self._delegate is not None:
-            return len(self._delegate)
         return len(self._assignment)
 
     @property
     def generation(self) -> int:
         """Mutation counter (parity with the single-process service)."""
-        if self._delegate is not None:
-            return self._delegate.database.generation
         return self._mutations
 
     def __repr__(self) -> str:
-        if self._delegate is not None:
-            return f"ShardedTreeService(1 shard → {self._delegate!r})"
         return (
             f"ShardedTreeService({len(self)} trees, {self.shards} shards, "
             f"filter={self.filter_name!r}, "
@@ -497,8 +466,6 @@ class ShardedTreeService:
 
     def execute(self, request: QueryRequest) -> QueryAnswer:
         """Serve one :class:`QueryRequest` of either kind."""
-        if self._delegate is not None:
-            return self._delegate.execute(request)
         if self._closed:
             raise RuntimeError("service is closed")
         if request.kind == "range":
@@ -712,8 +679,6 @@ class ShardedTreeService:
         scatter work, and a shared pool would deadlock once every thread
         held a batch task waiting for a scatter slot.
         """
-        if self._delegate is not None:
-            return self._delegate.batch(requests)
         self.metrics.observe_batch()
         if not requests:
             return []
@@ -750,8 +715,6 @@ class ShardedTreeService:
         the same ``(global index, tree)`` inputs the initial layout used,
         keeping the placement reproducible.
         """
-        if self._delegate is not None:
-            return self._delegate.add(tree)
         if self._closed:
             raise RuntimeError("service is closed")
         self._rwlock.acquire_write()
@@ -773,16 +736,6 @@ class ShardedTreeService:
     # ------------------------------------------------------------------
     def shard_info(self) -> List[Dict[str, object]]:
         """Per-worker counters (tree counts, distance computations)."""
-        if self._delegate is not None:
-            database = self._delegate.database
-            return [
-                {
-                    "shard": 0,
-                    "trees": len(database),
-                    "filter": database.filter.name,
-                    "distance_computations": database.counter.calls,
-                }
-            ]
         return list(self._scatter(("info",), "control"))
 
     def health(self) -> Dict[str, object]:
@@ -799,32 +752,6 @@ class ShardedTreeService:
         skew) are returned as strings and counted on
         ``repro_shard_imbalance_warnings_total{dimension}``.
         """
-        if self._delegate is not None:
-            database = self._delegate.database
-            from repro.perf.resources import rss_bytes  # local: perf builds on obs
-
-            # the engine runs a fresh per-query counter (race-free `calls`),
-            # so the database counter stays 0 — the metrics count of
-            # refined candidates is the accurate equivalent, and the phase
-            # seconds are the same per-stage seconds the workers report
-            served = self.metrics.snapshot()
-            seconds = served["seconds"]
-            snapshot: Dict[str, object] = {
-                "shard": 0,
-                "trees": len(database),
-                "uptime_seconds": time.monotonic() - self._started_monotonic,
-                "rss_bytes": rss_bytes(),
-                "requests": served["queries_by_kind"],
-                "requests_total": served["queries_served"],
-                "stage_seconds": {
-                    "filter": seconds["filter"],
-                    "refine": seconds["refine"],
-                },
-                "open_cursors": 0,
-                "distance_computations": served["work"]["candidates_examined"],
-            }
-            self._publish_health([snapshot])
-            return {"shards": [snapshot], "warnings": []}
         if self._closed:
             raise RuntimeError("service is closed")
         shards = list(self._scatter(("health",), "control"))
@@ -832,12 +759,7 @@ class ShardedTreeService:
         return {"shards": shards, "warnings": warnings}
 
     def _publish_health(self, shards: List[Dict[str, object]]) -> List[str]:
-        """Set the per-shard gauges and derive imbalance warnings.
-
-        Gauges are fetched get-or-create from the registry (not cached on
-        the service) so the ``shards=1`` delegate path — which skips the
-        multi-shard constructor — publishes identically.
-        """
+        """Set the per-shard gauges and derive imbalance warnings."""
         registry = self.metrics.registry
         stage_gauge = registry.gauge(
             "repro_shard_stage_seconds",
@@ -853,13 +775,7 @@ class ShardedTreeService:
                 stage_gauge.set(float(seconds), shard=label, stage=stage)
 
         warnings: List[str] = []
-        if len(shards) < 2:
-            return warnings
-        imbalance = registry.counter(
-            "repro_shard_imbalance_warnings_total",
-            "health() snapshots that flagged a shard imbalance.",
-            ("dimension",),
-        )
+        imbalance = self._imbalance_warnings
         trees = [int(snapshot["trees"]) for snapshot in shards]
         if max(trees) > max(min(trees), 1) * _TREE_IMBALANCE_RATIO:
             warnings.append(

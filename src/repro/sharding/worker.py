@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import nullcontext
 from multiprocessing.connection import Connection
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
@@ -175,23 +176,17 @@ class _ShardState:
         self, bracket: str, threshold: float, want_funnel: bool
     ) -> Dict[str, Any]:
         query = parse_bracket(bracket)
-        stages: Optional[List[Tuple[str, int, int, float]]] = None
-        if want_funnel:
-            with collect_funnels() as sink:
-                matches, stats = range_query(
-                    self.db.trees, query, threshold, self.db.filter,
-                    self.counter, matrices=self.matrices,
-                )
-            funnel = sink.funnels[0]
-            stages = [
-                (stage.name, stage.entered, stage.survivors, stage.seconds)
-                for stage in funnel.stages
-            ]
-        else:
+        with collect_funnels() if want_funnel else nullcontext() as sink:
             matches, stats = range_query(
                 self.db.trees, query, threshold, self.db.filter,
                 self.counter, matrices=self.matrices,
             )
+        stages: Optional[List[Tuple[str, int, int, float]]] = None
+        if sink is not None:
+            stages = [
+                (stage.name, stage.entered, stage.survivors, stage.seconds)
+                for stage in sink.funnels[0].stages
+            ]
         self.stage_seconds["filter"] += stats.filter_seconds
         self.stage_seconds["refine"] += stats.refine_seconds
         return {

@@ -61,8 +61,8 @@ Each oracle audits one class of invariant over a
 ``obs:funnel-consistency``
     The funnel telemetry (:mod:`repro.obs.funnel`) tells the truth: the
     per-stage survivor counts a traced query reports equal an independent
-    sequential recount through the filter's ``funnel_components`` cascade,
-    the staged cascade equals the deployed one-pass ``refutes`` path, and
+    sequential recount through each composite child's own ``refutes``,
+    the staged recount equals the one-pass ``refutes`` path, and
     every funnel satisfies its monotonicity invariants.
 
 Pairwise oracles expose a ``violates(t1, t2)`` predicate, which is what
@@ -1381,9 +1381,10 @@ class FunnelConsistencyOracle(Oracle):
     """Funnel telemetry equals an independent survivor recount.
 
     For each checked query the oracle collects the funnel the search
-    pipeline emits, then recounts every stage sequentially through the
-    filter's ``funnel_components`` cascade and independently through the
-    deployed one-pass ``refutes`` path.  All three views must agree, and
+    pipeline emits, then recounts every stage sequentially, child by
+    child through each composite child's own ``refutes`` (the filter
+    itself for a single filter), and independently through the one-pass
+    ``refutes`` path.  All three views must agree, and
     the funnel's internal invariants (monotone survivors, refined drawn
     from the last stage, results ⊆ refined) must hold.
     """
@@ -1418,21 +1419,34 @@ class FunnelConsistencyOracle(Oracle):
                         matches, stats = range_query(trees, query, threshold, flt)
                     funnel = sink.funnels[0]
                     problems = funnel.check_invariants()
-                    # independent sequential recount through the cascade
+                    # independent recount, child by child through each
+                    # child's own `refutes` (not the cascade under test)
+                    signatures = [
+                        flt.data_signature(index) for index in range(len(trees))
+                    ]
+                    if isinstance(flt, MaxCompositeFilter):
+                        parts = [
+                            (
+                                child,
+                                query_signature[position],
+                                [data[position] for data in signatures],
+                            )
+                            for position, child in enumerate(flt.filters)
+                        ]
+                    else:
+                        parts = [(flt, query_signature, signatures)]
                     survivors = list(range(len(trees)))
                     recount: List[int] = []
-                    for _, refute in flt.funnel_components():
+                    for child, child_query, child_data in parts:
                         survivors = [
                             index
                             for index in survivors
-                            if not refute(
-                                query_signature,
-                                flt.data_signature(index),
-                                threshold,
+                            if not child.refutes(
+                                child_query, child_data[index], threshold
                             )
                         ]
                         recount.append(len(survivors))
-                    # the deployed one-pass refutation path must agree
+                    # the one-pass `refutes` must agree
                     direct = sum(
                         1
                         for index in range(len(trees))
@@ -1448,7 +1462,7 @@ class FunnelConsistencyOracle(Oracle):
                         )
                     if direct != final:
                         problems.append(
-                            f"one-pass refutes kept {direct}, cascade kept {final}"
+                            f"one-pass refutes kept {direct}, recount kept {final}"
                         )
                     if funnel.refined != final:
                         problems.append(

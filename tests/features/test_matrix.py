@@ -1,9 +1,9 @@
 """Tests for the corpus-level matrix planes (repro.features.matrix).
 
-The load-bearing property: for every filter family, the vectorized
-``refute_rows`` cascade keeps exactly the rows the per-candidate loop
-keeps — on random corpora, including after incremental adds — and the
-exact ``lower_bounds_matrix`` kernels return exactly ``bounds``.
+The load-bearing property: for every filter family, ``refute_rows``
+keeps exactly the rows the per-candidate loop keeps — with the planes
+and without them, on random corpora, including after incremental adds —
+and the exact ``order_keys`` kernels return exactly ``bounds``.
 """
 
 from __future__ import annotations
@@ -131,11 +131,14 @@ class TestMatrixPlane:
     added=st.lists(trees(max_leaves=6), min_size=0, max_size=3),
     query=trees(max_leaves=6),
     threshold=st.sampled_from([0.0, 1.0, 2.0, 4.0]),
+    planes=st.booleans(),
 )
-def test_refute_rows_equals_loop(label, factory, corpus, added, query, threshold):
+def test_refute_rows_equals_loop(
+    label, factory, corpus, added, query, threshold, planes
+):
     flt = factory().fit(corpus)
     store = FeatureStore(flt.required_q_levels() or (2,)).fit(corpus)
-    matrices = store.matrices()
+    matrices = store.matrices() if planes else None
     for phase_trees in ([], added):
         for tree in phase_trees:
             flt.add(tree)
@@ -172,12 +175,12 @@ def test_refute_rows_equals_loop(label, factory, corpus, added, query, threshold
     query=trees(max_leaves=6),
 )
 def test_lower_bounds_matrix_exact(label, factory, corpus, query):
-    """Exact kernels must reproduce ``bounds`` to the last bit (knn rule)."""
+    """These families' ``order_keys`` are exact: ``bounds``, to the last bit."""
     flt = factory().fit(corpus)
     store = FeatureStore(flt.required_q_levels() or (2,)).fit(corpus)
     matrices = store.matrices()
     query_signature = flt.signature(query)
-    vectorized = flt.lower_bounds_matrix(query_signature, matrices)
+    vectorized = flt.order_keys(query_signature, matrices)
     assert vectorized is not None, f"{label}: kernel unexpectedly unavailable"
     assert [float(v) for v in vectorized] == [
         float(b) for b in flt.bounds(query)
@@ -190,9 +193,10 @@ def test_folded_histogram_falls_back_to_loop():
     store = FeatureStore((2,)).fit(corpus)
     query = parse_bracket("a(b)")
     signature = flt.signature(query)
-    got = list(flt.refute_rows(signature, 1.0, range(3), store.matrices()))
-    assert got == _loop_survivors(flt, signature, 1.0, 3)
-    assert flt.lower_bounds_matrix(signature, store.matrices()) is None
+    expected = _loop_survivors(flt, signature, 1.0, 3)
+    for matrices in (store.matrices(), None):
+        assert list(flt.refute_rows(signature, 1.0, range(3), matrices)) == expected
+    assert flt.order_keys(signature, store.matrices()) is None
 
 
 def test_standalone_filter_translates_vocabulary():
@@ -203,7 +207,7 @@ def test_standalone_filter_translates_vocabulary():
     matrices = store.matrices()
     query = parse_bracket("a(b,z)")
     signature = flt.signature(query)
-    vectorized = flt.lower_bounds_matrix(signature, matrices)
+    vectorized = flt.order_keys(signature, matrices)
     # the store indexes the corpus reversed, so compare per-tree by content
     reference = BranchCountFilter().fit(list(reversed(corpus)))
     assert [float(v) for v in vectorized] == [

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.datasets import SyntheticSpec, generate_dataset
+from repro.features.store import FeatureStore
 from repro.filters import (
     BranchCountFilter,
     HistogramFilter,
@@ -12,6 +13,7 @@ from repro.filters import (
     SizeDifferenceFilter,
 )
 from repro.filters.binary_branch import BinaryBranchFilter
+from repro.filters.registry import DEFAULT_FILTER, FILTERS
 from repro.obs.funnel import (
     FilterFunnel,
     FunnelStage,
@@ -112,25 +114,54 @@ class TestCollection:
         assert funnel.check_invariants() == []
 
     def test_staged_cascade_matches_direct_refutation(self, trees):
-        """The observed (staged) filter path keeps exactly the same
-        survivors as the unobserved one-pass path."""
-        flt = MaxCompositeFilter(
-            [BranchCountFilter(), SizeDifferenceFilter(), HistogramFilter()]
-        ).fit(trees)
+        """With the matrix planes and without them, the staged cascade
+        keeps the same rows stage by stage, and its final survivors are
+        exactly the rows the one-pass ``refutes`` keeps."""
+        store = FeatureStore((2,)).fit(trees)
         query = trees[2]
-        for threshold in (0.0, 1.0, 2.0, 4.0):
-            plain_matches, plain_stats = range_query(trees, query, threshold, flt)
-            with collect_funnels() as sink:
-                observed_matches, observed_stats = range_query(
-                    trees, query, threshold, flt
+        for factory in (
+            FILTERS[DEFAULT_FILTER],
+            lambda: MaxCompositeFilter(
+                [BranchCountFilter(), SizeDifferenceFilter(), HistogramFilter()]
+            ),
+        ):
+            flt = factory().fit(trees)
+            signature = flt.signature(query)
+            for threshold in (0.0, 1.0, 2.0, 4.0):
+                direct = sum(
+                    not flt.refutes(signature, flt.data_signature(row), threshold)
+                    for row in range(len(trees))
                 )
-            assert observed_matches == plain_matches
-            assert observed_stats.candidates == plain_stats.candidates
-            funnel = sink.funnels[0]
-            assert funnel.check_invariants() == []
-            # one stage per composite child, in order
-            assert len(funnel.stages) == 3
-            assert funnel.survivors == plain_stats.candidates
+                runs = []
+                for matrices in (store.matrices(), None):
+                    plain_matches, plain_stats = range_query(
+                        trees, query, threshold, flt, matrices=matrices
+                    )
+                    with collect_funnels() as sink:
+                        matches, stats = range_query(
+                            trees, query, threshold, flt, matrices=matrices
+                        )
+                    assert matches == plain_matches
+                    assert stats.candidates == plain_stats.candidates
+                    funnel = sink.funnels[0]
+                    assert funnel.check_invariants() == []
+                    runs.append(
+                        (
+                            matches,
+                            [
+                                (stage.name, stage.entered, stage.survivors)
+                                for stage in funnel.stages
+                            ],
+                        )
+                    )
+                assert runs[0] == runs[1]
+                _, stages = runs[0]
+                # one stage per composite child, in order
+                assert [name for name, _, _ in stages] == [
+                    f"{position}:{child.name}"
+                    for position, child in enumerate(flt.filters)
+                ]
+                assert stages[-1][2] == direct
 
     def test_knn_funnel(self, trees):
         flt = BinaryBranchFilter().fit(trees)

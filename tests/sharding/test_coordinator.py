@@ -1,4 +1,4 @@
-"""ShardedTreeService: API contract, delegation, lifecycle, batching."""
+"""ShardedTreeService: API contract, lifecycle, batching."""
 
 import math
 import pickle
@@ -7,8 +7,7 @@ import pytest
 
 from repro.datasets.dblp import generate_dblp_dataset
 from repro.exceptions import InvalidParameterError, QueryError, ShardError
-from repro.search.database import TreeDatabase
-from repro.service.engine import QueryRequest, TreeSearchService
+from repro.service.engine import QueryRequest
 from repro.sharding import ShardedTreeService, encode_query
 from repro.sharding.partition import RoundRobinPartitioner
 from repro.trees import parse_bracket, to_bracket
@@ -36,8 +35,9 @@ def service(trees):
 
 class TestConstruction:
     def test_rejects_zero_shards(self, trees):
-        with pytest.raises(InvalidParameterError):
-            ShardedTreeService(trees, shards=0)
+        for shards in (0, 1):  # one shard is TreeSearchService's job
+            with pytest.raises(InvalidParameterError, match="TreeSearchService"):
+                ShardedTreeService(trees, shards=shards)
 
     def test_rejects_unknown_filter(self, trees):
         with pytest.raises(InvalidParameterError, match="unknown filter"):
@@ -58,32 +58,6 @@ class TestConstruction:
             trees, shards=2, partitioner=RoundRobinPartitioner(2)
         ) as service:
             assert len(service) == len(trees)
-
-
-class TestSingleShardDelegation:
-    def test_delegates_to_in_process_service(self, trees):
-        query = parse_bracket("a(b,c)")
-        reference = TreeSearchService(TreeDatabase(list(trees)))
-        try:
-            with ShardedTreeService(trees, shards=1) as service:
-                assert "1 shard" in repr(service)
-                assert len(service) == len(trees)
-                assert (
-                    service.range(query, 1.0)[0]
-                    == reference.range(query, 1.0)[0]
-                )
-                assert service.knn(query, 2)[0] == reference.knn(query, 2)[0]
-                (info,) = service.shard_info()
-                assert info["trees"] == len(trees)
-        finally:
-            reference.close()
-
-    def test_delegate_add(self, trees):
-        with ShardedTreeService(trees, shards=1) as service:
-            index = service.add(parse_bracket("a(b,c,q)"))
-            assert index == len(trees)
-            assert len(service) == len(trees) + 1
-            assert service.generation == 1
 
 
 class TestQueries:

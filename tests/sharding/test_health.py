@@ -150,33 +150,6 @@ class TestImbalanceWarnings:
         assert service._publish_health(snapshots) == []
 
 
-class TestDelegateHealth:
-    def test_single_shard_snapshot(self, trees):
-        with ShardedTreeService(trees, shards=1) as service:
-            service.range(trees[0], 1.0)
-            service.knn(trees[1], 2)
-            health = service.health()
-            assert len(health["shards"]) == 1
-            snapshot = health["shards"][0]
-            assert _SNAPSHOT_KEYS <= set(snapshot)
-            assert snapshot["trees"] == len(trees)
-            assert snapshot["distance_computations"] >= 1
-            assert health["warnings"] == []
-            served = service.metrics.snapshot()
-            assert snapshot["requests"] == {"range": 1, "knn": 1}
-            assert snapshot["requests_total"] == served["queries_served"]
-            assert snapshot["stage_seconds"] == {
-                "filter": served["seconds"]["filter"],
-                "refine": served["seconds"]["refine"],
-            }
-            assert (
-                snapshot["distance_computations"]
-                == served["work"]["candidates_examined"]
-            )
-            text = service.metrics.registry.prometheus_text()
-            assert 'repro_shard_trees{shard="0"}' in text
-
-
 class TestBackgroundPoller:
     def test_rejects_negative_interval(self, trees):
         with pytest.raises(InvalidParameterError, match="health_interval"):
