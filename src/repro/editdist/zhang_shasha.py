@@ -44,6 +44,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.editdist.costs import UNIT_COSTS, CostModel
+from repro.editdist.string_ed import traversal_strings_exceed
 from repro.exceptions import InvalidParameterError
 from repro.obs import tracing
 from repro.trees.node import Label, TreeNode
@@ -62,15 +63,22 @@ class PreparedTree:
 
     Preparing a tree once and reusing it across many distance computations
     (as the refinement step of a similarity query does) avoids re-walking the
-    tree structure per pair.
+    tree structure per pair.  ``labels`` is the postorder label sequence;
+    ``pre_labels`` the preorder one, which together with it feeds the
+    traversal-string gate of :meth:`EditDistanceCounter.distance_below`.
     """
 
-    __slots__ = ("labels", "lml", "keyroots", "size")
+    __slots__ = ("labels", "pre_labels", "lml", "keyroots", "size")
 
     def __init__(
-        self, labels: List[Label], lml: List[int], keyroots: List[int]
+        self,
+        labels: List[Label],
+        lml: List[int],
+        keyroots: List[int],
+        pre_labels: List[Label],
     ) -> None:
         self.labels = labels
+        self.pre_labels = pre_labels
         self.lml = lml
         self.keyroots = keyroots
         self.size = len(labels)
@@ -90,7 +98,8 @@ def prepare_tree(tree: TreeNode) -> PreparedTree:
     for i, left in enumerate(lml):
         highest[left] = i
     keyroots = sorted(highest.values())
-    return PreparedTree(labels, lml, keyroots)
+    pre_labels = [node.label for node in tree.iter_preorder()]
+    return PreparedTree(labels, lml, keyroots, pre_labels)
 
 
 def _bands(k: int, n: int, m: int) -> bool:
@@ -412,6 +421,15 @@ class EditDistanceCounter:
     avoids — and caches prepared trees in a bounded identity cache.  Pass a
     shared :class:`PreparedTreeCache` to let several counters (e.g. one per
     in-flight query of a service) reuse each other's preparation work.
+
+    Attributes
+    ----------
+    calls:
+        Distance requests, :meth:`distance` and :meth:`distance_below`
+        alike — a refined row counts once however it was decided.
+    gated:
+        The :meth:`distance_below` requests its traversal-string gate
+        answered without running Zhang–Shasha (a subset of ``calls``).
     """
 
     def __init__(
@@ -422,6 +440,7 @@ class EditDistanceCounter:
     ) -> None:
         self.costs = costs
         self.calls = 0
+        self.gated = 0
         self._prepared = cache if cache is not None else PreparedTreeCache(cache_size)
 
     @property
@@ -455,6 +474,34 @@ class EditDistanceCounter:
             sp.set(distance=result, banded=banded, dp_pairs=pairs)
         return result
 
+    def distance_below(self, t1: TreeNode, t2: TreeNode, limit: float) -> float:
+        """The distance when it is ``< limit``, otherwise some value ``≥ limit``.
+
+        What a full k-NN heap asks of a row: it admits only a distance
+        strictly below its k-th (``limit``).  Unit-cost distances are
+        integers, so that is the exact distance up to the budget
+        ``b = ceil(limit) − 1``.  Guha et al.'s
+        ``max(SED(pre), SED(post)) ≤ EDist`` bound, decided at ``b``, first
+        settles the row without the DP when it exceeds ``b``
+        (``docs/THEORY.md`` §12); such a gated call counts in ``calls``
+        and ``gated`` and opens no ``editdist.zhang_shasha`` span.  Other
+        cost models have no integer gap, so they run :meth:`distance` at
+        ``limit`` — already exact below it.
+        """
+        if not self.costs.is_unit or not math.isfinite(limit):
+            return self.distance(t1, t2, limit)
+        budget = math.ceil(limit) - 1
+        a = self.prepared(t1)
+        b = self.prepared(t2)
+        if traversal_strings_exceed(
+            (a.pre_labels, a.labels), (b.pre_labels, b.labels), budget
+        ):
+            self.calls += 1
+            self.gated += 1
+            return float(budget + 1)
+        return self.distance(t1, t2, budget)
+
     def reset(self) -> None:
-        """Zero the call counter (the preparation cache is kept)."""
+        """Zero the call counters (the preparation cache is kept)."""
         self.calls = 0
+        self.gated = 0

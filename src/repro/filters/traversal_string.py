@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, NamedTuple
 
-from repro.editdist.string_ed import string_edit_distance, string_edit_distance_bounded
+from repro.editdist.string_ed import string_edit_distance, traversal_strings_exceed
 from repro.filters.base import LowerBoundFilter
 from repro.trees.node import TreeNode
 from repro.trees.traversal import postorder_labels, preorder_labels
@@ -62,9 +62,4 @@ class TraversalStringFilter(LowerBoundFilter[TraversalStringSignature]):
         threshold: float,
     ) -> bool:
         """Range fast path with banded (early-exit) string edit distance."""
-        tau = int(threshold)
-        pre = string_edit_distance_bounded(query.pre, data.pre, tau)
-        if pre is None:
-            return True
-        post = string_edit_distance_bounded(query.post, data.post, tau)
-        return post is None
+        return traversal_strings_exceed(query, data, threshold)

@@ -9,7 +9,14 @@ The Seidl–Kriegel multi-step strategy the paper adopts:
 3. stop as soon as the heap is full and the next object's lower bound
    reaches the current ``k``-th distance — no unseen object can beat it,
    because its true distance is at least its bound and a full heap admits
-   only a strictly smaller distance.
+   only a strictly smaller distance.  The stop lives in the stream: once
+   the heap is full, ``knn_query`` sets :attr:`BoundStream.stop` to the
+   k-th distance, and the stream neither bounds a row whose key reaches it
+   nor emits a row bounded at or above it.  For the same reason each
+   refine asks only for a distance *below* the k-th
+   (:meth:`~repro.editdist.zhang_shasha.EditDistanceCounter.distance_below`),
+   which a traversal-string gate often settles without running
+   Zhang–Shasha; a gated row still counts as refined.
 
 The number of refined objects is provably minimal for the given bound
 (Seidl & Kriegel, SIGMOD 1998), which makes the accessed-data percentage a
@@ -77,6 +84,12 @@ class BoundStream:
     ``sorted(rows, key=(bound, row))``; only the number of rows bounded
     shrinks.  With ``bound=None`` the keys already are the bounds.
 
+    ``stop`` starts at ``inf`` and the consumer may only lower it — k-NN
+    sets it to the k-th distance once the heap is full.  The stream bounds
+    no row whose key is ``≥ stop`` and ends once its head is ``≥ stop``;
+    such a row's bound is ``≥ stop`` too, so everything emitted is still
+    the exact ``(bound, row)`` prefix of the rows bounded below ``stop``.
+
     The keys and the row set are fixed at construction, so rows appended
     to the corpus afterwards never enter an open stream.
 
@@ -84,6 +97,8 @@ class BoundStream:
     ----------
     scored:
         Rows bounded so far — the ``order:<filter>`` funnel survivors.
+    stop:
+        The consumer's cut-off: no row bounded ``≥ stop`` is wanted.
     """
 
     def __init__(
@@ -95,26 +110,34 @@ class BoundStream:
         self._order = stable_order(keys)
         self._bound = bound
         self.scored = len(keys) if bound is None else 0
+        self.stop = math.inf
 
     def __iter__(self) -> Iterator[Tuple[float, int]]:
         keys, order, bound = self._keys, self._order, self._bound
         if bound is None:
             for row in order:
+                if keys[row] >= self.stop:
+                    return
                 yield keys[row], row
             return
         pending: List[Tuple[float, int]] = []
         position = 0
         while True:
             # bound every row whose key could still sort at or before the
-            # pending head; a strictly larger key makes the head safe
+            # pending head; a strictly larger key makes the head safe.  Keys
+            # ascend, so the first key at the stop ends bounding for good
+            stop = self.stop
             while position < len(order) and (
                 not pending or keys[order[position]] <= pending[0][0]
             ):
                 row = order[position]
+                if keys[row] >= stop:
+                    position = len(order)
+                    break
                 heapq.heappush(pending, (bound(row), row))
                 self.scored += 1
                 position += 1
-            if not pending:
+            if not pending or pending[0][0] >= stop:
                 return
             yield heapq.heappop(pending)
 
@@ -190,21 +213,26 @@ def knn_query(
         heap: List[Tuple[float, int]] = []
         start = time.perf_counter()
         refined = 0
+        gated_before = counter.gated
+        kth = math.inf
         with tracing.span("search.refine") as refine_span:
-            for bound_value, row in stream:
-                if len(heap) == k and bound_value >= -heap[0][0]:
-                    # optimal stopping: every unseen distance is at least this
-                    # bound, and a full heap admits only a strictly smaller one
-                    break
+            for _bound, row in stream:
                 # only a distance below the k-th can enter a full heap
-                budget = -heap[0][0] if len(heap) == k else math.inf
-                distance = counter.distance(query, trees[row], budget)
+                distance = counter.distance_below(query, trees[row], kth)
                 refined += 1
                 if len(heap) < k:
                     heapq.heappush(heap, (-distance, -row))
-                elif distance < -heap[0][0]:
+                elif distance < kth:
                     heapq.heapreplace(heap, (-distance, -row))
-            refine_span.set(refined=refined, results=len(heap))
+                if len(heap) == k:
+                    # optimal stopping: every unseen distance is at least its
+                    # bound, and a full heap admits only a strictly smaller one
+                    kth = stream.stop = -heap[0][0]
+            refine_span.set(
+                refined=refined,
+                gated=counter.gated - gated_before,
+                results=len(heap),
+            )
         stats.refine_seconds = time.perf_counter() - start
         stats.candidates = refined
         stats.results = len(heap)

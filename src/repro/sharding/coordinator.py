@@ -594,7 +594,9 @@ class ShardedTreeService:
                 for _, shard in tied[:max(quota, 0)]:
                     ties[shard] += 1
                 # the k-th distance only shrinks, so the one at the start of
-                # the round is at least every sequential per-row budget
+                # the round is at least every sequential per-row limit: a
+                # worker refines exactly below it (distance_below), and the
+                # replay admits only a distance below the live k-th
                 budget = -heap[0][0] if len(heap) == k else math.inf
                 requests = [
                     (shard, ("knn_refine_upto", qid, limit, budget, ties[shard]))

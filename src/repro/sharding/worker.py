@@ -22,7 +22,7 @@ tuples ``(op, *operands)``; replies are ``("ok", result)`` or
                        and send its first ``k`` ``(bound, local)`` pairs
 ``knn_refine_upto``    refine every unrefined stream row whose bound is
                        below the round limit, then the next ``ties`` rows
-                       bounded exactly at it, exact up to the caller's
+                       bounded exactly at it, exact below the caller's
                        budget; reply with ``(bound, local, distance)``
                        triples and the next ``k`` ``(bound, local)`` pairs
 ``knn_end``            drop a k-NN cursor; reply with the rows it bounded
@@ -217,7 +217,7 @@ class _ShardState:
         query, trees = cursor.query, self.db.trees
         start = time.perf_counter()
         refined = [
-            (bound, local, self.counter.distance(query, trees[local], budget))
+            (bound, local, self.counter.distance_below(query, trees[local], budget))
             for bound, local in cursor.take_round(limit, ties)
         ]
         middle = time.perf_counter()
@@ -248,6 +248,7 @@ class _ShardState:
             "trees": len(self.db),
             "filter": self.db.filter.name,
             "distance_computations": self.counter.calls,
+            "gated_distances": self.counter.gated,
             "open_cursors": len(self._knn),
         }
 

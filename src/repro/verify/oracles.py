@@ -78,9 +78,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.vectors import branch_distance
 from repro.core.positional import search_lower_bound
 from repro.core.qlevel import qlevel_bound_factor
-from repro.editdist.costs import weighted_costs
+from repro.editdist.costs import UNIT_COSTS, weighted_costs
 from repro.editdist.mapping import memoized_edit_distance
-from repro.editdist.zhang_shasha import prepare_tree, tree_edit_distance
+from repro.editdist.zhang_shasha import (
+    EditDistanceCounter,
+    prepare_tree,
+    tree_edit_distance,
+)
 from repro.exceptions import InvalidParameterError
 from repro.features.store import FeatureStore
 from repro.filters.base import LowerBoundFilter
@@ -393,23 +397,31 @@ class EditScriptOracle(PairOracle):
 # refine:cutoff-equivalence — the budgeted kernel against an independent DP
 # ----------------------------------------------------------------------
 class RefineCutoffOracle(PairOracle):
-    """``tree_edit_distance(..., budget=b)`` keeps its contract.
+    """The budgeted kernel entries keep their contracts.
 
     With ``d`` from the independent memoized forest DP, every budget
     ``b ∈ {0, 0.5, 1, d−1, d, d+1, ∞}`` must give exactly ``d`` when
     ``d ≤ b`` and some value ``> b`` otherwise.  Small budgets exercise the
     k-strip and the size-gap exit, ``d`` itself the tightest strip that must
     still be exact, and ``∞`` the full DP.
+
+    :meth:`~repro.editdist.zhang_shasha.EditDistanceCounter.distance_below`
+    at the same values as limits must give exactly ``d`` when ``d < limit``
+    and some value ``≥ limit`` otherwise — under unit costs, where the
+    traversal-string gate runs, and under an asymmetric weighted model,
+    which has no gate.
     """
 
     name = "refine:cutoff-equivalence"
     description = "budgeted Zhang–Shasha is exact within its budget"
 
+    #: relabel ≠ delete + insert, and fractional distances
+    _COSTS = weighted_costs(2.0, 3.0, 1.5)
+
     def check_pair(self, t1: TreeNode, t2: TreeNode) -> Optional[Tuple[str, Dict]]:
         reference = memoized_edit_distance(t1, t2)
         a, b = prepare_tree(t1), prepare_tree(t2)
-        budgets = (0.0, 0.5, 1.0, reference - 1, reference, reference + 1, math.inf)
-        for budget in budgets:
+        for budget in self._limits(reference):
             value = tree_edit_distance(a, b, budget=budget)
             within = reference <= budget
             if value != reference if within else not value > budget:
@@ -418,7 +430,33 @@ class RefineCutoffOracle(PairOracle):
                     f"budget {budget:g}: got {value:g}, expected {expected}",
                     {"budget": budget, "value": value, "edist": reference},
                 )
+        weighted = memoized_edit_distance(t1, t2, self._COSTS)
+        for costs, distance in ((UNIT_COSTS, reference), (self._COSTS, weighted)):
+            counter = EditDistanceCounter(costs)
+            for limit in self._limits(distance):
+                value = counter.distance_below(t1, t2, limit)
+                below = distance < limit
+                if not (
+                    abs(value - distance) <= _EPS if below else value >= limit - _EPS
+                ):
+                    model = "unit" if costs is UNIT_COSTS else "weighted"
+                    expected = f"{distance:g}" if below else f">= {limit:g}"
+                    return (
+                        f"distance_below({limit:g}), {model} costs: got "
+                        f"{value:g}, expected {expected}",
+                        {
+                            "limit": limit,
+                            "value": value,
+                            "edist": distance,
+                            "costs": model,
+                            "kind": "distance-below",
+                        },
+                    )
         return None
+
+    @staticmethod
+    def _limits(distance: float) -> Tuple[float, ...]:
+        return (0.0, 0.5, 1.0, distance - 1, distance, distance + 1, math.inf)
 
 
 # ----------------------------------------------------------------------

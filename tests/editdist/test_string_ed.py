@@ -82,3 +82,12 @@ class TestBoundedVariant:
             assert bounded == exact
         else:
             assert bounded is None
+
+    @given(
+        st.lists(st.integers(0, 6), max_size=150),
+        st.lists(st.integers(0, 6), max_size=150),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_long_sequences_agree_with_the_dp(self, a, b):
+        """Bit vectors wider than a machine word: still the DP's distance."""
+        assert string_edit_distance_bounded(a, b, 150) == string_edit_distance(a, b)

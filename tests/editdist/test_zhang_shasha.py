@@ -274,8 +274,48 @@ class TestCounter:
     def test_reset(self):
         counter = EditDistanceCounter()
         counter.distance(parse_bracket("a"), parse_bracket("b"))
+        counter.distance_below(parse_bracket("a"), parse_bracket("b(c)"), 1)
         counter.reset()
-        assert counter.calls == 0
+        assert counter.calls == 0 and counter.gated == 0
+
+    def test_gated_call_counts_once_and_runs_no_dp(self):
+        tracer = tracing.set_tracer(Tracer())
+        try:
+            counter = EditDistanceCounter()
+            # preorder abc vs acb: SED 2 > budget 0 = ceil(1) − 1
+            t1, t2 = parse_bracket("a(b,c)"), parse_bracket("a(c,b)")
+            assert counter.distance_below(t1, t2, 1) >= 1
+            assert (counter.calls, counter.gated) == (1, 1)
+            assert tracer.finished_spans() == []
+            # under the gate the kernel runs, exact below the limit
+            assert counter.distance_below(t1, t2, 3) == 2
+            assert (counter.calls, counter.gated) == (2, 1)
+        finally:
+            tracing.set_tracer(None)
+        (span,) = tracer.finished_spans()
+        assert span.name == "editdist.zhang_shasha"
+        assert span.attributes["budget"] == 2  # ceil(3) − 1
+
+    @given(tree_pairs(), BUDGETS)
+    @settings(max_examples=150, deadline=None)
+    def test_distance_below_contract(self, pair, limit):
+        """Exact when the distance is ``< limit``, otherwise ``≥ limit``."""
+        reference = memoized_edit_distance(*pair)
+        value = EditDistanceCounter().distance_below(*pair, limit)
+        if reference < limit:
+            assert value == reference
+        else:
+            assert value >= limit
+
+    def test_distance_below_other_costs_keeps_the_kernel_budget(self):
+        costs = weighted_costs(2.0, 3.0, 1.5)
+        counter = EditDistanceCounter(costs)
+        t1, t2 = parse_bracket("a(b,c)"), parse_bracket("a(c,b)")
+        full = tree_edit_distance(t1, t2, costs)
+        for limit in (0.5, full, full + 0.5, math.inf):
+            value = counter.distance_below(t1, t2, limit)
+            assert value == full if full < limit else value >= limit
+        assert counter.gated == 0
 
     def test_preparation_cached_by_identity(self):
         counter = EditDistanceCounter()

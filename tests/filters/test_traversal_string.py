@@ -1,5 +1,8 @@
 """Unit and property tests for the Guha-style traversal-string filter."""
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,3 +48,21 @@ class TestBound:
         assert flt.refutes(sig_a, sig_b, threshold) == (
             flt.bound(sig_a, sig_b) > threshold
         )
+
+    @pytest.mark.parametrize("threshold", [math.inf, -0.5, 1.5])
+    def test_refutes_at_fractional_and_unbounded_thresholds(self, threshold):
+        """``refutes`` is ``bound > τ`` for every real τ: ``inf`` refutes
+        nothing, a negative τ refutes everything (TED ≥ 0 > τ), and a
+        fractional τ rounds down."""
+        flt = TraversalStringFilter()
+        for left, right in [
+            ("a(b,c)", "a(b,c)"),
+            ("a(b)", "a(c)"),
+            ("a(b,c)", "a(c,b)"),
+            ("a(b(c),d)", "x"),
+        ]:
+            sig_a = flt.signature(parse_bracket(left))
+            sig_b = flt.signature(parse_bracket(right))
+            assert flt.refutes(sig_a, sig_b, threshold) == (
+                flt.bound(sig_a, sig_b) > threshold
+            )

@@ -1,9 +1,12 @@
 """Unit and property tests for the multi-step k-NN algorithm (Algorithm 2)."""
 
 import heapq
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import SyntheticSpec, generate_dataset
 from repro.editdist.zhang_shasha import EditDistanceCounter
@@ -15,7 +18,11 @@ from repro.filters import (
     BranchCountFilter,
     HistogramFilter,
 )
+from repro.obs import tracing
+from repro.obs.funnel import collect_funnels
+from repro.obs.tracing import Tracer
 from repro.search import TreeDatabase, knn_query, sequential_knn_query
+from repro.search.knn import BoundStream, bound_stream
 from repro.trees import parse_bracket
 
 DATASET = [
@@ -188,3 +195,124 @@ class TestMatrixPlanes:
         for k in (1, len(PLANE_CORPUS)):
             with pytest.raises(QueryError, match="matrix planes"):
                 knn_query(PLANE_CORPUS, parse_bracket("a"), k, flt, matrices=matrices)
+
+
+@st.composite
+def _stream_cases(draw):
+    """Bounds, keys ``≤`` bounds, and the stops a consumer lowers to."""
+    bounds = draw(st.lists(st.integers(0, 12), min_size=1, max_size=30))
+    keys = [bound - draw(st.integers(0, 4)) for bound in bounds]
+    stops = draw(
+        st.lists(st.one_of(st.none(), st.integers(0, 14)), max_size=len(bounds) + 1)
+    )
+    return bounds, keys, stops
+
+
+class TestBoundStreamStop:
+    @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "keys-are-bounds"])
+    @given(case=_stream_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_stop_keeps_the_exact_prefix(self, lazy, case):
+        """A consumer that lowers ``stop`` at will gets the exact
+        ``(bound, row)`` prefix until the head reaches it; no row keyed at
+        or above the stop is bounded, and no more rows are bounded than an
+        unstopped stream bounds to decide one more row."""
+        bounds, keys, stops = case
+        if not lazy:
+            keys = bounds
+        late = []
+
+        def bound(row):
+            if keys[row] >= stream.stop:
+                late.append(row)
+            return bounds[row]
+
+        stream = BoundStream(keys, bound if lazy else None)
+        updates = iter(stops)
+        emitted = []
+
+        def lower():
+            update = next(updates, None)
+            if update is not None:
+                stream.stop = min(stream.stop, update)
+
+        lower()  # the consumer may lower it before the first row
+        for pair in stream:
+            assert pair[0] < stream.stop
+            emitted.append(pair)
+            lower()
+
+        expected = sorted((bound, row) for row, bound in enumerate(bounds))
+        assert emitted == expected[: len(emitted)]
+        if len(emitted) < len(bounds):
+            assert expected[len(emitted)][0] >= stream.stop
+        assert late == []
+        if lazy:
+            unstopped = BoundStream(keys, lambda row: bounds[row])
+            for _ in itertools.islice(unstopped, len(emitted) + 1):
+                pass
+            assert stream.scored <= unstopped.scored
+
+    def test_knn_bounds_fewer_rows_with_the_same_answers(self):
+        """Stopping the stream at the k-th distance shrinks the
+        ``order:`` survivors below what the unstopped stream bounds for
+        the same walk, with the same answers and refined rows."""
+        spec = SyntheticSpec(size_mean=8, size_stddev=2, label_count=8, decay=0.1)
+        corpus = generate_dataset(spec, count=300, seed=3)
+        database = TreeDatabase(corpus)
+        flt, matrices = database.filter, database.matrices()
+        counter = EditDistanceCounter()
+        fewer = 0
+        for query in corpus[:6]:
+            for k in (1, 3):
+                with collect_funnels() as sink:
+                    neighbors, stats = knn_query(
+                        corpus, query, k, flt, matrices=matrices
+                    )
+                survivors = sink.funnels[0].stages[0].survivors
+                # the unstopped walk: break at the first bound ≥ the k-th
+                stream = bound_stream(flt, query, matrices)
+                heap, refined = [], 0
+                for bound_value, row in stream:
+                    if len(heap) == k and bound_value >= -heap[0][0]:
+                        break
+                    distance = counter.distance(query, corpus[row])
+                    refined += 1
+                    if len(heap) < k:
+                        heapq.heappush(heap, (-distance, -row))
+                    elif distance < -heap[0][0]:
+                        heapq.heapreplace(heap, (-distance, -row))
+                assert stats.candidates == refined
+                assert neighbors == sorted(
+                    ((-row, -distance) for distance, row in heap),
+                    key=lambda pair: (pair[1], pair[0]),
+                )
+                assert stats.candidates <= survivors <= stream.scored
+                fewer += survivors < stream.scored
+        assert fewer
+
+    def test_refine_span_counts_the_gated_refines(self):
+        """Every refine either runs the kernel (one ``editdist.zhang_shasha``
+        span) or is gated: ``refined − gated`` kernel spans."""
+        spec = SyntheticSpec(size_mean=8, size_stddev=2, label_count=8, decay=0.1)
+        corpus = generate_dataset(spec, count=120, seed=5)
+        database = TreeDatabase(corpus)
+        tracer = tracing.set_tracer(Tracer())
+        try:
+            candidates = sum(
+                knn_query(
+                    corpus, query, 5, database.filter,
+                    matrices=database.matrices(),
+                )[1].candidates
+                for query in corpus[:6]
+            )
+        finally:
+            tracing.set_tracer(None)
+        spans = tracer.finished_spans()
+        refines = [span for span in spans if span.name == "search.refine"]
+        refined = sum(span.attributes["refined"] for span in refines)
+        gated = sum(span.attributes["gated"] for span in refines)
+        kernel = sum(span.name == "editdist.zhang_shasha" for span in spans)
+        assert refined == candidates
+        assert 0 < gated < refined
+        assert kernel == refined - gated

@@ -168,6 +168,18 @@ class TestLifecycle:
         assert sum(entry["trees"] for entry in info) == len(trees)
         assert all(entry["filter"] == "BiBranch+Label" for entry in info)
 
+    def test_shard_info_counts_gated_refines(self):
+        """A refine the traversal-string gate settles still counts as one
+        distance computation; ``gated_distances`` counts it again."""
+        trees = generate_dblp_dataset(80)
+        with ShardedTreeService(trees, shards=2, max_workers=2) as service:
+            candidates = sum(service.knn(tree, 3)[1].candidates for tree in trees[:4])
+            info = service.shard_info()
+        computed = sum(entry["distance_computations"] for entry in info)
+        gated = sum(entry["gated_distances"] for entry in info)
+        assert computed == candidates
+        assert 0 < gated < computed
+
 
 class TestMetrics:
     def test_queries_are_observed(self, service):
