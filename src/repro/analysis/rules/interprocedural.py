@@ -581,8 +581,8 @@ class RpcPickleSafetyRule(ProjectRule):
         "(coordinator _call/_scatter) are send sites for their callers."
     )
     hint = (
-        "encode the payload flat before sending (see encode_query in "
-        "sharding/coordinator.py): brackets for trees, primitives for "
+        "encode the payload flat before sending (as ShardedTreeService "
+        "does in sharding/coordinator.py): brackets for trees, primitives for "
         "parameters; keep process-bound objects on their own side of "
         "the pipe"
     )

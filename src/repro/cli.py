@@ -282,13 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect funnels and print the per-stage cost ledger "
         "(with --json the report also rides in the JSON)",
     )
-    serve_bench.add_argument(
-        "--health-interval",
-        type=float,
-        default=0.0,
-        help="with --shards > 1: seconds between background shard-health "
-        "polls (0 = one explicit snapshot after the replay)",
-    )
 
     bench = commands.add_parser(
         "bench",
@@ -798,7 +791,6 @@ def _cmd_serve_bench(args) -> int:
                         filter_name=args.filter,
                         partitioner=args.partitioner,
                         max_workers=args.clients,
-                        health_interval=args.health_interval,
                     )
                 )
             else:
@@ -814,8 +806,8 @@ def _cmd_serve_bench(args) -> int:
                 )
             _, report = replay(service, workload, clients=args.clients)
             if args.shards != 1:
-                # final snapshot after the replay so the gauges (and any
-                # imbalance warnings) reflect the full run, poller or not
+                # one snapshot after the replay so the gauges (and any
+                # imbalance warnings) reflect the full run
                 health = service.health()
     finally:
         if tracer is not None:

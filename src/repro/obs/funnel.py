@@ -8,6 +8,8 @@ silently degraded selectivity.  This module records the funnel explicitly:
 * :class:`FilterFunnel` — one query's complete funnel: corpus size, one
   :class:`FunnelStage` per filter stage (entered / survivors / seconds),
   then the refinement outcome (refined, results, false positives);
+* :func:`record_funnel` — the one place a search path builds its funnel
+  record from its finished ``SearchStats``;
 * :func:`collect_funnels` — a contextvars-scoped collector; inside the
   ``with`` block every search call records its funnel into the yielded
   :class:`FunnelSink` (and onto its ``SearchStats.funnel``), across thread
@@ -26,7 +28,10 @@ from __future__ import annotations
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+if TYPE_CHECKING:  # import cycle: SearchStats carries a FilterFunnel
+    from repro.search.statistics import SearchStats
 
 __all__ = [
     "FunnelStage",
@@ -35,6 +40,7 @@ __all__ = [
     "FunnelAggregate",
     "collect_funnels",
     "active_sink",
+    "record_funnel",
 ]
 
 
@@ -236,6 +242,32 @@ _SINK: "ContextVar[Optional[FunnelSink]]" = ContextVar(
 def active_sink() -> Optional[FunnelSink]:
     """The context's funnel sink, or ``None`` when collection is off."""
     return _SINK.get()
+
+
+def record_funnel(
+    stats: "SearchStats",
+    kind: str,
+    parameter: float,
+    stages: List[FunnelStage],
+    sink: Optional[FunnelSink],
+) -> None:
+    """Attach the funnel of a finished query to ``stats`` and hand it to ``sink``.
+
+    Corpus size, refined count, results and refine seconds come from
+    ``stats``; ``stages`` are the query's filter stages (none for a
+    sequential scan).  Callers decide whether anyone is observing.
+    """
+    stats.funnel = FilterFunnel(
+        kind=kind,
+        corpus_size=stats.dataset_size,
+        stages=stages,
+        refined=stats.candidates,
+        results=stats.results,
+        refine_seconds=stats.refine_seconds,
+        parameter=parameter,
+    )
+    if sink is not None:
+        sink.add(stats.funnel)
 
 
 class collect_funnels:

@@ -5,7 +5,7 @@ The Seidl–Kriegel multi-step strategy the paper adopts:
 1. compute the optimistic (lower-bound) distance between the query and every
    database object;
 2. process objects in ascending order of that bound, refining each with the
-   exact edit distance and maintaining a max-heap of the ``k`` best;
+   exact edit distance and keeping the ``k`` best in a :class:`KnnHeap`;
 3. stop as soon as the heap is full and the next object's lower bound
    reaches the current ``k``-th distance — no unseen object can beat it,
    because its true distance is at least its bound and a full heap admits
@@ -47,11 +47,11 @@ from repro.exceptions import QueryError
 from repro.features.matrix import FeatureMatrices, stable_order
 from repro.filters.base import LowerBoundFilter
 from repro.obs import tracing
-from repro.obs.funnel import FilterFunnel, FunnelStage, active_sink
+from repro.obs.funnel import FunnelStage, active_sink, record_funnel
 from repro.search.statistics import SearchStats
 from repro.trees.node import TreeNode
 
-__all__ = ["BoundStream", "bound_stream", "check_k", "knn_query"]
+__all__ = ["BoundStream", "KnnHeap", "bound_stream", "check_k", "knn_query"]
 
 
 def check_k(k: int, dataset_size: int) -> int:
@@ -142,6 +142,51 @@ class BoundStream:
             yield heapq.heappop(pending)
 
 
+class KnnHeap:
+    """The ``k`` best ``(row, distance)`` pairs offered so far (Alg. 2's heap).
+
+    Tie rule: a full heap admits only a distance strictly below its k-th,
+    evicting the largest row at the k-th distance, so a tie never
+    displaces an earlier offer.  Offered in ascending row order, it holds
+    the first ``k`` offers stable-sorted by distance.  ``kth`` is the k-th
+    distance once ``k`` rows are in, ``inf`` until then.
+    """
+
+    __slots__ = ("k", "kth", "_heap")
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.kth = math.inf
+        #: (−distance, −row), so the worst current neighbour is on top
+        self._heap: List[Tuple[float, int]] = []
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def offer(self, distance: float, row: int) -> None:
+        """Admit ``row`` at ``distance`` if it belongs among the ``k`` best."""
+        heap = self._heap
+        if len(heap) < self.k:
+            heapq.heappush(heap, (-distance, -row))
+        elif distance < self.kth:
+            heapq.heapreplace(heap, (-distance, -row))
+        else:
+            return
+        if len(heap) == self.k:
+            self.kth = -heap[0][0]
+
+    def distances(self) -> Iterator[float]:
+        """The held distances, in no particular order."""
+        return (-neg_distance for neg_distance, _ in self._heap)
+
+    def neighbors(self) -> List[Tuple[int, float]]:
+        """The held ``(row, distance)`` pairs by ascending distance, then row."""
+        return sorted(
+            ((-neg_row, -neg_distance) for neg_distance, neg_row in self._heap),
+            key=lambda pair: (pair[1], pair[0]),
+        )
+
+
 def bound_stream(
     flt: LowerBoundFilter,
     query: TreeNode,
@@ -182,9 +227,7 @@ def knn_query(
 
     Returns ``(neighbors, stats)`` where ``neighbors`` is a list of
     ``(index, distance)`` sorted by ascending distance (ties broken by
-    index).  Distance ties at the ``k``-th position are resolved by keeping
-    the first-processed object, like the paper's Algorithm 2 (heap
-    replacement only on strictly better keys at capacity).
+    index).  Ties at the ``k``-th distance follow :class:`KnnHeap`'s rule.
 
     With ``matrices`` (the planes of the same corpus), rows are bounded
     lazily off the filter's ordering keys (:func:`bound_stream`); the
@@ -209,25 +252,18 @@ def knn_query(
             stream = bound_stream(flt, query, matrices)
         stats.filter_seconds = time.perf_counter() - start
 
-        # max-heap of (−distance, −index) so the worst current neighbor is on top
-        heap: List[Tuple[float, int]] = []
+        heap = KnnHeap(k)
         start = time.perf_counter()
         refined = 0
         gated_before = counter.gated
-        kth = math.inf
         with tracing.span("search.refine") as refine_span:
             for _bound, row in stream:
                 # only a distance below the k-th can enter a full heap
-                distance = counter.distance_below(query, trees[row], kth)
+                heap.offer(counter.distance_below(query, trees[row], heap.kth), row)
                 refined += 1
-                if len(heap) < k:
-                    heapq.heappush(heap, (-distance, -row))
-                elif distance < kth:
-                    heapq.heapreplace(heap, (-distance, -row))
-                if len(heap) == k:
-                    # optimal stopping: every unseen distance is at least its
-                    # bound, and a full heap admits only a strictly smaller one
-                    kth = stream.stop = -heap[0][0]
+                # optimal stopping: every unseen distance is at least its
+                # bound, and a full heap admits only a strictly smaller one
+                stream.stop = heap.kth
             refine_span.set(
                 refined=refined,
                 gated=counter.gated - gated_before,
@@ -241,27 +277,8 @@ def knn_query(
     if sink is not None or tracing.enabled():
         # the ordering pass prunes nothing by itself; its survivors are the
         # rows it bounded, and pruning happens through optimal stopping
-        stats.funnel = FilterFunnel(
-            kind="knn",
-            corpus_size=len(trees),
-            stages=[
-                FunnelStage(
-                    f"order:{flt.name}",
-                    len(trees),
-                    stream.scored,
-                    stats.filter_seconds,
-                )
-            ],
-            refined=refined,
-            results=len(heap),
-            refine_seconds=stats.refine_seconds,
-            parameter=float(k),
+        stage = FunnelStage(
+            f"order:{flt.name}", len(trees), stream.scored, stats.filter_seconds
         )
-        if sink is not None:
-            sink.add(stats.funnel)
-
-    neighbors = sorted(
-        ((-neg_index, -neg_distance) for neg_distance, neg_index in heap),
-        key=lambda pair: (pair[1], pair[0]),
-    )
-    return neighbors, stats
+        record_funnel(stats, "knn", float(k), [stage], sink)
+    return heap.neighbors(), stats

@@ -19,7 +19,7 @@ from repro.exceptions import QueryError
 from repro.features.matrix import FeatureMatrices, as_indices
 from repro.filters.base import LowerBoundFilter
 from repro.obs import tracing
-from repro.obs.funnel import FilterFunnel, FunnelStage, active_sink
+from repro.obs.funnel import FunnelStage, active_sink, record_funnel
 from repro.search.statistics import SearchStats
 from repro.trees.node import TreeNode
 
@@ -161,15 +161,5 @@ def range_query(
         root.set(candidates=len(survivors), results=len(matches))
 
     if observing:
-        stats.funnel = FilterFunnel(
-            kind="range",
-            corpus_size=len(trees),
-            stages=stages,
-            refined=len(survivors),
-            results=len(matches),
-            refine_seconds=stats.refine_seconds,
-            parameter=threshold,
-        )
-        if sink is not None:
-            sink.add(stats.funnel)
+        record_funnel(stats, "range", threshold, stages, sink)
     return matches, stats

@@ -18,30 +18,12 @@ from typing import List, Optional, Sequence, Tuple
 from repro.editdist.zhang_shasha import EditDistanceCounter
 from repro.exceptions import QueryError
 from repro.obs import tracing
-from repro.obs.funnel import FilterFunnel, active_sink
+from repro.obs.funnel import active_sink, record_funnel
 from repro.search.knn import check_k
 from repro.search.statistics import SearchStats
 from repro.trees.node import TreeNode
 
 __all__ = ["sequential_range_query", "sequential_knn_query", "distance_matrix"]
-
-
-def _record_funnel(stats: SearchStats, kind: str, parameter: float) -> None:
-    """Attach a stage-less funnel (sequential scans refine everything)."""
-    sink = active_sink()
-    if sink is None and not tracing.enabled():
-        return
-    stats.funnel = FilterFunnel(
-        kind=kind,
-        corpus_size=stats.dataset_size,
-        stages=[],
-        refined=stats.candidates,
-        results=stats.results,
-        refine_seconds=stats.refine_seconds,
-        parameter=parameter,
-    )
-    if sink is not None:
-        sink.add(stats.funnel)
 
 
 def sequential_range_query(
@@ -68,7 +50,9 @@ def sequential_range_query(
         root.set(results=len(matches))
     stats.refine_seconds = time.perf_counter() - start
     stats.results = len(matches)
-    _record_funnel(stats, "sequential_range", threshold)
+    sink = active_sink()
+    if sink is not None or tracing.enabled():
+        record_funnel(stats, "sequential_range", threshold, [], sink)
     return matches, stats
 
 
@@ -92,7 +76,9 @@ def sequential_knn_query(
         distances.sort()
     stats.refine_seconds = time.perf_counter() - start
     stats.results = k
-    _record_funnel(stats, "sequential_knn", float(k))
+    sink = active_sink()
+    if sink is not None or tracing.enabled():
+        record_funnel(stats, "sequential_knn", float(k), [], sink)
     return [(index, distance) for distance, index in distances[:k]], stats
 
 

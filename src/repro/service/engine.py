@@ -49,13 +49,14 @@ Examples
 
 from __future__ import annotations
 
+import abc
 import contextvars
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.editdist.zhang_shasha import EditDistanceCounter, PreparedTreeCache
 from repro.exceptions import InvalidParameterError, QueryError
@@ -68,13 +69,20 @@ from repro.service.metrics import ServiceMetrics
 from repro.trees.node import TreeNode
 from repro.trees.parse import to_bracket
 
-__all__ = ["QueryRequest", "TreeSearchService"]
+__all__ = ["QueryRequest", "QueryService", "TreeSearchService"]
 
 #: A query's answer: ``(matches, stats)`` exactly as the library returns it.
 QueryAnswer = Tuple[List[Tuple[int, float]], SearchStats]
 
+#: Bound on the prepared-tree cache of the service and of every shard
+#: worker: at least the corpus plus the distinct-query working set, so
+#: refinement never re-flattens a database tree.
+PREPARED_CACHE_SIZE = 8192
+
 #: Cache keys: (kind, canonical bracket of the query tree, parameter).
 CacheKey = Tuple[str, str, float]
+
+_Service = TypeVar("_Service", bound="QueryService")
 
 
 @dataclass(frozen=True)
@@ -214,83 +222,54 @@ class _ResultCache:
             self._entries.clear()
 
 
-class TreeSearchService:
-    """A concurrent, cached, observable facade over :class:`TreeDatabase`.
+class QueryService(abc.ABC):
+    """The request surface both serving tiers share.
+
+    A subclass implements :meth:`execute`; this base owns everything else
+    a caller sees.  :meth:`close` shuts the lazily started batch pool
+    down, after which a batch of two or more requests raises.
 
     Parameters
     ----------
-    database:
-        The wrapped database.  The service assumes exclusive write access:
-        mutate it only through :meth:`add`.
     max_workers:
         Thread-pool width for :meth:`batch`, :meth:`batch_range` and
         :meth:`batch_knn`.
-    cache_size:
-        Bound on the LRU result cache (number of distinct query answers);
-        ``0`` disables result caching entirely.
-    prepared_cache_size:
-        Bound on the shared prepared-tree cache.  Size it to at least the
-        database size plus the expected distinct-query working set so
-        refinement never re-flattens a database tree.
     metrics:
         Optional externally owned :class:`ServiceMetrics` (e.g. one shared
         by several services); a private instance is created by default.
-
-    Queries run over the database's matrix planes when it has a feature
-    store, and per candidate otherwise; answers and refined counts are
-    the same either way (pinned by the ``search:vectorized-equivalence``
-    oracle).
     """
 
-    def __init__(
-        self,
-        database: TreeDatabase,
-        max_workers: int = 4,
-        cache_size: int = 1024,
-        prepared_cache_size: int = 8192,
-        metrics: Optional[ServiceMetrics] = None,
-    ) -> None:
+    def __init__(self, max_workers: int, metrics: Optional[ServiceMetrics]) -> None:
         if max_workers < 1:
             raise InvalidParameterError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        self.database = database
-        self._matrices = database.matrices()
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.max_workers = max_workers
-        self._cache = _ResultCache(cache_size)
-        self._prepared = PreparedTreeCache(prepared_cache_size)
-        self._rwlock = _ReadWriteLock()
+        self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._closed = False
+
+    @abc.abstractmethod
+    def execute(self, request: QueryRequest) -> QueryAnswer:
+        """Serve one :class:`QueryRequest` of either kind."""
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
+        """Shut down the batch pool (idempotent)."""
         self._closed = True
         with self._executor_lock:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
 
-    def __enter__(self) -> "TreeSearchService":
+    def __enter__(self: _Service) -> _Service:
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def __len__(self) -> int:
-        return len(self.database)
-
-    def __repr__(self) -> str:
-        return (
-            f"TreeSearchService({len(self.database)} trees, "
-            f"cache={len(self._cache)}/{self._cache.maxsize}, "
-            f"workers={self.max_workers})"
-        )
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._closed:
@@ -302,6 +281,94 @@ class TreeSearchService:
                     thread_name_prefix="repro-service",
                 )
             return self._executor
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    def range(self, query: TreeNode, threshold: float) -> QueryAnswer:
+        """Filter-and-refine range query."""
+        return self.execute(QueryRequest("range", query, threshold=threshold))
+
+    def knn(self, query: TreeNode, k: int) -> QueryAnswer:
+        """Optimal multi-step k-NN query (paper Alg. 2)."""
+        return self.execute(QueryRequest("knn", query, k=k))
+
+    def batch(self, requests: Sequence[QueryRequest]) -> List[QueryAnswer]:
+        """Serve a mixed-kind batch concurrently; answers in input order."""
+        self.metrics.observe_batch()
+        if not requests:
+            return []
+        if len(requests) == 1:
+            return [self.execute(requests[0])]
+        # ThreadPoolExecutor workers do not inherit the caller's context, so
+        # an active span (or funnel sink) would be invisible to them; give
+        # each request a copy of the submitting thread's context.  One copy
+        # per request — a single Context cannot be entered concurrently.
+        contexts = [contextvars.copy_context() for _ in requests]
+        return list(
+            self._pool().map(
+                lambda pair: pair[0].run(self.execute, pair[1]),
+                zip(contexts, requests),
+            )
+        )
+
+    def batch_range(
+        self, queries: Sequence[TreeNode], threshold: float
+    ) -> List[QueryAnswer]:
+        """Range queries fanned out over the batch pool (input order)."""
+        return self.batch(
+            [QueryRequest("range", query, threshold=threshold) for query in queries]
+        )
+
+    def batch_knn(self, queries: Sequence[TreeNode], k: int) -> List[QueryAnswer]:
+        """k-NN queries fanned out over the batch pool (input order)."""
+        return self.batch([QueryRequest("knn", query, k=k) for query in queries])
+
+
+class TreeSearchService(QueryService):
+    """A concurrent, cached, observable facade over :class:`TreeDatabase`.
+
+    Parameters
+    ----------
+    database:
+        The wrapped database.  The service assumes exclusive write access:
+        mutate it only through :meth:`add`.
+    cache_size:
+        Bound on the LRU result cache (number of distinct query answers);
+        ``0`` disables result caching entirely.
+    max_workers, metrics:
+        As for :class:`QueryService`.
+
+    Queries run over the database's matrix planes when it has a feature
+    store, and per candidate otherwise; answers and refined counts are
+    the same either way (pinned by the ``search:vectorized-equivalence``
+    oracle).  :meth:`execute` keeps serving after :meth:`close`, which
+    only stops the batch pool.
+    """
+
+    def __init__(
+        self,
+        database: TreeDatabase,
+        max_workers: int = 4,
+        cache_size: int = 1024,
+        metrics: Optional[ServiceMetrics] = None,
+    ) -> None:
+        super().__init__(max_workers, metrics)
+        self.database = database
+        self._matrices = database.matrices()
+        self._cache = _ResultCache(cache_size)
+        self._prepared = PreparedTreeCache(PREPARED_CACHE_SIZE)
+        self._rwlock = _ReadWriteLock()
+
+    def __len__(self) -> int:
+        return len(self.database)
+
+    def __repr__(self) -> str:
+        return (
+            f"TreeSearchService({len(self.database)} trees, "
+            f"cache={len(self._cache)}/{self._cache.maxsize}, "
+            f"workers={self.max_workers})"
+        )
 
     # ------------------------------------------------------------------
     # Mutation
@@ -369,56 +436,7 @@ class TreeSearchService:
         return keep
 
     # ------------------------------------------------------------------
-    # Single queries
-    # ------------------------------------------------------------------
-    def range(self, query: TreeNode, threshold: float) -> QueryAnswer:
-        """Filter-and-refine range query (cached, thread-safe)."""
-        return self._serve(QueryRequest("range", query, threshold=threshold))
-
-    def knn(self, query: TreeNode, k: int) -> QueryAnswer:
-        """Filter-and-refine k-NN query (cached, thread-safe)."""
-        return self._serve(QueryRequest("knn", query, k=k))
-
-    def execute(self, request: QueryRequest) -> QueryAnswer:
-        """Serve one :class:`QueryRequest` of either kind."""
-        return self._serve(request)
-
-    # ------------------------------------------------------------------
-    # Batches
-    # ------------------------------------------------------------------
-    def batch(self, requests: Sequence[QueryRequest]) -> List[QueryAnswer]:
-        """Serve a mixed-kind batch concurrently; answers in input order."""
-        self.metrics.observe_batch()
-        if not requests:
-            return []
-        if len(requests) == 1:
-            return [self._serve(requests[0])]
-        # ThreadPoolExecutor workers do not inherit the caller's context, so
-        # an active span (or funnel sink) would be invisible to them; give
-        # each request a copy of the submitting thread's context.  One copy
-        # per request — a single Context cannot be entered concurrently.
-        contexts = [contextvars.copy_context() for _ in requests]
-        return list(
-            self._pool().map(
-                lambda pair: pair[0].run(self._serve, pair[1]),
-                zip(contexts, requests),
-            )
-        )
-
-    def batch_range(
-        self, queries: Sequence[TreeNode], threshold: float
-    ) -> List[QueryAnswer]:
-        """Range queries fanned out over the worker pool (input order)."""
-        return self.batch(
-            [QueryRequest("range", query, threshold=threshold) for query in queries]
-        )
-
-    def batch_knn(self, queries: Sequence[TreeNode], k: int) -> List[QueryAnswer]:
-        """k-NN queries fanned out over the worker pool (input order)."""
-        return self.batch([QueryRequest("knn", query, k=k) for query in queries])
-
-    # ------------------------------------------------------------------
-    # Internals
+    # Serving
     # ------------------------------------------------------------------
     def _cache_key(self, request: QueryRequest) -> CacheKey:
         parameter = (
@@ -426,7 +444,9 @@ class TreeSearchService:
         )
         return (request.kind, to_bracket(request.query), parameter)
 
-    def _serve(self, request: QueryRequest) -> QueryAnswer:
+    def execute(self, request: QueryRequest) -> QueryAnswer:
+        """Serve one :class:`QueryRequest` of either kind (cached,
+        thread-safe)."""
         with tracing.span("service.serve", kind=request.kind) as serve_span:
             start = time.perf_counter()
             if request.kind == "knn":

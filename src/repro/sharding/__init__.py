@@ -11,7 +11,7 @@ single-process path (see ``docs/SHARDING.md`` for the argument and the
 ``service:shard-equivalence`` oracle for the enforcement).
 """
 
-from repro.sharding.coordinator import ShardedTreeService, encode_query
+from repro.sharding.coordinator import ShardedTreeService
 from repro.sharding.partition import (
     PARTITIONERS,
     Partitioner,
@@ -24,7 +24,6 @@ from repro.sharding.plane import PlaneHandle, SharedFeaturePlane
 
 __all__ = [
     "ShardedTreeService",
-    "encode_query",
     "PARTITIONERS",
     "Partitioner",
     "RoundRobinPartitioner",

@@ -20,13 +20,17 @@ shard (:mod:`repro.sharding.worker`), and serves:
   the rows exactly at it, is one single-process Alg. 2 refines too, so
   the coordinator asks each shard with such rows, in parallel, to refine
   them, then replays the replies in ``(bound, global_index)`` order —
-  exactly the single-process refinement order — through the same heap
-  rules, and stops when the heap is full and every shard's next bound
-  reaches the k-th distance.  Same refinement set, same answers, same
-  tie-handling; the ``shard:knn-optimality`` oracle enforces it.
+  exactly the single-process refinement order — through the same
+  :class:`~repro.search.knn.KnnHeap`, and stops when the heap is full and
+  every shard's next bound reaches the k-th distance.  Same refinement
+  set, same answers, same tie-handling; the ``shard:knn-optimality``
+  oracle enforces it.
 
 It needs at least two shards; one process is the single-process
-:class:`~repro.service.engine.TreeSearchService`.  There is no
+:class:`~repro.service.engine.TreeSearchService`.  Both serve through the
+request surface of :class:`~repro.service.engine.QueryService`
+(``range``, ``knn``, ``batch``…); this module holds only what is
+shard-specific.  There is no
 cross-process result cache — every query is counted as a miss, mirroring
 the single-process ``cache_size=0`` semantics.
 
@@ -40,7 +44,6 @@ workers and unlinks every shared-memory segment.
 
 from __future__ import annotations
 
-import contextvars
 import heapq
 import itertools
 import math
@@ -55,10 +58,15 @@ from repro.exceptions import InvalidParameterError, QueryError, ShardError
 from repro.features.store import HISTOGRAM_FAMILIES, FeatureStore
 from repro.filters.registry import DEFAULT_FILTER, FILTERS
 from repro.obs import tracing
-from repro.obs.funnel import FilterFunnel, FunnelStage, active_sink
-from repro.search.knn import check_k
+from repro.obs.funnel import FunnelStage, active_sink, record_funnel
+from repro.search.knn import KnnHeap, check_k
 from repro.search.statistics import SearchStats
-from repro.service.engine import QueryRequest, _ReadWriteLock
+from repro.service.engine import (
+    QueryAnswer,
+    QueryRequest,
+    QueryService,
+    _ReadWriteLock,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.sharding.partition import (
     Partitioner,
@@ -70,24 +78,7 @@ from repro.sharding.worker import run_worker
 from repro.trees.node import TreeNode
 from repro.trees.parse import to_bracket
 
-__all__ = ["ShardedTreeService", "encode_query"]
-
-#: A query's answer, matching the single-process service exactly.
-QueryAnswer = Tuple[List[Tuple[int, float]], SearchStats]
-
-
-def encode_query(request: QueryRequest) -> Tuple[str, str, float]:
-    """The picklable wire form of a query: ``(kind, bracket, parameter)``.
-
-    Pure function of the request — no tree objects, no closures, no
-    references into coordinator state — which is what keeps the scatter
-    hot path free of deep-recursive :class:`TreeNode` pickling (the
-    zero-copy property the benchmark asserts).
-    """
-    parameter = (
-        float(request.threshold) if request.kind == "range" else float(request.k)
-    )
-    return (request.kind, to_bracket(request.query), parameter)
+__all__ = ["ShardedTreeService"]
 
 
 class _ShardClient:
@@ -183,7 +174,24 @@ def _shutdown_backends(
         plane.close()
 
 
-class ShardedTreeService:
+def _merge_stages(replies: List[dict]) -> List[FunnelStage]:
+    """Stage-wise sum of the per-shard range funnels (stages line up: every
+    worker runs the same filter cascade over its partition)."""
+    merged: List[FunnelStage] = []
+    for reply in replies:
+        for position, (name, entered, survivors, seconds) in enumerate(
+            reply["stages"]
+        ):
+            if position == len(merged):
+                merged.append(FunnelStage(name, 0, 0, 0.0))
+            stage = merged[position]
+            stage.entered += entered
+            stage.survivors += survivors
+            stage.seconds += seconds
+    return merged
+
+
+class ShardedTreeService(QueryService):
     """Shard-parallel tree similarity serving, answer-identical to one shard.
 
     Parameters
@@ -202,22 +210,13 @@ class ShardedTreeService:
     partitioner:
         A :class:`~repro.sharding.partition.Partitioner` instance or a
         registry name (``"round-robin"``, ``"size-banded"``).
-    max_workers:
-        Thread-pool width for :meth:`batch` fan-out (coordinator-side).
-    prepared_cache_size:
-        Per-worker prepared-tree cache bound.
-    metrics:
-        Optional externally owned :class:`ServiceMetrics`.
-    health_interval:
-        Seconds between background :meth:`health` polls (a daemon thread
-        ships queue depth, in-flight queries, per-stage seconds, RSS and
-        uptime from every worker into the metrics registry).  ``0.0``
-        (the default) disables the poller; :meth:`health` can always be
-        called explicitly.
+    max_workers, metrics:
+        As for :class:`~repro.service.engine.QueryService`.
 
     Every shard filters over the matrix planes it scatters zero-copy out
     of its shared-memory columns, falling back per stage to the
-    per-candidate loop where a filter has no kernel.
+    per-candidate loop where a filter has no kernel.  After :meth:`close`
+    every query raises :class:`RuntimeError`.
     """
 
     def __init__(
@@ -227,19 +226,14 @@ class ShardedTreeService:
         filter_name: str = DEFAULT_FILTER,
         partitioner: Union[str, Partitioner] = "round-robin",
         max_workers: int = 4,
-        prepared_cache_size: int = 8192,
         metrics: Optional[ServiceMetrics] = None,
-        health_interval: float = 0.0,
     ) -> None:
         if shards < 2:
             raise InvalidParameterError(
                 f"need >= 2 shards, got {shards}; serve one partition with "
                 "TreeSearchService"
             )
-        if health_interval < 0:
-            raise InvalidParameterError(
-                f"health_interval must be >= 0, got {health_interval}"
-            )
+        super().__init__(max_workers, metrics)
         if filter_name not in FILTERS:
             raise InvalidParameterError(
                 f"unknown filter {filter_name!r} "
@@ -247,7 +241,6 @@ class ShardedTreeService:
             )
         self.shards = shards
         self.filter_name = filter_name
-        self._closed = False
         probe = FILTERS[filter_name]()
         trees = list(trees)
 
@@ -259,7 +252,6 @@ class ShardedTreeService:
                 f"service has {shards}"
             )
         self._partitioner = partitioner
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._shard_latency = self.metrics.registry.histogram(
             "repro_shard_latency_seconds",
             "Coordinator-observed per-shard round-trip latency.",
@@ -315,7 +307,6 @@ class ShardedTreeService:
                         family: store.histogram_vocabulary(family)
                         for family in HISTOGRAM_FAMILIES
                     },
-                    "prepared_cache_size": prepared_cache_size,
                 }
                 process = context.Process(
                     target=run_worker,
@@ -339,41 +330,21 @@ class ShardedTreeService:
         self._rwlock = _ReadWriteLock()
         self._mutations = 0
         self._qids = itertools.count()
+        # not the batch pool: batch tasks submit scatter work, and a shared
+        # pool would deadlock once every thread held a batch task waiting
+        # for a scatter slot
         self._scatter_pool = ThreadPoolExecutor(
             max_workers=shards, thread_name_prefix="repro-scatter"
         )
-        self._batch_pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-shard-batch"
-        )
-        self._health_stop = threading.Event()
-        self._health_thread: Optional[threading.Thread] = None
-        if health_interval > 0:
-            self._health_thread = threading.Thread(
-                target=self._health_loop,
-                args=(health_interval,),
-                name="repro-shard-health",
-                daemon=True,
-            )
-            self._health_thread.start()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop workers, unlink segments, shut down pools (idempotent)."""
-        self._closed = True
-        self._health_stop.set()
-        if self._health_thread is not None:
-            self._health_thread.join(timeout=5)
+        """Shut down both pools, stop workers, unlink segments (idempotent)."""
+        super().close()
         self._scatter_pool.shutdown(wait=True)
-        self._batch_pool.shutdown(wait=True)
         self._finalizer()  # runs _shutdown_backends at most once
-
-    def __enter__(self) -> "ShardedTreeService":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def __len__(self) -> int:
         return len(self._assignment)
@@ -456,16 +427,9 @@ class ShardedTreeService:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def range(self, query: TreeNode, threshold: float) -> QueryAnswer:
-        """Shard-parallel filter-and-refine range query."""
-        return self.execute(QueryRequest("range", query, threshold=threshold))
-
-    def knn(self, query: TreeNode, k: int) -> QueryAnswer:
-        """Distributed optimal multi-step k-NN query."""
-        return self.execute(QueryRequest("knn", query, k=k))
-
     def execute(self, request: QueryRequest) -> QueryAnswer:
-        """Serve one :class:`QueryRequest` of either kind."""
+        """Serve one :class:`QueryRequest`: a shard-parallel range query or
+        a distributed optimal multi-step k-NN query."""
         if self._closed:
             raise RuntimeError("service is closed")
         if request.kind == "range":
@@ -504,39 +468,11 @@ class ShardedTreeService:
             refine_seconds=sum(reply["refine_seconds"] for reply in replies),
         )
         if want_funnel:
-            stats.funnel = self._merge_range_funnels(replies, threshold, stats)
-            if sink is not None:
-                sink.add(stats.funnel)
+            record_funnel(stats, "range", threshold, _merge_stages(replies), sink)
         self.metrics.observe_query(
             "range", stats, time.perf_counter() - start, cache_hit=False
         )
         return matches, stats
-
-    def _merge_range_funnels(
-        self, replies: List[dict], threshold: float, stats: SearchStats
-    ) -> FilterFunnel:
-        """Stage-wise sum of the per-shard funnels (stages line up: every
-        worker runs the same filter cascade over its partition)."""
-        merged: List[FunnelStage] = []
-        for reply in replies:
-            for position, (name, entered, survivors, seconds) in enumerate(
-                reply["stages"]
-            ):
-                if position == len(merged):
-                    merged.append(FunnelStage(name, 0, 0, 0.0))
-                stage = merged[position]
-                stage.entered += entered
-                stage.survivors += survivors
-                stage.seconds += seconds
-        return FilterFunnel(
-            kind="range",
-            corpus_size=stats.dataset_size,
-            stages=merged,
-            refined=stats.candidates,
-            results=stats.results,
-            refine_seconds=stats.refine_seconds,
-            parameter=threshold,
-        )
 
     def _knn(self, query: TreeNode, k: int) -> QueryAnswer:
         total = len(self)
@@ -556,12 +492,12 @@ class ShardedTreeService:
             ]
             by_shard = self._assignment.by_shard
 
-            heap: List[Tuple[float, int]] = []  # (−distance, −global index)
+            heap = KnnHeap(k)
             refined = 0
             refine_start = time.perf_counter()
             while any(frontiers):
                 head = min(frontier[0][0] for frontier in frontiers if frontier)
-                if len(heap) == k and head >= -heap[0][0]:
+                if head >= heap.kth:
                     break  # optimal stopping, globally: no shard can improve
                 # every unrefined row's distance is at least its bound, so
                 # the final k-th distance is at least this limit: Alg. 2
@@ -569,7 +505,7 @@ class ShardedTreeService:
                 limit = heapq.nsmallest(
                     k,
                     itertools.chain(
-                        (-neg_distance for neg_distance, _ in heap),
+                        heap.distances(),
                         (bound for frontier in frontiers for bound, _ in frontier),
                     ),
                 )[-1]
@@ -582,7 +518,7 @@ class ShardedTreeService:
                     if bound < limit
                 )
                 quota = k - below - sum(
-                    1 for neg_distance, _ in heap if -neg_distance <= limit
+                    1 for distance in heap.distances() if distance <= limit
                 )
                 tied = sorted(
                     (by_shard[shard][local], shard)
@@ -597,9 +533,8 @@ class ShardedTreeService:
                 # the round is at least every sequential per-row limit: a
                 # worker refines exactly below it (distance_below), and the
                 # replay admits only a distance below the live k-th
-                budget = -heap[0][0] if len(heap) == k else math.inf
                 requests = [
-                    (shard, ("knn_refine_upto", qid, limit, budget, ties[shard]))
+                    (shard, ("knn_refine_upto", qid, limit, heap.kth, ties[shard]))
                     for shard, frontier in enumerate(frontiers)
                     if ties[shard] or (frontier and frontier[0][0] < limit)
                 ]
@@ -613,14 +548,11 @@ class ShardedTreeService:
                         for bound, local, distance in reply["refined"]
                     )
                 # replay in (bound, global index) order: the single-process
-                # refinement order, through the same heap rules
+                # refinement order, through the same heap
                 rows.sort()
                 refined += len(rows)
                 for _bound, global_index, distance in rows:
-                    if len(heap) < k:
-                        heapq.heappush(heap, (-distance, -global_index))
-                    elif distance < -heap[0][0]:
-                        heapq.heapreplace(heap, (-distance, -global_index))
+                    heap.offer(distance, global_index)
             refine_seconds = time.perf_counter() - refine_start
 
             # survivors of the ordering stage: the rows the shards bounded
@@ -648,63 +580,12 @@ class ShardedTreeService:
             refine_seconds=refine_seconds,
         )
         if sink is not None or tracing.enabled():
-            stats.funnel = FilterFunnel(
-                kind="knn",
-                corpus_size=total,
-                stages=[
-                    FunnelStage(self._order_stage, total, scored, filter_seconds)
-                ],
-                refined=refined,
-                results=len(heap),
-                refine_seconds=refine_seconds,
-                parameter=float(k),
-            )
-            if sink is not None:
-                sink.add(stats.funnel)
-
-        neighbors = sorted(
-            ((-neg_index, -neg_distance) for neg_distance, neg_index in heap),
-            key=lambda pair: (pair[1], pair[0]),
-        )
+            stage = FunnelStage(self._order_stage, total, scored, filter_seconds)
+            record_funnel(stats, "knn", float(k), [stage], sink)
         self.metrics.observe_query(
             "knn", stats, time.perf_counter() - start, cache_hit=False
         )
-        return neighbors, stats
-
-    # ------------------------------------------------------------------
-    # Batches
-    # ------------------------------------------------------------------
-    def batch(self, requests: Sequence[QueryRequest]) -> List[QueryAnswer]:
-        """Serve a mixed-kind batch concurrently; answers in input order.
-
-        Runs on a pool distinct from the scatter pool — batch tasks submit
-        scatter work, and a shared pool would deadlock once every thread
-        held a batch task waiting for a scatter slot.
-        """
-        self.metrics.observe_batch()
-        if not requests:
-            return []
-        if len(requests) == 1:
-            return [self.execute(requests[0])]
-        contexts = [contextvars.copy_context() for _ in requests]
-        return list(
-            self._batch_pool.map(
-                lambda pair: pair[0].run(self.execute, pair[1]),
-                zip(contexts, requests),
-            )
-        )
-
-    def batch_range(
-        self, queries: Sequence[TreeNode], threshold: float
-    ) -> List[QueryAnswer]:
-        """Range queries fanned out over the batch pool (input order)."""
-        return self.batch(
-            [QueryRequest("range", query, threshold=threshold) for query in queries]
-        )
-
-    def batch_knn(self, queries: Sequence[TreeNode], k: int) -> List[QueryAnswer]:
-        """k-NN queries fanned out over the batch pool (input order)."""
-        return self.batch([QueryRequest("knn", query, k=k) for query in queries])
+        return heap.neighbors(), stats
 
     # ------------------------------------------------------------------
     # Mutation
@@ -736,17 +617,14 @@ class ShardedTreeService:
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
-    def shard_info(self) -> List[Dict[str, object]]:
-        """Per-worker counters (tree counts, distance computations)."""
-        return list(self._scatter(("info",), "control"))
-
     def health(self) -> Dict[str, object]:
         """One shard-health snapshot: poll every worker, publish the gauges.
 
         Returns ``{"shards": [...], "warnings": [...]}`` where each shard
-        entry is the worker's health reply (tree count, uptime, peak RSS,
-        request counts, per-stage busy seconds, open k-NN cursors,
-        distance computations).  Every scalar also lands in the metrics
+        entry is the worker's health reply (tree count, filter name,
+        uptime, peak RSS, request counts, per-stage busy seconds, open k-NN
+        cursors, distance computations and how many of them the
+        traversal-string gate settled).  Every scalar also lands in the metrics
         registry as a ``repro_shard_*`` gauge labelled by shard, and the
         per-stage seconds as ``repro_shard_stage_seconds{shard,stage}``,
         so ``repro metrics dump`` and the Prometheus exposition see the
@@ -799,11 +677,3 @@ class ShardedTreeService:
             )
             imbalance.inc(dimension="busy_seconds")
         return warnings
-
-    def _health_loop(self, interval: float) -> None:
-        """Daemon poller: one :meth:`health` snapshot per interval."""
-        while not self._health_stop.wait(interval):
-            try:
-                self.health()
-            except (RuntimeError, ShardError, OSError):
-                break  # racing shutdown — the poller just stops

@@ -27,9 +27,9 @@ tuples ``(op, *operands)``; replies are ``("ok", result)`` or
                        triples and the next ``k`` ``(bound, local)`` pairs
 ``knn_end``            drop a k-NN cursor; reply with the rows it bounded
 ``add``                insert one tree (bracket form) into the shard
-``info``               counters for diagnostics
-``health``             health telemetry: per-op request counts, cumulative
-                       per-stage seconds, open cursors, RSS, uptime
+``health``             diagnostics: tree count, filter, per-op request
+                       counts, cumulative per-stage seconds, open cursors,
+                       distance computations (gated ones too), RSS, uptime
 ``shutdown``           acknowledge and exit the loop
 =====================  =================================================
 
@@ -58,6 +58,7 @@ from repro.obs.funnel import collect_funnels
 from repro.search.database import TreeDatabase
 from repro.search.knn import BoundStream, bound_stream
 from repro.search.range_query import range_query
+from repro.service.engine import PREPARED_CACHE_SIZE
 from repro.sharding.plane import PlaneHandle, SharedFeaturePlane
 from repro.trees.parse import parse_bracket
 
@@ -66,7 +67,7 @@ __all__ = ["run_worker"]
 #: Ops the request loop will dispatch; anything else is a protocol error.
 _OPS = frozenset(
     {"ping", "range", "knn_begin", "knn_refine_upto", "knn_end",
-     "add", "info", "health"}
+     "add", "health"}
 )
 
 
@@ -133,8 +134,7 @@ class _ShardState:
         #: memoryviews — no intermediate python lists)
         self.matrices = store.matrices()
         self.counter = EditDistanceCounter(
-            UNIT_COSTS,
-            cache=PreparedTreeCache(payload.get("prepared_cache_size", 4096)),
+            UNIT_COSTS, cache=PreparedTreeCache(PREPARED_CACHE_SIZE)
         )
         #: open k-NN cursors: qid -> ascending (bound, local) frontier
         self._knn: Dict[int, _KnnCursor] = {}
@@ -242,16 +242,6 @@ class _ShardState:
         local = self.db.add(parse_bracket(bracket))
         return {"local": local, "trees": len(self.db)}
 
-    def info(self) -> Dict[str, Any]:
-        return {
-            "shard": self.shard,
-            "trees": len(self.db),
-            "filter": self.db.filter.name,
-            "distance_computations": self.counter.calls,
-            "gated_distances": self.counter.gated,
-            "open_cursors": len(self._knn),
-        }
-
     def note_request(self, op: str) -> None:
         """Count one dispatched request (op names are the bounded _OPS set)."""
         self.requests[op] = self.requests.get(op, 0) + 1
@@ -268,6 +258,7 @@ class _ShardState:
         return {
             "shard": self.shard,
             "trees": len(self.db),
+            "filter": self.db.filter.name,
             "uptime_seconds": time.monotonic() - self.started,
             "rss_bytes": rss_bytes(),
             "requests": dict(self.requests),
@@ -275,6 +266,7 @@ class _ShardState:
             "stage_seconds": dict(self.stage_seconds),
             "open_cursors": len(self._knn),
             "distance_computations": self.counter.calls,
+            "gated_distances": self.counter.gated,
         }
 
     def close(self) -> None:

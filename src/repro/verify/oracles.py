@@ -1032,7 +1032,9 @@ class ShardEquivalenceOracle(Oracle):
 
 def _shard_distances(service) -> int:
     """Exact distances the service's shard workers have computed so far."""
-    return sum(int(info["distance_computations"]) for info in service.shard_info())
+    return sum(
+        int(shard["distance_computations"]) for shard in service.health()["shards"]
+    )
 
 
 class ShardKnnOptimalityOracle(Oracle):

@@ -2,6 +2,7 @@
 
 import heapq
 import itertools
+import math
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from repro.obs import tracing
 from repro.obs.funnel import collect_funnels
 from repro.obs.tracing import Tracer
 from repro.search import TreeDatabase, knn_query, sequential_knn_query
-from repro.search.knn import BoundStream, bound_stream
+from repro.search.knn import BoundStream, KnnHeap, bound_stream
 from repro.trees import parse_bracket
 
 DATASET = [
@@ -195,6 +196,37 @@ class TestMatrixPlanes:
         for k in (1, len(PLANE_CORPUS)):
             with pytest.raises(QueryError, match="matrix planes"):
                 knn_query(PLANE_CORPUS, parse_bracket("a"), k, flt, matrices=matrices)
+
+
+class TestKnnHeap:
+    @given(
+        distances=st.lists(st.integers(0, 6), min_size=1, max_size=30),
+        gaps=st.lists(st.integers(1, 3), min_size=30, max_size=30),
+        k=st.integers(1, 8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_holds_the_stable_sorted_first_k(self, distances, gaps, k):
+        """Offered in ascending row order, the heap keeps the first ``k``
+        offers stable-sorted by distance (a tie never displaces an earlier
+        row), and ``kth`` stays ``inf`` until ``k`` rows are in."""
+        rows = list(itertools.accumulate(gaps[: len(distances)]))
+        heap = KnnHeap(k)
+        for count, (distance, row) in enumerate(zip(distances, rows), start=1):
+            heap.offer(float(distance), row)
+            assert len(heap) == min(count, k)
+            offered = sorted(
+                zip(distances[:count], rows[:count]), key=lambda pair: pair[0]
+            )
+            if count < k:
+                assert heap.kth == math.inf
+            else:
+                assert heap.kth == offered[k - 1][0]
+            expected = sorted(
+                ((row, float(distance)) for distance, row in offered[:k]),
+                key=lambda pair: (pair[1], pair[0]),
+            )
+            assert heap.neighbors() == expected
+            assert sorted(heap.distances()) == [pair[1] for pair in expected]
 
 
 @st.composite

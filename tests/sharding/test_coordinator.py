@@ -1,16 +1,18 @@
 """ShardedTreeService: API contract, lifecycle, batching."""
 
 import math
+import multiprocessing
 import pickle
 
 import pytest
 
 from repro.datasets.dblp import generate_dblp_dataset
 from repro.exceptions import InvalidParameterError, QueryError, ShardError
-from repro.service.engine import QueryRequest
-from repro.sharding import ShardedTreeService, encode_query
+from repro.search.database import TreeDatabase
+from repro.service.engine import QueryRequest, TreeSearchService
+from repro.sharding import ShardedTreeService
 from repro.sharding.partition import RoundRobinPartitioner
-from repro.trees import parse_bracket, to_bracket
+from repro.trees import parse_bracket
 
 BRACKETS = [
     "a(b,c)",
@@ -52,6 +54,11 @@ class TestConstruction:
             ShardedTreeService(
                 trees, shards=3, partitioner=RoundRobinPartitioner(2)
             )
+
+    def test_rejects_zero_workers_before_forking(self, trees):
+        with pytest.raises(InvalidParameterError, match="max_workers"):
+            ShardedTreeService(trees, shards=2, max_workers=0)
+        assert multiprocessing.active_children() == []
 
     def test_accepts_partitioner_instance(self, trees):
         with ShardedTreeService(
@@ -100,7 +107,7 @@ class TestQueries:
             == service.range(query, 1.0)[0]
         )
 
-    def test_batch_matches_individual_execution(self, service):
+    def test_batch_matches_individual_execution(self, service, trees):
         requests = [
             QueryRequest("range", parse_bracket("a(b,c)"), threshold=1.0),
             QueryRequest("knn", parse_bracket("x(y)"), k=2),
@@ -111,6 +118,34 @@ class TestQueries:
         assert [answer[0] for answer in batched] == [
             answer[0] for answer in individual
         ]
+        with TreeSearchService(TreeDatabase(trees), max_workers=2) as single:
+            expected = single.batch(requests)
+        assert [answer[0] for answer in batched] == [
+            answer[0] for answer in expected
+        ]
+
+    def test_wire_messages_are_flat_and_picklable(self, service, trees):
+        """Queries and adds cross the pipe as flat primitives — brackets,
+        never TreeNode object graphs."""
+        messages = []
+        call = service._call
+
+        def recording(shard, message, kind):
+            messages.append(message)
+            return call(shard, message, kind)
+
+        service._call = recording
+        service.range(parse_bracket("a(b(c))"), 1.0)
+        service.knn(parse_bracket("x(y)"), 3)
+        service.add(parse_bracket("a(b,c)"))
+        service._call = call
+        ops = {message[0] for message in messages}
+        assert {"range", "knn_begin", "knn_refine_upto", "knn_end", "add"} <= ops
+        for message in messages:
+            assert all(
+                isinstance(operand, (str, int, float, bool)) for operand in message
+            ), message
+            assert pickle.loads(pickle.dumps(message)) == message
 
 
 class TestMutation:
@@ -126,8 +161,8 @@ class TestMutation:
     def test_adds_spread_over_shards(self, service, trees):
         for offset in range(4):
             service.add(parse_bracket(f"n{offset}"))
-        info = service.shard_info()
-        assert sum(entry["trees"] for entry in info) == len(trees) + 4
+        shards = service.health()["shards"]
+        assert sum(entry["trees"] for entry in shards) == len(trees) + 4
 
 
 class TestLifecycle:
@@ -141,6 +176,8 @@ class TestLifecycle:
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.range(parse_bracket("a"), 1.0)
+        with pytest.raises(RuntimeError, match="closed"):
+            service.batch_range([parse_bracket("a"), parse_bracket("b")], 1.0)
 
     def test_failed_knn_leaves_no_open_cursor(self):
         """A k-NN whose refine request fails still ends its cursor on
@@ -162,21 +199,21 @@ class TestLifecycle:
             health = service.health()
             assert [s["open_cursors"] for s in health["shards"]] == [0, 0]
 
-    def test_shard_info_counts_workers(self, service, trees):
-        info = service.shard_info()
-        assert [entry["shard"] for entry in info] == [0, 1]
-        assert sum(entry["trees"] for entry in info) == len(trees)
-        assert all(entry["filter"] == "BiBranch+Label" for entry in info)
+    def test_health_counts_workers(self, service, trees):
+        shards = service.health()["shards"]
+        assert [entry["shard"] for entry in shards] == [0, 1]
+        assert sum(entry["trees"] for entry in shards) == len(trees)
+        assert all(entry["filter"] == "BiBranch+Label" for entry in shards)
 
-    def test_shard_info_counts_gated_refines(self):
+    def test_health_counts_gated_refines(self):
         """A refine the traversal-string gate settles still counts as one
         distance computation; ``gated_distances`` counts it again."""
         trees = generate_dblp_dataset(80)
         with ShardedTreeService(trees, shards=2, max_workers=2) as service:
             candidates = sum(service.knn(tree, 3)[1].candidates for tree in trees[:4])
-            info = service.shard_info()
-        computed = sum(entry["distance_computations"] for entry in info)
-        gated = sum(entry["gated_distances"] for entry in info)
+            shards = service.health()["shards"]
+        computed = sum(entry["distance_computations"] for entry in shards)
+        gated = sum(entry["gated_distances"] for entry in shards)
         assert computed == candidates
         assert 0 < gated < computed
 
@@ -188,23 +225,3 @@ class TestMetrics:
         snapshot = service.metrics.snapshot()
         assert snapshot["queries_by_kind"]["range"] == before + 1
         assert snapshot["queries_served"] >= before + 1
-
-
-class TestEncodeQuery:
-    def test_range_encoding(self):
-        query = parse_bracket("a(b,c)")
-        request = QueryRequest("range", query, threshold=2.0)
-        assert encode_query(request) == ("range", to_bracket(query), 2.0)
-
-    def test_knn_encoding(self):
-        query = parse_bracket("x(y)")
-        request = QueryRequest("knn", query, k=3)
-        assert encode_query(request) == ("knn", to_bracket(query), 3)
-
-    def test_encoding_is_flat_and_picklable(self):
-        # the hot path ships brackets, never TreeNode object graphs
-        encoded = encode_query(
-            QueryRequest("range", parse_bracket("a(b(c))"), threshold=1.0)
-        )
-        assert all(isinstance(part, (str, int, float)) for part in encoded)
-        assert pickle.loads(pickle.dumps(encoded)) == encoded

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.exceptions import InvalidParameterError
 from repro.sharding import ShardedTreeService
 from repro.sharding.coordinator import (
     _LOAD_IMBALANCE_RATIO,
@@ -26,6 +23,7 @@ BRACKETS = [
 _SNAPSHOT_KEYS = {
     "shard",
     "trees",
+    "filter",
     "uptime_seconds",
     "rss_bytes",
     "requests",
@@ -33,6 +31,7 @@ _SNAPSHOT_KEYS = {
     "stage_seconds",
     "open_cursors",
     "distance_computations",
+    "gated_distances",
 }
 
 
@@ -148,30 +147,3 @@ class TestImbalanceWarnings:
         snapshots[0]["stage_seconds"] = {"filter": 0.010, "refine": 0.0}
         snapshots[1]["stage_seconds"] = {"filter": 0.0001, "refine": 0.0}
         assert service._publish_health(snapshots) == []
-
-
-class TestBackgroundPoller:
-    def test_rejects_negative_interval(self, trees):
-        with pytest.raises(InvalidParameterError, match="health_interval"):
-            ShardedTreeService(trees, shards=2, health_interval=-1.0)
-
-    def test_poller_publishes_without_explicit_calls(self, trees):
-        with ShardedTreeService(
-            trees, shards=2, health_interval=0.05
-        ) as service:
-            deadline = time.time() + 5.0
-            while time.time() < deadline:
-                text = service.metrics.registry.prometheus_text()
-                if 'repro_shard_trees{shard="0"}' in text:
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("health poller never published gauges")
-
-    def test_close_stops_poller(self, trees):
-        service = ShardedTreeService(trees, shards=2, health_interval=0.05)
-        poller = service._health_thread
-        assert poller is not None and poller.is_alive()
-        service.close()
-        poller.join(timeout=5)
-        assert not poller.is_alive()
