@@ -30,8 +30,13 @@ cheap key no larger than its bound (BiBranch: the §3 count bound
 order while still emitting the exact ``(bound, row)`` order of step 2.
 Without planes, :func:`bound_stream` falls back to bounding every row and
 sorting — the store-less path and the reference the
-``search:vectorized-equivalence`` oracle compares against.  The shard
-worker's ``knn_begin`` builds its stream with the same helper.
+``search:vectorized-equivalence`` oracle compares against.
+
+A shard worker runs the same search (:func:`knn_search`) over its own
+rows, and the coordinator merges the shards' heaps through one
+:class:`KnnHeap`: the answer is the first ``k`` rows by
+``(distance, bound, row)``, so it is in the union of the shards' own
+first ``k`` (``docs/THEORY.md`` §13).
 """
 
 from __future__ import annotations
@@ -51,7 +56,14 @@ from repro.obs.funnel import FunnelStage, active_sink, record_funnel
 from repro.search.statistics import SearchStats
 from repro.trees.node import TreeNode
 
-__all__ = ["BoundStream", "KnnHeap", "bound_stream", "check_k", "knn_query"]
+__all__ = [
+    "BoundStream",
+    "KnnHeap",
+    "bound_stream",
+    "check_k",
+    "knn_query",
+    "knn_search",
+]
 
 
 def check_k(k: int, dataset_size: int) -> int:
@@ -143,13 +155,18 @@ class BoundStream:
 
 
 class KnnHeap:
-    """The ``k`` best ``(row, distance)`` pairs offered so far (Alg. 2's heap).
+    """The ``k`` smallest ``(distance, bound, row)`` keys offered (Alg. 2's heap).
 
-    Tie rule: a full heap admits only a distance strictly below its k-th,
-    evicting the largest row at the k-th distance, so a tie never
-    displaces an earlier offer.  Offered in ascending row order, it holds
-    the first ``k`` offers stable-sorted by distance.  ``kth`` is the k-th
-    distance once ``k`` rows are in, ``inf`` until then.
+    Tie rule: the heap holds the ``k`` smallest keys offered to it, in
+    whatever order they come, so a full heap admits a key only below its
+    largest and then evicts that largest.  In the k-NN stream's ascending
+    ``(bound, row)`` order a later offer sorts after every held key of the
+    same distance, so a full heap admits only a strictly smaller distance
+    and a tie at the k-th distance evicts the latest offer.  The held set
+    does not depend on the order of the offers, so one heap fed the
+    entries of several heaps holds the ``k`` smallest keys of their union
+    — the sharded k-NN merge (``docs/THEORY.md`` §13).  ``kth`` is the
+    k-th distance once ``k`` keys are in, ``inf`` until then.
     """
 
     __slots__ = ("k", "kth", "_heap")
@@ -157,32 +174,33 @@ class KnnHeap:
     def __init__(self, k: int) -> None:
         self.k = k
         self.kth = math.inf
-        #: (−distance, −row), so the worst current neighbour is on top
-        self._heap: List[Tuple[float, int]] = []
+        #: negated keys, so the largest held key is on top
+        self._heap: List[Tuple[float, float, int]] = []
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def offer(self, distance: float, row: int) -> None:
-        """Admit ``row`` at ``distance`` if it belongs among the ``k`` best."""
+    def offer(self, distance: float, bound: float, row: int) -> None:
+        """Admit ``(distance, bound, row)`` if it is among the ``k`` smallest keys."""
         heap = self._heap
+        key = (-distance, -bound, -row)
         if len(heap) < self.k:
-            heapq.heappush(heap, (-distance, -row))
-        elif distance < self.kth:
-            heapq.heapreplace(heap, (-distance, -row))
+            heapq.heappush(heap, key)
+        elif key > heap[0]:
+            heapq.heapreplace(heap, key)
         else:
             return
         if len(heap) == self.k:
             self.kth = -heap[0][0]
 
-    def distances(self) -> Iterator[float]:
-        """The held distances, in no particular order."""
-        return (-neg_distance for neg_distance, _ in self._heap)
+    def entries(self) -> List[Tuple[float, float, int]]:
+        """The held ``(distance, bound, row)`` keys, ascending."""
+        return sorted((-distance, -bound, -row) for distance, bound, row in self._heap)
 
     def neighbors(self) -> List[Tuple[int, float]]:
         """The held ``(row, distance)`` pairs by ascending distance, then row."""
         return sorted(
-            ((-neg_row, -neg_distance) for neg_distance, neg_row in self._heap),
+            ((-row, -distance) for distance, _bound, row in self._heap),
             key=lambda pair: (pair[1], pair[0]),
         )
 
@@ -214,7 +232,7 @@ def bound_stream(
     return BoundStream(flt.bounds(query))
 
 
-def knn_query(
+def knn_search(
     trees: Sequence[TreeNode],
     query: TreeNode,
     k: int,
@@ -222,12 +240,12 @@ def knn_query(
     counter: Optional[EditDistanceCounter] = None,
     *,
     matrices: Optional[FeatureMatrices] = None,
-) -> Tuple[List[Tuple[int, float]], SearchStats]:
-    """The ``k`` database trees closest to ``query`` in edit distance.
+) -> Tuple[KnnHeap, SearchStats]:
+    """Alg. 2 over ``trees``: the answer :class:`KnnHeap` and the stats.
 
-    Returns ``(neighbors, stats)`` where ``neighbors`` is a list of
-    ``(index, distance)`` sorted by ascending distance (ties broken by
-    index).  Ties at the ``k``-th distance follow :class:`KnnHeap`'s rule.
+    :func:`knn_query` without the final sort.  The shard worker ships the
+    heap's ``(distance, bound, row)`` entries so that the coordinator can
+    merge the shards' heaps exactly.
 
     With ``matrices`` (the planes of the same corpus), rows are bounded
     lazily off the filter's ordering keys (:func:`bound_stream`); the
@@ -257,9 +275,10 @@ def knn_query(
         refined = 0
         gated_before = counter.gated
         with tracing.span("search.refine") as refine_span:
-            for _bound, row in stream:
+            for bound, row in stream:
                 # only a distance below the k-th can enter a full heap
-                heap.offer(counter.distance_below(query, trees[row], heap.kth), row)
+                distance = counter.distance_below(query, trees[row], heap.kth)
+                heap.offer(distance, bound, row)
                 refined += 1
                 # optimal stopping: every unseen distance is at least its
                 # bound, and a full heap admits only a strictly smaller one
@@ -281,4 +300,24 @@ def knn_query(
             f"order:{flt.name}", len(trees), stream.scored, stats.filter_seconds
         )
         record_funnel(stats, "knn", float(k), [stage], sink)
+    return heap, stats
+
+
+def knn_query(
+    trees: Sequence[TreeNode],
+    query: TreeNode,
+    k: int,
+    flt: LowerBoundFilter,
+    counter: Optional[EditDistanceCounter] = None,
+    *,
+    matrices: Optional[FeatureMatrices] = None,
+) -> Tuple[List[Tuple[int, float]], SearchStats]:
+    """The ``k`` database trees closest to ``query`` in edit distance.
+
+    Returns ``(neighbors, stats)`` where ``neighbors`` is a list of
+    ``(index, distance)`` sorted by ascending distance (ties broken by
+    index): the first ``k`` rows by ``(distance, bound, index)``, which is
+    :class:`KnnHeap`'s rule.  Arguments as for :func:`knn_search`.
+    """
+    heap, stats = knn_search(trees, query, k, flt, counter, matrices=matrices)
     return heap.neighbors(), stats

@@ -5,9 +5,9 @@ each hosted by a persistent worker process
 (:mod:`repro.sharding.worker`) whose packed feature columns live in a
 shared-memory plane (:mod:`repro.sharding.plane`), and the
 :class:`~repro.sharding.coordinator.ShardedTreeService` scatters range
-queries shard-parallel and runs distributed optimal multi-step k-NN in
-exact refine rounds over per-shard lower-bound streams — answer-identical to the
-single-process path (see ``docs/SHARDING.md`` for the argument and the
+queries shard-parallel and runs k-NN as one optimal multi-step search
+per shard whose heaps it merges exactly — answer-identical to the
+single-process path (see ``docs/THEORY.md`` §13 for the argument and the
 ``service:shard-equivalence`` oracle for the enforcement).
 """
 

@@ -10,21 +10,19 @@ shard (:mod:`repro.sharding.worker`), and serves:
   global index order.  Correct because every filter's signature is
   per-tree and every bound is pairwise — no corpus-global state — so a
   shard refutes exactly the candidates the single-process filter refutes.
-* **k-NN queries** via a distributed version of the optimal multi-step
-  algorithm (paper Alg. 2) in exact refine rounds: each worker streams
-  its rows in ascending ``(bound, local_index)`` order, bounding them
-  lazily off the matrix plane (:func:`~repro.search.knn.bound_stream`),
-  and reports its next ``k`` unrefined ``(bound, local_index)`` pairs.
-  A round's limit is the k-th smallest of the coordinator's heap
-  distances and those bounds; every row under it, and a counted quota of
-  the rows exactly at it, is one single-process Alg. 2 refines too, so
-  the coordinator asks each shard with such rows, in parallel, to refine
-  them, then replays the replies in ``(bound, global_index)`` order —
-  exactly the single-process refinement order — through the same
-  :class:`~repro.search.knn.KnnHeap`, and stops when the heap is full and
-  every shard's next bound reaches the k-th distance.  Same refinement
-  set, same answers, same tie-handling; the ``shard:knn-optimality``
-  oracle enforces it.
+* **k-NN queries** as one local optimal multi-step search (paper Alg. 2)
+  per shard: every worker runs the single-process
+  :func:`~repro.search.knn.knn_search` over its own rows and replies with
+  its heap's ``(distance, bound, local_index)`` entries, and the
+  coordinator offers them, mapped to global indices, to one
+  :class:`~repro.search.knn.KnnHeap`.  The heap keeps the ``k`` smallest
+  ``(distance, bound, index)`` keys in any offer order, the single-process
+  answer is the first ``k`` rows by that key, and a shard's local order
+  preserves the global order, so every answer row is in its own shard's
+  first ``k`` and the merge is exact, tie members included
+  (``docs/THEORY.md`` §13).  Each shard refines exactly what the
+  single-process search refines over that shard's rows; the
+  ``shard:knn-optimality`` oracle enforces both.
 
 It needs at least two shards; one process is the single-process
 :class:`~repro.service.engine.TreeSearchService`.  Both serve through the
@@ -44,8 +42,6 @@ workers and unlinks every shared-memory segment.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import multiprocessing
 import threading
@@ -117,11 +113,6 @@ _HEALTH_GAUGES = (
         "repro_shard_requests_total",
         "requests_total",
         "Requests the shard worker has served.",
-    ),
-    (
-        "repro_shard_open_cursors",
-        "open_cursors",
-        "k-NN frontier cursors currently open on the shard.",
     ),
     (
         "repro_shard_distance_computations",
@@ -275,10 +266,6 @@ class ShardedTreeService(QueryService):
             "health() snapshots that flagged a shard imbalance.",
             ("dimension",),
         )
-        #: funnel stage name of the distributed k-NN ordering pass; matches
-        #: the single-process ``order:<filter>`` stage for oracle parity
-        self._order_stage = f"order:{probe.name}"
-
         assignment = ShardAssignment(shards)
         for index, tree in enumerate(trees):
             assignment.append(partitioner.assign(index, tree))
@@ -329,7 +316,6 @@ class ShardedTreeService(QueryService):
         )
         self._rwlock = _ReadWriteLock()
         self._mutations = 0
-        self._qids = itertools.count()
         # not the batch pool: batch tasks submit scatter work, and a shared
         # pool would deadlock once every thread held a batch task waiting
         # for a scatter slot
@@ -400,26 +386,15 @@ class ShardedTreeService(QueryService):
             raise ShardError(f"shard {shard} {reply[1]}: {reply[2]}")
         return reply[1]
 
-    def _scatter(
-        self, message: tuple, kind: str, shards: Optional[List[int]] = None
-    ) -> List[dict]:
-        """Send one message to every shard (or to ``shards``) concurrently;
-        gather in order.
+    def _scatter(self, message: tuple, kind: str) -> List[dict]:
+        """Send one message to every shard concurrently; gather in order.
 
         Waits for every exchange before raising the first failure, so no
-        request is still queued for a shard when the caller cleans up.
+        request is still queued for a shard when the caller returns.
         """
-        targets = range(self.shards) if shards is None else shards
-        return self._exchange([(shard, message) for shard in targets], kind)
-
-    def _exchange(
-        self, requests: List[Tuple[int, tuple]], kind: str
-    ) -> List[dict]:
-        """Send each ``(shard, message)`` concurrently; gather in order,
-        waiting for every exchange before raising the first failure."""
         futures = [
             self._scatter_pool.submit(self._call, shard, message, kind)
-            for shard, message in requests
+            for shard in range(self.shards)
         ]
         wait(futures)
         return [future.result() for future in futures]
@@ -429,163 +404,74 @@ class ShardedTreeService(QueryService):
     # ------------------------------------------------------------------
     def execute(self, request: QueryRequest) -> QueryAnswer:
         """Serve one :class:`QueryRequest`: a shard-parallel range query or
-        a distributed optimal multi-step k-NN query."""
+        one local k-NN search per shard, merged exactly."""
         if self._closed:
             raise RuntimeError("service is closed")
-        if request.kind == "range":
-            return self._range(request.query, request.threshold)
-        return self._knn(request.query, request.k)
-
-    def _range(self, query: TreeNode, threshold: float) -> QueryAnswer:
-        if not math.isfinite(threshold):
-            raise QueryError(f"range threshold must be finite, got {threshold}")
-        if threshold < 0:
-            raise QueryError(f"range threshold must be >= 0, got {threshold}")
-        bracket = to_bracket(query)
         sink = active_sink()
         want_funnel = sink is not None or tracing.enabled()
         start = time.perf_counter()
-        self._rwlock.acquire_read()
-        try:
-            replies = self._scatter(
-                ("range", bracket, threshold, want_funnel), "range"
+        if request.kind == "range":
+            threshold = request.threshold
+            if not math.isfinite(threshold):
+                raise QueryError(
+                    f"range threshold must be finite, got {threshold}"
+                )
+            if threshold < 0:
+                raise QueryError(f"range threshold must be >= 0, got {threshold}")
+            replies = self._gather(
+                ("range", to_bracket(request.query), threshold, want_funnel)
             )
-        finally:
-            self._rwlock.release_read()
-
-        matches: List[Tuple[int, float]] = []
-        for shard, reply in enumerate(replies):
-            members = self._assignment.by_shard[shard]
-            for local, distance in reply["matches"]:
-                matches.append((members[local], distance))
-        matches.sort(key=lambda pair: pair[0])
+            answer = self._merge_range(replies)
+            parameter = threshold
+        else:
+            k = check_k(request.k, len(self))
+            replies = self._gather(
+                ("knn", to_bracket(request.query), k, want_funnel)
+            )
+            answer = self._merge_knn(replies, k)
+            parameter = float(k)
 
         stats = SearchStats(
             dataset_size=len(self),
             candidates=sum(reply["candidates"] for reply in replies),
-            results=len(matches),
+            results=len(answer),
             filter_seconds=sum(reply["filter_seconds"] for reply in replies),
             refine_seconds=sum(reply["refine_seconds"] for reply in replies),
         )
         if want_funnel:
-            record_funnel(stats, "range", threshold, _merge_stages(replies), sink)
+            stages = _merge_stages(replies)
+            record_funnel(stats, request.kind, parameter, stages, sink)
         self.metrics.observe_query(
-            "range", stats, time.perf_counter() - start, cache_hit=False
+            request.kind, stats, time.perf_counter() - start, cache_hit=False
         )
-        return matches, stats
+        return answer, stats
 
-    def _knn(self, query: TreeNode, k: int) -> QueryAnswer:
-        total = len(self)
-        k = check_k(k, total)
-        bracket = to_bracket(query)
-        sink = active_sink()
-        qid = next(self._qids)
-        start = time.perf_counter()
-        scored: Optional[int] = None
+    def _gather(self, message: tuple) -> List[dict]:
+        """Scatter one query under the reader lock, so no add interleaves."""
         self._rwlock.acquire_read()
         try:
-            begins = self._scatter(("knn_begin", qid, bracket, k), "knn")
-            filter_seconds = sum(reply["filter_seconds"] for reply in begins)
-            # per shard: its next k unrefined (bound, local) pairs, ascending
-            frontiers: List[List[Tuple[float, int]]] = [
-                reply["frontier"] for reply in begins
-            ]
-            by_shard = self._assignment.by_shard
-
-            heap = KnnHeap(k)
-            refined = 0
-            refine_start = time.perf_counter()
-            while any(frontiers):
-                head = min(frontier[0][0] for frontier in frontiers if frontier)
-                if head >= heap.kth:
-                    break  # optimal stopping, globally: no shard can improve
-                # every unrefined row's distance is at least its bound, so
-                # the final k-th distance is at least this limit: Alg. 2
-                # refines every row bounded under it
-                limit = heapq.nsmallest(
-                    k,
-                    itertools.chain(
-                        heap.distances(),
-                        (bound for frontier in frontiers for bound, _ in frontier),
-                    ),
-                )[-1]
-                # a row bounded exactly at the limit is refined iff fewer
-                # than k earlier rows have a distance at or under it; each
-                # earlier row adds at most one, so the first `quota` tied
-                # rows in global order are all refined single-process
-                below = sum(
-                    1 for frontier in frontiers for bound, _ in frontier
-                    if bound < limit
-                )
-                quota = k - below - sum(
-                    1 for distance in heap.distances() if distance <= limit
-                )
-                tied = sorted(
-                    (by_shard[shard][local], shard)
-                    for shard, frontier in enumerate(frontiers)
-                    for bound, local in frontier
-                    if bound == limit
-                )
-                ties = [0] * self.shards
-                for _, shard in tied[:max(quota, 0)]:
-                    ties[shard] += 1
-                # the k-th distance only shrinks, so the one at the start of
-                # the round is at least every sequential per-row limit: a
-                # worker refines exactly below it (distance_below), and the
-                # replay admits only a distance below the live k-th
-                requests = [
-                    (shard, ("knn_refine_upto", qid, limit, heap.kth, ties[shard]))
-                    for shard, frontier in enumerate(frontiers)
-                    if ties[shard] or (frontier and frontier[0][0] < limit)
-                ]
-                replies = self._exchange(requests, "knn")
-                rows: List[Tuple[float, int, float]] = []
-                for (shard, _), reply in zip(requests, replies):
-                    frontiers[shard] = reply["frontier"]
-                    members = by_shard[shard]
-                    rows.extend(
-                        (bound, members[local], distance)
-                        for bound, local, distance in reply["refined"]
-                    )
-                # replay in (bound, global index) order: the single-process
-                # refinement order, through the same heap
-                rows.sort()
-                refined += len(rows)
-                for _bound, global_index, distance in rows:
-                    heap.offer(distance, global_index)
-            refine_seconds = time.perf_counter() - refine_start
-
-            # survivors of the ordering stage: the rows the shards bounded
-            scored = sum(
-                reply["scored"]
-                for reply in self._scatter(("knn_end", qid), "knn")
-            )
+            return self._scatter(message, message[0])
         finally:
             self._rwlock.release_read()
-            if scored is None:
-                # a failed k-NN must not leave its cursor and stream on any
-                # live shard (a dead worker took its cursors along)
-                live = [
-                    client.shard
-                    for client in self._clients
-                    if client.process.is_alive()
-                ]
-                self._scatter(("knn_end", qid), "knn", live)
 
-        stats = SearchStats(
-            dataset_size=total,
-            candidates=refined,
-            results=len(heap),
-            filter_seconds=filter_seconds,
-            refine_seconds=refine_seconds,
-        )
-        if sink is not None or tracing.enabled():
-            stage = FunnelStage(self._order_stage, total, scored, filter_seconds)
-            record_funnel(stats, "knn", float(k), [stage], sink)
-        self.metrics.observe_query(
-            "knn", stats, time.perf_counter() - start, cache_hit=False
-        )
-        return heap.neighbors(), stats
+    def _merge_range(self, replies: List[dict]) -> List[Tuple[int, float]]:
+        """Every shard's matches at their global indices, in index order."""
+        matches: List[Tuple[int, float]] = []
+        for members, reply in zip(self._assignment.by_shard, replies):
+            matches.extend(
+                (members[local], distance) for local, distance in reply["matches"]
+            )
+        matches.sort(key=lambda pair: pair[0])
+        return matches
+
+    def _merge_knn(self, replies: List[dict], k: int) -> List[Tuple[int, float]]:
+        """The first ``k`` of every shard's entries by
+        ``(distance, bound, global index)`` — the single-process answer."""
+        heap = KnnHeap(k)
+        for members, reply in zip(self._assignment.by_shard, replies):
+            for distance, bound, local in reply["neighbors"]:
+                heap.offer(distance, bound, members[local])
+        return heap.neighbors()
 
     # ------------------------------------------------------------------
     # Mutation
@@ -622,9 +508,9 @@ class ShardedTreeService(QueryService):
 
         Returns ``{"shards": [...], "warnings": [...]}`` where each shard
         entry is the worker's health reply (tree count, filter name,
-        uptime, peak RSS, request counts, per-stage busy seconds, open k-NN
-        cursors, distance computations and how many of them the
-        traversal-string gate settled).  Every scalar also lands in the metrics
+        uptime, peak RSS, request counts, per-stage busy seconds, distance
+        computations and how many of them the traversal-string gate
+        settled).  Every scalar also lands in the metrics
         registry as a ``repro_shard_*`` gauge labelled by shard, and the
         per-stage seconds as ``repro_shard_stage_seconds{shard,stage}``,
         so ``repro metrics dump`` and the Prometheus exposition see the

@@ -11,9 +11,9 @@ The :class:`ShardAssignment` records the layout both ways — global index →
 ever extends the maps, mirroring the append-only semantics of
 :meth:`repro.search.database.TreeDatabase.add`, and within each shard the
 local order preserves the ascending global order.  That monotonicity is
-what lets the coordinator replay per-shard k-NN refines (sorted by
-``(bound, local)``) in the exact global ``(bound, index)`` refinement
-order of the single-process Algorithm 2.
+what makes the coordinator's k-NN merge exact: a shard's first ``k`` rows
+by ``(distance, bound, local)`` are its first ``k`` by
+``(distance, bound, global index)`` (``docs/THEORY.md`` §13).
 """
 
 from __future__ import annotations

@@ -17,47 +17,41 @@ tuples ``(op, *operands)``; replies are ``("ok", result)`` or
 =====================  =================================================
 ``ping``               liveness / shard summary
 ``range``              one complete range query over the shard
-``knn_begin``          open this shard's lazy ``(bound, local_index)``
-                       stream (:func:`~repro.search.knn.bound_stream`)
-                       and send its first ``k`` ``(bound, local)`` pairs
-``knn_refine_upto``    refine every unrefined stream row whose bound is
-                       below the round limit, then the next ``ties`` rows
-                       bounded exactly at it, exact below the caller's
-                       budget; reply with ``(bound, local, distance)``
-                       triples and the next ``k`` ``(bound, local)`` pairs
-``knn_end``            drop a k-NN cursor; reply with the rows it bounded
+``knn``                one complete k-NN query over the shard
+                       (:func:`~repro.search.knn.knn_search`); replies
+                       with its heap's ``(distance, bound, local)``
+                       entries
 ``add``                insert one tree (bracket form) into the shard
 ``health``             diagnostics: tree count, filter, per-op request
-                       counts, cumulative per-stage seconds, open cursors,
-                       distance computations (gated ones too), RSS, uptime
+                       counts, cumulative per-stage seconds, distance
+                       computations (gated ones too), RSS, uptime
 ``shutdown``           acknowledge and exit the loop
 =====================  =================================================
 
-k-NN is split into begin/refine rounds because Algorithm 2's optimal
-stopping is a *global* decision: the coordinator derives each round's
-limit and per-shard tie quota from its heap and every shard's next ``k``
-pairs, so a round refines only rows the single-process run refines too,
-and the distributed query refines exactly the single-process candidates
-(see ``docs/SHARDING.md``).
+Every query op is stateless: the worker keeps nothing between requests
+but its corpus, so a request can be repeated and a failed one leaves
+nothing behind.  A k-NN shard runs the single-process Algorithm 2 over
+its own rows, and the coordinator merges the shards' entries exactly
+(see ``docs/THEORY.md`` §13).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from contextlib import nullcontext
 from multiprocessing.connection import Connection
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.editdist.costs import UNIT_COSTS
 from repro.editdist.zhang_shasha import EditDistanceCounter, PreparedTreeCache
 from repro.exceptions import InvalidParameterError, ShardError
 from repro.filters.base import LowerBoundFilter
 from repro.filters.registry import FILTERS
-from repro.obs.funnel import collect_funnels
+from repro.obs.funnel import FunnelSink, collect_funnels
 from repro.search.database import TreeDatabase
-from repro.search.knn import BoundStream, bound_stream
+from repro.search.knn import knn_search
 from repro.search.range_query import range_query
+from repro.search.statistics import SearchStats
 from repro.service.engine import PREPARED_CACHE_SIZE
 from repro.sharding.plane import PlaneHandle, SharedFeaturePlane
 from repro.trees.parse import parse_bracket
@@ -65,54 +59,7 @@ from repro.trees.parse import parse_bracket
 __all__ = ["run_worker"]
 
 #: Ops the request loop will dispatch; anything else is a protocol error.
-_OPS = frozenset(
-    {"ping", "range", "knn_begin", "knn_refine_upto", "knn_end",
-     "add", "health"}
-)
-
-
-class _KnnCursor:
-    """One open k-NN query: the shard's stream, bounded ``k`` rows ahead.
-
-    The stream is the shard's :class:`~repro.search.knn.BoundStream`,
-    materialized only as deep as the coordinator's rounds ask.  Its keys
-    and rows are fixed at ``knn_begin``, so a later ``add`` to the shard
-    cannot move an open stream.
-    """
-
-    def __init__(self, query: Any, stream: BoundStream, k: int) -> None:
-        self.query = query
-        self.stream = stream
-        self.k = k
-        self._rows = iter(stream)
-        #: the unrefined rows already pulled, in stream order
-        self._ahead: Deque[Tuple[float, int]] = deque()
-
-    def _pull(self) -> bool:
-        pair = next(self._rows, None)
-        if pair is None:
-            return False
-        self._ahead.append((float(pair[0]), pair[1]))
-        return True
-
-    def frontier(self) -> List[Tuple[float, int]]:
-        """The next ``k`` unrefined ``(bound, local)`` pairs (fewer at the end)."""
-        while len(self._ahead) < self.k and self._pull():
-            pass
-        return list(self._ahead)
-
-    def take_round(self, limit: float, ties: int) -> Iterator[Tuple[float, int]]:
-        """Consume every unrefined row with bound < ``limit``, then the
-        next ``ties`` rows bounded exactly ``limit``, in stream order."""
-        while self._ahead or self._pull():
-            bound = self._ahead[0][0]
-            if bound == limit:
-                if ties == 0:
-                    return
-                ties -= 1
-            elif bound > limit:
-                return
-            yield self._ahead.popleft()
+_OPS = frozenset({"ping", "range", "knn", "add", "health"})
 
 
 class _ShardState:
@@ -136,8 +83,6 @@ class _ShardState:
         self.counter = EditDistanceCounter(
             UNIT_COSTS, cache=PreparedTreeCache(PREPARED_CACHE_SIZE)
         )
-        #: open k-NN cursors: qid -> ascending (bound, local) frontier
-        self._knn: Dict[int, _KnnCursor] = {}
         #: health telemetry, all cumulative since worker start
         self.started = time.monotonic()
         self.requests: Dict[str, int] = {}
@@ -181,62 +126,45 @@ class _ShardState:
                 self.db.trees, query, threshold, self.db.filter,
                 self.counter, matrices=self.matrices,
             )
-        stages: Optional[List[Tuple[str, int, int, float]]] = None
+        return self._reply(stats, sink, matches=matches)
+
+    def knn(self, bracket: str, k: int, want_funnel: bool) -> Dict[str, Any]:
+        # a shard with fewer than k rows answers with all of them, and an
+        # empty shard with none
+        k = min(k, len(self.db))
+        if k == 0:
+            return self._reply(SearchStats(), None, neighbors=[], stages=[])
+        query = parse_bracket(bracket)
+        with collect_funnels() if want_funnel else nullcontext() as sink:
+            heap, stats = knn_search(
+                self.db.trees, query, k, self.db.filter,
+                self.counter, matrices=self.matrices,
+            )
+        neighbors = [
+            (distance, float(bound), local)
+            for distance, bound, local in heap.entries()
+        ]
+        return self._reply(stats, sink, neighbors=neighbors)
+
+    def _reply(
+        self, stats: SearchStats, sink: Optional[FunnelSink], **answer: Any
+    ) -> Dict[str, Any]:
+        """A query reply: ``answer``, the stats and the funnel's stages."""
+        self.stage_seconds["filter"] += stats.filter_seconds
+        self.stage_seconds["refine"] += stats.refine_seconds
+        reply: Dict[str, Any] = {
+            "candidates": stats.candidates,
+            "filter_seconds": stats.filter_seconds,
+            "refine_seconds": stats.refine_seconds,
+            "stages": None,
+        }
         if sink is not None:
-            stages = [
+            reply["stages"] = [
                 (stage.name, stage.entered, stage.survivors, stage.seconds)
                 for stage in sink.funnels[0].stages
             ]
-        self.stage_seconds["filter"] += stats.filter_seconds
-        self.stage_seconds["refine"] += stats.refine_seconds
-        return {
-            "matches": matches,
-            "candidates": stats.candidates,
-            "results": stats.results,
-            "filter_seconds": stats.filter_seconds,
-            "refine_seconds": stats.refine_seconds,
-            "stages": stages,
-        }
-
-    def knn_begin(self, qid: int, bracket: str, k: int) -> Dict[str, Any]:
-        query = parse_bracket(bracket)
-        start = time.perf_counter()
-        cursor = _KnnCursor(
-            query, bound_stream(self.db.filter, query, self.matrices), k
-        )
-        self._knn[qid] = cursor
-        frontier = cursor.frontier()
-        filter_seconds = time.perf_counter() - start
-        self.stage_seconds["filter"] += filter_seconds
-        return {"filter_seconds": filter_seconds, "frontier": frontier}
-
-    def knn_refine_upto(
-        self, qid: int, limit: float, budget: float, ties: int
-    ) -> Dict[str, Any]:
-        cursor = self._cursor(qid)
-        query, trees = cursor.query, self.db.trees
-        start = time.perf_counter()
-        refined = [
-            (bound, local, self.counter.distance_below(query, trees[local], budget))
-            for bound, local in cursor.take_round(limit, ties)
-        ]
-        middle = time.perf_counter()
-        frontier = cursor.frontier()
-        self.stage_seconds["refine"] += middle - start
-        self.stage_seconds["filter"] += time.perf_counter() - middle
-        return {"refined": refined, "frontier": frontier}
-
-    def knn_end(self, qid: int) -> Dict[str, Any]:
-        cursor = self._knn.pop(qid, None)
-        return {"scored": cursor.stream.scored if cursor is not None else 0}
-
-    def _cursor(self, qid: int) -> _KnnCursor:
-        try:
-            return self._knn[qid]
-        except KeyError:
-            raise ShardError(
-                f"shard {self.shard}: no open k-NN cursor {qid}"
-            ) from None
+        reply.update(answer)
+        return reply
 
     def add(self, bracket: str) -> Dict[str, Any]:
         local = self.db.add(parse_bracket(bracket))
@@ -264,13 +192,11 @@ class _ShardState:
             "requests": dict(self.requests),
             "requests_total": sum(self.requests.values()),
             "stage_seconds": dict(self.stage_seconds),
-            "open_cursors": len(self._knn),
             "distance_computations": self.counter.calls,
             "gated_distances": self.counter.gated,
         }
 
     def close(self) -> None:
-        self._knn.clear()
         self.plane.close()
 
 

@@ -1037,26 +1037,46 @@ def _shard_distances(service) -> int:
     )
 
 
-class ShardKnnOptimalityOracle(Oracle):
-    """Distributed k-NN refines exactly the single-process candidate set.
+def _shard_replay_candidates(service, trees, filter_name, query, k) -> int:
+    """Rows ``knn_query`` refines over each shard's rows alone, summed.
 
-    Algorithm 2's optimality theorem says the multi-step search refines
-    the unique minimal candidate set the lower bounds permit.  The
-    coordinator's refine rounds claim to preserve that: per-shard
-    streams ascend in ``(bound, local)``, a round refines only rows whose
-    bound is at most a limit the final k-th distance cannot undercut, the
-    replay restores the global ``(bound, index)`` order, and the stop test
-    runs before every round.  This oracle replays k-NN queries at
-    several ``k`` against both paths and requires identical neighbours
-    **and** an identical refined-candidate count — a sharded run that
-    refines even one extra tree breaks the guarantee.  The count is taken
-    twice: from the coordinator's ``candidates`` and from the shards' own
-    ``distance_computations`` delta, so a protocol that refines rows
-    speculatively and reports only the ones it replays fails too.
+    A sharded k-NN runs Algorithm 2 on every shard (``docs/THEORY.md``
+    §13), so this is exactly what it refines.  The replay is the loop
+    path (no planes) over the layout in the service's ``ShardAssignment``.
+    """
+    from repro.search.database import TreeDatabase
+
+    total = 0
+    for members in service._assignment.by_shard:
+        if members:
+            replay = TreeDatabase(
+                [trees[row] for row in members], flt=FILTERS[filter_name]()
+            )
+            total += replay.knn(query, min(k, len(members)))[1].candidates
+    return total
+
+
+class ShardKnnOptimalityOracle(Oracle):
+    """Each shard refines exactly its own single-process Algorithm 2 rows.
+
+    A sharded k-NN runs Algorithm 2 on every shard over that shard's rows
+    and merges the shards' heaps (``docs/THEORY.md`` §13).  Algorithm 2's
+    optimality theorem makes each shard's refined set the unique minimal
+    one its bounds permit, so this oracle replays ``knn_query`` on every
+    shard's rows alone (the layout read from the service's
+    ``ShardAssignment``) and requires, at several ``k``, neighbours equal
+    to single-process ones, tie members included, **and** a refined count
+    equal to the replays' sum — a shard that refines even one extra tree
+    breaks it.  The count is taken twice: from the coordinator's
+    ``candidates`` and from the shards' own ``distance_computations``
+    delta, so a shard that refines rows it does not report fails too.
     """
 
     name = "shard:knn-optimality"
-    description = "sharded k-NN refines exactly the single-process candidates"
+    description = (
+        "sharded k-NN equals single-process; each shard refines exactly "
+        "its own Algorithm 2 rows"
+    )
 
     _CONFIGS = (
         (2, "round-robin", "bibranch"),
@@ -1067,7 +1087,6 @@ class ShardKnnOptimalityOracle(Oracle):
 
     def run(self, corpus: VerifyCorpus, distance: DistanceFn) -> OracleOutcome:
         from repro.search.database import TreeDatabase
-        from repro.search.knn import knn_query
         from repro.sharding.coordinator import ShardedTreeService
 
         outcome = OracleOutcome(self.name)
@@ -1093,24 +1112,22 @@ class ShardKnnOptimalityOracle(Oracle):
                         before = _shard_distances(service)
                         served, stats = service.knn(query, k)
                         computed = _shard_distances(service) - before
-                        expected, ref_stats = knn_query(
-                            reference.trees, query, k,
-                            reference.filter, reference.counter,
+                        expected = reference.knn(query, k)[0]
+                        replayed = _shard_replay_candidates(
+                            service, trees, filter_name, query, k
                         )
                         problem = None
                         if served != expected:
-                            problem = "neighbours differ"
-                        elif stats.candidates != ref_stats.candidates:
+                            problem = "neighbours differ from single-process"
+                        elif stats.candidates != replayed:
                             problem = (
-                                f"refined {stats.candidates} candidates, "
-                                f"single-process refined "
-                                f"{ref_stats.candidates}"
+                                f"refined {stats.candidates} candidates, the "
+                                f"per-shard replays refined {replayed}"
                             )
-                        elif computed != ref_stats.candidates:
+                        elif computed != replayed:
                             problem = (
-                                f"shards computed {computed} distances, "
-                                f"single-process refined "
-                                f"{ref_stats.candidates}"
+                                f"shards computed {computed} distances, the "
+                                f"per-shard replays refined {replayed}"
                             )
                         if problem is not None:
                             outcome.record(
@@ -1131,9 +1148,7 @@ class ShardKnnOptimalityOracle(Oracle):
                                         "expected": expected,
                                         "served_candidates": stats.candidates,
                                         "shard_distances": computed,
-                                        "expected_candidates": (
-                                            ref_stats.candidates
-                                        ),
+                                        "expected_candidates": replayed,
                                     },
                                 )
                             )
@@ -1166,7 +1181,9 @@ class VectorizedEquivalenceOracle(Oracle):
       kernel against the loop.
     * **sharded**: a :class:`~repro.sharding.coordinator.ShardedTreeService`
       (planes scattered zero-copy from shared memory) against a fresh
-      loop-path reference database at every schedule step.
+      loop-path reference database at every schedule step; a k-NN's
+      refined count against loop-path replays over each shard's rows,
+      since every shard runs its own Algorithm 2.
     """
 
     name = "search:vectorized-equivalence"
@@ -1289,20 +1306,25 @@ class VectorizedEquivalenceOracle(Oracle):
                             reference.trees, query, parameter,
                             reference.filter, reference.counter,
                         )
+                        expected_candidates = ref_stats.candidates
                     else:
                         k = min(int(parameter), len(shadow))
                         served, stats = service.knn(query, k)
-                        expected, ref_stats = knn_query(
+                        expected = knn_query(
                             reference.trees, query, k,
                             reference.filter, reference.counter,
+                        )[0]
+                        # each shard runs its own Alg. 2 (THEORY.md §13)
+                        expected_candidates = _shard_replay_candidates(
+                            service, shadow, filter_name, query, k
                         )
                     problem = None
                     if served != expected:
                         problem = "answers differ"
-                    elif stats.candidates != ref_stats.candidates:
+                    elif stats.candidates != expected_candidates:
                         problem = (
                             f"vectorized shards refined {stats.candidates} "
-                            f"candidates, loop refined {ref_stats.candidates}"
+                            f"candidates, loop refined {expected_candidates}"
                         )
                     if problem is not None:
                         record(
@@ -1320,7 +1342,7 @@ class VectorizedEquivalenceOracle(Oracle):
                                 "served": served,
                                 "expected": expected,
                                 "served_candidates": stats.candidates,
-                                "expected_candidates": ref_stats.candidates,
+                                "expected_candidates": expected_candidates,
                             },
                         )
             finally:

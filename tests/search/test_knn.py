@@ -198,21 +198,36 @@ class TestMatrixPlanes:
                 knn_query(PLANE_CORPUS, parse_bracket("a"), k, flt, matrices=matrices)
 
 
+@st.composite
+def _offers(draw):
+    """Distinct ``(distance, bound, row)`` keys, bounds at most distances."""
+    bounds = draw(st.lists(st.integers(0, 5), min_size=1, max_size=30))
+    extras = draw(st.lists(st.integers(0, 3), min_size=30, max_size=30))
+    return [
+        (float(bound + extra), float(bound), row)
+        for row, (bound, extra) in enumerate(zip(bounds, extras))
+    ]
+
+
 class TestKnnHeap:
     @given(
         distances=st.lists(st.integers(0, 6), min_size=1, max_size=30),
         gaps=st.lists(st.integers(1, 3), min_size=30, max_size=30),
+        bound_gaps=st.lists(st.integers(0, 2), min_size=30, max_size=30),
         k=st.integers(1, 8),
     )
     @settings(max_examples=200, deadline=None)
-    def test_holds_the_stable_sorted_first_k(self, distances, gaps, k):
-        """Offered in ascending row order, the heap keeps the first ``k``
-        offers stable-sorted by distance (a tie never displaces an earlier
-        row), and ``kth`` stays ``inf`` until ``k`` rows are in."""
+    def test_holds_the_stable_sorted_first_k(self, distances, gaps, bound_gaps, k):
+        """Offered in ascending ``(bound, row)`` order, the heap keeps the
+        first ``k`` offers stable-sorted by distance (a tie never displaces
+        an earlier row), and ``kth`` stays ``inf`` until ``k`` rows are in."""
         rows = list(itertools.accumulate(gaps[: len(distances)]))
+        bounds = list(itertools.accumulate(bound_gaps[: len(distances)]))
         heap = KnnHeap(k)
-        for count, (distance, row) in enumerate(zip(distances, rows), start=1):
-            heap.offer(float(distance), row)
+        for count, (distance, bound, row) in enumerate(
+            zip(distances, bounds, rows), start=1
+        ):
+            heap.offer(float(distance), float(bound), row)
             assert len(heap) == min(count, k)
             offered = sorted(
                 zip(distances[:count], rows[:count]), key=lambda pair: pair[0]
@@ -226,7 +241,44 @@ class TestKnnHeap:
                 key=lambda pair: (pair[1], pair[0]),
             )
             assert heap.neighbors() == expected
-            assert sorted(heap.distances()) == [pair[1] for pair in expected]
+            assert [entry[0] for entry in heap.entries()] == [
+                pair[1] for pair in expected
+            ]
+
+    @given(offers=_offers(), k=st.integers(1, 8), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_holds_the_k_smallest_keys_in_any_order(self, offers, k, data):
+        """Offered in any order, the heap holds the first ``k`` offers by
+        ``(distance, bound, row)``; ``kth`` is ``inf`` until it is full."""
+        shuffled = data.draw(st.permutations(offers))
+        heap = KnnHeap(k)
+        for count, key in enumerate(shuffled, start=1):
+            heap.offer(*key)
+            first = sorted(shuffled[:count])[:k]
+            assert heap.entries() == first
+            assert heap.kth == (first[-1][0] if count >= k else math.inf)
+
+    @given(offers=_offers(), k=st.integers(1, 8), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_merging_the_parts_top_k_is_the_whole_top_k(self, offers, k, data):
+        """Split a ``(bound, row)``-ordered offer stream into two
+        order-preserving parts: one heap fed both parts' top ``k`` holds
+        the whole stream's top ``k`` — the sharded k-NN merge."""
+        stream = sorted(offers, key=lambda key: (key[1], key[2]))
+        sides = data.draw(
+            st.lists(st.booleans(), min_size=len(stream), max_size=len(stream))
+        )
+        whole = KnnHeap(k)
+        parts = [KnnHeap(k), KnnHeap(k)]
+        for key, side in zip(stream, sides):
+            whole.offer(*key)
+            parts[side].offer(*key)
+        merged = KnnHeap(k)
+        for part in parts:
+            for key in part.entries():
+                merged.offer(*key)
+        assert merged.neighbors() == whole.neighbors()
+        assert merged.entries() == whole.entries() == sorted(stream)[:k]
 
 
 @st.composite

@@ -140,7 +140,7 @@ class TestQueries:
         service.add(parse_bracket("a(b,c)"))
         service._call = call
         ops = {message[0] for message in messages}
-        assert {"range", "knn_begin", "knn_refine_upto", "knn_end", "add"} <= ops
+        assert {"range", "knn", "add"} <= ops
         for message in messages:
             assert all(
                 isinstance(operand, (str, int, float, bool)) for operand in message
@@ -179,25 +179,25 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             service.batch_range([parse_bracket("a"), parse_bracket("b")], 1.0)
 
-    def test_failed_knn_leaves_no_open_cursor(self):
-        """A k-NN whose refine request fails still ends its cursor on
-        every shard that began it."""
+    def test_failed_knn_leaves_the_service_serving(self):
+        """A k-NN that fails on one shard raises ``ShardError``; the
+        workers hold no per-query state, so the next k-NN answers right."""
         trees = generate_dblp_dataset(60)
+        reference = TreeDatabase(list(trees))
         with ShardedTreeService(trees, shards=2, max_workers=2) as service:
             call = service._call
 
             def failing(shard, message, kind):
-                # any refine-side request of shard 1; begin and end pass
-                if shard == 1 and message[0] not in ("knn_begin", "knn_end"):
-                    raise ShardError("injected refine failure")
+                if shard == 1 and message[0] == "knn":
+                    raise ShardError("injected k-NN failure")
                 return call(shard, message, kind)
 
             service._call = failing
             with pytest.raises(ShardError, match="injected"):
                 service.knn(trees[0], 5)
             service._call = call
-            health = service.health()
-            assert [s["open_cursors"] for s in health["shards"]] == [0, 0]
+            for query in trees[:3]:
+                assert service.knn(query, 5)[0] == reference.knn(query, 5)[0]
 
     def test_health_counts_workers(self, service, trees):
         shards = service.health()["shards"]

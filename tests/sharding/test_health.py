@@ -29,7 +29,6 @@ _SNAPSHOT_KEYS = {
     "requests",
     "requests_total",
     "stage_seconds",
-    "open_cursors",
     "distance_computations",
     "gated_distances",
 }
