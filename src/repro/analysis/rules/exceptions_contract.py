@@ -3,7 +3,7 @@
 The repository's error taxonomy (``repro/exceptions.py``) is part of the
 public API: callers are told to catch ``SignatureMismatchError`` when
 feature planes disagree, ``FilterStateError`` when a filter is driven out
-of protocol, ``SharedPlaneClosedError`` when a shard races a shutdown.
+of protocol, ``ShardError`` when a shard worker fails.
 That contract only holds if every class in the taxonomy is *real*:
 
 * **documented** — a docstring saying when it is raised (the docs build
@@ -106,7 +106,7 @@ class ExceptionContractRule(ProjectRule):
     rationale = (
         "The ReproError taxonomy is API: callers catch "
         "SignatureMismatchError, FilterStateError or "
-        "SharedPlaneClosedError by name and trust what the docs say "
+        "ShardError by name and trust what the docs say "
         "about when each fires. An undocumented or unexported subclass "
         "is a contract nobody can read; one that is never raised is "
         "dead surface callers guard against in vain; and `except "

@@ -19,11 +19,15 @@ a pinned synthetic corpus:
 
 Counts and fractions in the emitted suites are deterministic given
 ``(corpus, seed)``; times are machine-dependent and gated with the
-comparator's noise threshold (:mod:`repro.perf.ledger`).
+comparator's noise threshold (:mod:`repro.perf.ledger`).  Every timed
+region starts right after a full garbage collection, so where a cyclic
+collection lands depends on the region's own allocations, not on how
+many objects happened to be imported or built before it.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from typing import Dict, List, Sequence
@@ -70,6 +74,7 @@ def _serve_throughput(
     )
     workload = generate_workload(trees, spec)
     database = TreeDatabase(list(trees))
+    gc.collect()
     with collect_funnels() as sink:
         with TreeSearchService(database, cache_size=0) as service:
             _, report = replay(service, workload, clients=1)
@@ -111,6 +116,7 @@ def _vectorized_filters(
         filter_seconds = 0.0
         refined = 0
         results = 0
+        gc.collect()
         started = time.perf_counter()
         for query in stream:
             matches, stats = range_query(
@@ -155,6 +161,7 @@ def _index_candidates(
     # reports what each probe actually touched
     examined = 0
     refined = 0
+    gc.collect()
     started = time.perf_counter()
     for query in stream:
         _, stats = range_query(trees, query, threshold, flt, counter, index=index)

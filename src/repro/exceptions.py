@@ -11,7 +11,6 @@ __all__ = [
     "InvalidParameterError",
     "SignatureMismatchError",
     "FilterStateError",
-    "SharedPlaneClosedError",
     "ShardError",
 ]
 
@@ -51,16 +50,6 @@ class SignatureMismatchError(ReproError, ValueError):
 
 class FilterStateError(ReproError, RuntimeError):
     """A filter was used outside its fit → add/bounds lifecycle."""
-
-
-class SharedPlaneClosedError(ReproError, RuntimeError):
-    """A buffer-backed vector was used after its shared plane was closed.
-
-    Packed vectors built over a :mod:`multiprocessing.shared_memory`
-    segment borrow the segment's buffer; once the owning plane is closed
-    (and possibly unlinked) the memory is gone, so any further comparison
-    through such a vector raises this instead of reading freed memory.
-    """
 
 
 class ShardError(ReproError, RuntimeError):

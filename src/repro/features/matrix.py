@@ -81,11 +81,8 @@ _COUNT_DTYPE = np.int32
 def _column(values: Any) -> "np.ndarray":
     """A 1-D int64 view (zero-copy where possible) over ``values``.
 
-    Accepts ``array('q')`` columns, ``memoryview`` slices of a shared
-    plane, numpy arrays, and plain sequences.  Buffer-backed inputs are
-    wrapped with :func:`np.frombuffer` — no copy — which is what lets a
-    shard worker build its dense plane straight out of the
-    shared-memory columns it attached.
+    Accepts ``array('q')`` columns, numpy arrays and plain sequences;
+    ``array('q')`` columns are wrapped with :func:`np.frombuffer`, no copy.
     """
     if isinstance(values, np.ndarray):
         return values
@@ -320,7 +317,7 @@ class FeatureMatrices:
             self._branch[level] = plane
 
     def size_column(self, rows: Optional[Sequence[int]] = None) -> "np.ndarray":
-        """Tree sizes as an int64 column (works for packed-only stores)."""
+        """Tree sizes as an int64 column."""
         store = self._store
         with self._lock:
             have = len(self._sizes)
@@ -341,10 +338,6 @@ class FeatureMatrices:
         """The unfolded label/degree histogram plane, synced to the store.
 
         Column ``d`` is id ``d`` of ``store.histogram_vocabulary(family)``.
-        Works on packed-only stores whose adopted rows came with
-        histogram columns (shard workers); a store adopted without them
-        raises :class:`InvalidParameterError` from
-        :meth:`FeatureStore.histogram_columns`.
         """
         if family not in HISTOGRAM_FAMILIES:
             raise InvalidParameterError(

@@ -20,50 +20,24 @@ branches the corpus vocabulary has never seen, and interning them would
 mutate shared state on the (concurrent) read path.  Unknown branches are
 kept by raw key; since data-side vectors never have unknown branches, the
 array part and the dict part never interact and the distances stay exact.
-
-Zero-copy construction
-----------------------
-The columns do not have to be ``array('q')`` objects the vector owns: any
-int64 buffer view with sequence semantics works, in particular a
-``memoryview(...).cast('q')`` slice over a
-:class:`multiprocessing.shared_memory.SharedMemory` segment (what
-:mod:`repro.sharding.plane` builds).  Such borrowed vectors carry an
-``owner`` — the plane whose buffer backs them — and every comparison
-checks ``owner.closed`` first, raising
-:class:`~repro.exceptions.SharedPlaneClosedError` instead of reading
-released memory.  Vectors without an owner (the default) skip the check.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, Mapping, Optional, Protocol, Sequence, Union
+from typing import Dict, Hashable, Mapping, Optional
 
 import numpy as np
 
 from repro.core.vectors import BranchVector
-from repro.exceptions import SharedPlaneClosedError, SignatureMismatchError
+from repro.exceptions import SignatureMismatchError
 from repro.features.vocabulary import Vocabulary
 
-__all__ = ["PackedVector", "VectorOwner", "pack_counts"]
+__all__ = ["PackedVector", "pack_counts"]
 
 BranchKey = Hashable
 
-#: A packed column: an owned ``array('q')`` or a borrowed int64 buffer view
-#: (``memoryview.cast('q')``).  Both support len/iter/index/equality and the
-#: buffer protocol, which is all the distance kernels use.
-IntColumn = Union["array[int]", Sequence[int]]
-
 _EMPTY: Dict[BranchKey, int] = {}
-
-
-class VectorOwner(Protocol):
-    """What a borrowed-buffer vector needs from its owner: a liveness flag."""
-
-    @property
-    def closed(self) -> bool:
-        """True once the backing buffer has been released."""
-        ...
 
 #: Below this many dimensions (on the smaller vector) a cached int-keyed
 #: dict merge beats numpy's per-call overhead; measured crossover is around
@@ -86,43 +60,27 @@ class PackedVector:
         ``|T|`` — the total count across all dimensions.
     q:
         Branch level the vector was extracted at.
-    owner:
-        ``None`` for vectors that own their columns; otherwise the object
-        (a shared-memory plane) whose buffer the columns borrow.  While
-        ``owner.closed`` is true every comparison raises
-        :class:`~repro.exceptions.SharedPlaneClosedError`.
     """
 
-    __slots__ = ("dims", "counts", "extra", "tree_size", "q", "total", "owner",
+    __slots__ = ("dims", "counts", "extra", "tree_size", "q", "total",
                  "_np", "_map")
 
     def __init__(
         self,
-        dims: IntColumn,
-        counts: IntColumn,
+        dims: "array[int]",
+        counts: "array[int]",
         tree_size: int,
         q: int,
         extra: Optional[Mapping[BranchKey, int]] = None,
-        owner: Optional[VectorOwner] = None,
     ) -> None:
         self.dims = dims
         self.counts = counts
         self.extra: Dict[BranchKey, int] = dict(extra) if extra else _EMPTY
         self.tree_size = tree_size
         self.q = q
-        self.owner = owner
         self.total = sum(counts) + sum(self.extra.values())
         self._np = None
         self._map: Optional[Dict[int, int]] = None
-
-    def _guard(self) -> None:
-        """Refuse to touch a buffer whose owning plane has been closed."""
-        owner = self.owner
-        if owner is not None and owner.closed:
-            raise SharedPlaneClosedError(
-                f"packed vector (q={self.q}) used after its shared plane "
-                "was closed"
-            )
 
     @property
     def dimensions(self) -> int:
@@ -186,8 +144,6 @@ class PackedVector:
         )
 
     def _check_comparable(self, other: "PackedVector") -> None:
-        self._guard()
-        other._guard()
         if self.q != other.q:
             raise SignatureMismatchError(
                 f"cannot compare q={self.q} and q={other.q} packed vectors"
@@ -206,7 +162,6 @@ class PackedVector:
 
     def to_branch_vector(self, vocabulary: Vocabulary) -> BranchVector:
         """Unpack into the legacy dict-keyed :class:`BranchVector`."""
-        self._guard()
         counts: Dict[BranchKey, int] = {
             vocabulary.key(dim): count for dim, count in zip(self.dims, self.counts)
         }
@@ -216,27 +171,12 @@ class PackedVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PackedVector):
             return NotImplemented
-        self._guard()
-        other._guard()
         return (
             self.q == other.q
             and self.dims == other.dims
             and self.counts == other.counts
             and self.extra == other.extra
         )
-
-    def detach(self) -> None:
-        """Drop borrowed buffer references (the owning plane calls this).
-
-        Replaces the columns with empty owned arrays and clears the cached
-        numpy/dict views so no export pins the shared-memory mapping open.
-        The vector stays guarded: with ``owner.closed`` true, comparisons
-        keep raising :class:`~repro.exceptions.SharedPlaneClosedError`.
-        """
-        self.dims = array("q")
-        self.counts = array("q")
-        self._np = None
-        self._map = None
 
     def __repr__(self) -> str:
         return (

@@ -76,12 +76,8 @@ class FeatureStore:
         self._histogram_vocabularies: Dict[str, Vocabulary] = {
             family: Vocabulary() for family in HISTOGRAM_FAMILIES
         }
-        #: per family, the ``(dims, counts)`` histogram columns of trees
-        #: adopted packed-only (see :meth:`from_packed`)
-        self._adopted_histograms: Dict[str, Sequence[HistogramColumns]] = {}
-        #: one entry per tree; ``None`` for trees adopted in packed-only
-        #: form from a shared plane (see :meth:`from_packed`)
-        self._features: List[Optional[TreeFeatures]] = []
+        #: one entry per tree
+        self._features: List[TreeFeatures] = []
         self._packed: Dict[int, List[PackedVector]] = {q: [] for q in self.q_levels}
         #: bumped once per mutation *after* the initial fit; consumers (the
         #: service result cache) key freshness decisions off this counter.
@@ -96,62 +92,6 @@ class FeatureStore:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_packed(
-        cls,
-        vocabulary: Vocabulary,
-        packed: Dict[int, Sequence[PackedVector]],
-        q_levels: Sequence[int],
-        histograms: Optional[
-            Dict[str, Tuple[Vocabulary, Sequence[HistogramColumns]]]
-        ] = None,
-    ) -> "FeatureStore":
-        """Adopt externally built packed vectors as a packed-only store.
-
-        This is how a shard worker turns an attached shared-memory plane
-        into a store without re-extracting anything: the vectors (usually
-        buffer-backed, zero-copy) and the interning vocabulary come from
-        the coordinator.  ``histograms`` optionally adds, per family
-        (``"labels"``, ``"degrees"``), the coordinator's intern table and
-        one ``(dims, counts)`` column pair per tree, which is what the
-        histogram matrix planes are built from.  Only the packed
-        accessors (:meth:`packed_vector`, :meth:`packed_vectors`,
-        :meth:`pack_query`, :meth:`tree_size`, and
-        :meth:`histogram_columns` for the shipped families) work for
-        adopted trees; :meth:`features`/:meth:`profile` raise, since the
-        full artifacts were never shipped.  :meth:`add` still works and
-        appends fully extracted trees on top of the adopted prefix.
-        """
-        store = cls(q_levels)
-        store.vocabulary = vocabulary
-        lengths = {len(vectors) for vectors in packed.values()}
-        if len(lengths) > 1:
-            raise InvalidParameterError(
-                f"packed columns disagree on tree count: {sorted(lengths)}"
-            )
-        count = lengths.pop() if lengths else 0
-        for q in store.q_levels:
-            if q not in packed:
-                raise InvalidParameterError(
-                    f"packed vectors missing for q={q} "
-                    f"(given: {sorted(packed)})"
-                )
-            store._packed[q] = list(packed[q])
-        for family, (table, columns) in (histograms or {}).items():
-            if family not in HISTOGRAM_FAMILIES:
-                raise InvalidParameterError(
-                    f"no histogram family {family!r} (have: {HISTOGRAM_FAMILIES})"
-                )
-            if len(columns) != count:
-                raise InvalidParameterError(
-                    f"{len(columns)} {family} histogram columns for "
-                    f"{count} adopted trees"
-                )
-            store._histogram_vocabularies[family] = table
-            store._adopted_histograms[family] = columns
-        store._features = [None] * count
-        return store
-
     def fit(self, trees: Sequence[TreeNode]) -> "FeatureStore":
         """Extract all artifacts for ``trees`` (one traversal each)."""
         with tracing.span(
@@ -204,23 +144,12 @@ class FeatureStore:
     def __len__(self) -> int:
         return len(self._features)
 
-    def __iter__(self) -> Iterator[Optional[TreeFeatures]]:
+    def __iter__(self) -> Iterator[TreeFeatures]:
         return iter(self._features)
 
     def features(self, index: int) -> TreeFeatures:
-        """The full artifact record of one tree.
-
-        Raises for trees adopted packed-only from a shared plane — their
-        profiles/histograms were never transferred, only the packed
-        columns (see :meth:`from_packed`).
-        """
-        features = self._features[index]
-        if features is None:
-            raise InvalidParameterError(
-                f"tree {index} was adopted packed-only (from a shared "
-                "plane); its full feature record is unavailable"
-            )
-        return features
+        """The full artifact record of one tree."""
+        return self._features[index]
 
     def _check_q(self, q: Optional[int]) -> int:
         if q is None:
@@ -233,11 +162,7 @@ class FeatureStore:
 
     def tree_size(self, index: int) -> int:
         """``|T|`` of an indexed tree."""
-        features = self._features[index]
-        if features is None:
-            # adopted packed-only: the packed vector carries the size
-            return self._packed[self.q_levels[0]][index].tree_size
-        return features.size
+        return self._features[index].size
 
     def histogram_vocabulary(self, family: str) -> Vocabulary:
         """The intern table of one histogram family's matrix columns."""
@@ -248,19 +173,9 @@ class FeatureStore:
 
         Dims are ids in :meth:`histogram_vocabulary`; an extracted tree's
         unseen keys are interned here (the table is append-only, so ids
-        already handed out stay valid).  Raises for adopted trees whose
-        histograms were not shipped.
+        already handed out stay valid).
         """
-        features = self._features[index]
-        if features is None:
-            adopted = self._adopted_histograms.get(family)
-            if adopted is None:
-                raise InvalidParameterError(
-                    f"tree {index} was adopted without {family} histogram "
-                    "columns"
-                )
-            return adopted[index]
-        counts: Dict = getattr(features, family)
+        counts: Dict = getattr(self._features[index], family)
         intern = self._histogram_vocabularies[family].intern
         return [intern(key) for key in counts], list(counts.values())
 

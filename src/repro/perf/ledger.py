@@ -25,7 +25,11 @@ and classifies every shared metric by its name and type:
   like counters with a tiny epsilon.
 
 Records measured on different corpora are refused (``ValueError``)
-unless explicitly allowed — cross-corpus timings compare nothing.
+unless explicitly allowed — cross-corpus timings compare nothing.  Records
+measured on different machines (their ``machine`` stanzas differ) are
+compared, but their time and rate rows cannot fail: a drift beyond the
+noise gate is reported as ``unchecked``, since it measures the machines,
+not the change.  Only counts and ratios gate such a pair.
 """
 
 from __future__ import annotations
@@ -154,7 +158,7 @@ class ComparisonEntry:
     kind: str  # time | rate | count | ratio
     baseline: Optional[float]
     current: Optional[float]
-    status: str  # ok | regression | improved | new | missing
+    status: str  # ok | regression | improved | unchecked | new | missing
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -279,8 +283,8 @@ def compare_records(
         and isinstance(current_machine, dict)
         and baseline_machine != current_machine
     ):
-        # cross-machine timings still gate counts/ratios exactly, but the
-        # time/rate verdicts deserve a visible asterisk
+        # cross-machine: counts/ratios still gate exactly, time/rate rows
+        # are shown but cannot fail
         caveat = (
             f"baseline on {_machine_summary(baseline_machine)}, "
             f"current on {_machine_summary(current_machine)}"
@@ -310,6 +314,8 @@ def compare_records(
             continue
         kind = _classify(metric, base_value, current_value)
         status = _verdict(kind, base_value, current_value, noise, count_noise)
+        if caveat and kind in ("time", "rate") and status != "ok":
+            status = "unchecked"
         comparison.entries.append(
             ComparisonEntry(metric, kind, base_value, current_value, status)
         )
@@ -337,7 +343,7 @@ def format_comparison(comparison: LedgerComparison, verbose: bool = False) -> st
     for entry in comparison.entries:
         if entry.status == "regression":
             shown.append(("REGRESSION", entry))
-        elif verbose or entry.status == "improved":
+        elif verbose or entry.status in ("improved", "unchecked"):
             shown.append((entry.status.upper(), entry))
     for tag, entry in shown:
         lines.append(

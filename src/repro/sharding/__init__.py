@@ -2,8 +2,8 @@
 
 The corpus is partitioned into N shards (:mod:`repro.sharding.partition`),
 each hosted by a persistent worker process
-(:mod:`repro.sharding.worker`) whose packed feature columns live in a
-shared-memory plane (:mod:`repro.sharding.plane`), and the
+(:mod:`repro.sharding.worker`) that indexes its own rows the way
+:class:`~repro.search.database.TreeDatabase` does, and the
 :class:`~repro.sharding.coordinator.ShardedTreeService` scatters range
 queries shard-parallel and runs k-NN as one optimal multi-step search
 per shard whose heaps it merges exactly — answer-identical to the
@@ -20,7 +20,6 @@ from repro.sharding.partition import (
     SizeBandedPartitioner,
     make_partitioner,
 )
-from repro.sharding.plane import PlaneHandle, SharedFeaturePlane
 
 __all__ = [
     "ShardedTreeService",
@@ -30,6 +29,4 @@ __all__ = [
     "SizeBandedPartitioner",
     "ShardAssignment",
     "make_partitioner",
-    "PlaneHandle",
-    "SharedFeaturePlane",
 ]

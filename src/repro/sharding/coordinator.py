@@ -1,15 +1,17 @@
 """ShardedTreeService — scatter-gather serving over worker processes.
 
 The coordinator partitions the corpus (:mod:`repro.sharding.partition`),
-publishes each shard's packed feature columns into a shared-memory plane
-(:mod:`repro.sharding.plane`), forks one persistent worker process per
-shard (:mod:`repro.sharding.worker`), and serves:
+forks one persistent worker process per shard
+(:mod:`repro.sharding.worker`) with that shard's trees in bracket form,
+and serves:
 
 * **range queries** shard-parallel: every worker filters and refines its
   partition concurrently; the coordinator concatenates the matches in
   global index order.  Correct because every filter's signature is
   per-tree and every bound is pairwise — no corpus-global state — so a
   shard refutes exactly the candidates the single-process filter refutes.
+  The workers index their own rows in parallel; the coordinator extracts
+  no features and keeps only the partition map.
 * **k-NN queries** as one local optimal multi-step search (paper Alg. 2)
   per shard: every worker runs the single-process
   :func:`~repro.search.knn.knn_search` over its own rows and replies with
@@ -37,7 +39,7 @@ shard under the writer side of a read/write lock, so queries never see a
 torn insert.  Shutdown is triple-redundant: an explicit :meth:`close`, a
 ``weakref.finalize`` on the coordinator, and the interpreter's atexit
 hook all funnel into one idempotent backend teardown that stops the
-workers and unlinks every shared-memory segment.
+workers.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import InvalidParameterError, QueryError, ShardError
-from repro.features.store import HISTOGRAM_FAMILIES, FeatureStore
 from repro.filters.registry import DEFAULT_FILTER, FILTERS
 from repro.obs import tracing
 from repro.obs.funnel import FunnelStage, active_sink, record_funnel
@@ -69,7 +70,6 @@ from repro.sharding.partition import (
     ShardAssignment,
     make_partitioner,
 )
-from repro.sharding.plane import SharedFeaturePlane
 from repro.sharding.worker import run_worker
 from repro.trees.node import TreeNode
 from repro.trees.parse import to_bracket
@@ -129,10 +129,8 @@ _LOAD_IMBALANCE_RATIO = 4.0
 _LOAD_IMBALANCE_FLOOR_SECONDS = 0.05
 
 
-def _shutdown_backends(
-    clients: List[_ShardClient], planes: List[SharedFeaturePlane]
-) -> None:
-    """Stop every worker and unlink every segment (idempotent, self-free).
+def _shutdown_backends(clients: List[_ShardClient]) -> None:
+    """Stop every worker (idempotent, self-free).
 
     Module-level on purpose: it is the target of a ``weakref.finalize``
     on the service, so it must not capture the service itself.  Runs at
@@ -161,8 +159,6 @@ def _shutdown_backends(
         if client.process.is_alive():
             client.process.terminate()
             client.process.join(timeout=1)
-    for plane in planes:
-        plane.close()
 
 
 def _merge_stages(replies: List[dict]) -> List[FunnelStage]:
@@ -204,10 +200,11 @@ class ShardedTreeService(QueryService):
     max_workers, metrics:
         As for :class:`~repro.service.engine.QueryService`.
 
-    Every shard filters over the matrix planes it scatters zero-copy out
-    of its shared-memory columns, falling back per stage to the
-    per-candidate loop where a filter has no kernel.  After :meth:`close`
-    every query raises :class:`RuntimeError`.
+    Every shard indexes its own rows as a
+    :class:`~repro.search.database.TreeDatabase` and filters over that
+    database's matrix planes, falling back per stage to the per-candidate
+    loop where a filter has no kernel.  After :meth:`close` every query
+    raises :class:`RuntimeError`.
     """
 
     def __init__(
@@ -232,7 +229,6 @@ class ShardedTreeService(QueryService):
             )
         self.shards = shards
         self.filter_name = filter_name
-        probe = FILTERS[filter_name]()
         trees = list(trees)
 
         if isinstance(partitioner, str):
@@ -271,29 +267,16 @@ class ShardedTreeService(QueryService):
             assignment.append(partitioner.assign(index, tree))
         self._assignment = assignment
 
-        q_levels = probe.required_q_levels() or (getattr(probe, "q", 2),)
-        store = FeatureStore(q_levels).fit(trees)
-
         context = multiprocessing.get_context("fork")
         clients: List[_ShardClient] = []
-        planes: List[SharedFeaturePlane] = []
         try:
             for shard in range(shards):
                 members = assignment.by_shard[shard]
-                plane = SharedFeaturePlane.publish(store, members)
-                planes.append(plane)
                 parent_conn, child_conn = context.Pipe()
                 payload = {
                     "shard": shard,
                     "brackets": [to_bracket(trees[g]) for g in members],
                     "filter": filter_name,
-                    "plane": plane.handle,
-                    "vocabulary": store.vocabulary,
-                    # complete for this shard's rows: publish interned them
-                    "histogram_vocabularies": {
-                        family: store.histogram_vocabulary(family)
-                        for family in HISTOGRAM_FAMILIES
-                    },
                 }
                 process = context.Process(
                     target=run_worker,
@@ -307,13 +290,10 @@ class ShardedTreeService(QueryService):
             self._clients = clients
             for shard in range(shards):
                 self._call(shard, ("ping",), "control")
-        except BaseException:  # repro-lint: disable=RL008 -- cleanup-and-reraise: started workers and shm segments must not leak when construction fails
-            _shutdown_backends(clients, planes)
+        except BaseException:  # repro-lint: disable=RL008 -- cleanup-and-reraise: started workers must not leak when construction fails
+            _shutdown_backends(clients)
             raise
-        self._planes = planes
-        self._finalizer = weakref.finalize(
-            self, _shutdown_backends, clients, planes
-        )
+        self._finalizer = weakref.finalize(self, _shutdown_backends, clients)
         self._rwlock = _ReadWriteLock()
         self._mutations = 0
         # not the batch pool: batch tasks submit scatter work, and a shared
@@ -327,7 +307,7 @@ class ShardedTreeService(QueryService):
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down both pools, stop workers, unlink segments (idempotent)."""
+        """Shut down both pools and stop the workers (idempotent)."""
         super().close()
         self._scatter_pool.shutdown(wait=True)
         self._finalizer()  # runs _shutdown_backends at most once

@@ -2,11 +2,13 @@
 
 Each worker owns one shard end-to-end — the shard's trees (shipped as
 bracket strings; the recursive ``TreeNode`` objects never cross a pipe),
-a packed-only :class:`~repro.features.store.FeatureStore` attached
-zero-copy over the coordinator's shared-memory plane, a locally fitted
-lower-bound filter, and a persistent
+indexed by a :class:`~repro.search.database.TreeDatabase` exactly as the
+single-process service indexes its corpus (one extraction pass over the
+shard's own rows into its :class:`~repro.features.store.FeatureStore`,
+the filter fitted from that store), and a persistent
 :class:`~repro.editdist.zhang_shasha.EditDistanceCounter` whose
-prepared-tree cache survives across queries.
+prepared-tree cache survives across queries.  Every filter bound is per
+pair, so a shard needs nothing corpus-wide.
 
 The protocol is a strict request/response loop over a
 ``multiprocessing.Pipe`` connection: the coordinator serialises access per
@@ -40,12 +42,11 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from multiprocessing.connection import Connection
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.editdist.costs import UNIT_COSTS
 from repro.editdist.zhang_shasha import EditDistanceCounter, PreparedTreeCache
-from repro.exceptions import InvalidParameterError, ShardError
-from repro.filters.base import LowerBoundFilter
+from repro.exceptions import ShardError
 from repro.filters.registry import FILTERS
 from repro.obs.funnel import FunnelSink, collect_funnels
 from repro.search.database import TreeDatabase
@@ -53,7 +54,6 @@ from repro.search.knn import knn_search
 from repro.search.range_query import range_query
 from repro.search.statistics import SearchStats
 from repro.service.engine import PREPARED_CACHE_SIZE
-from repro.sharding.plane import PlaneHandle, SharedFeaturePlane
 from repro.trees.parse import parse_bracket
 
 __all__ = ["run_worker"]
@@ -68,18 +68,8 @@ class _ShardState:
     def __init__(self, payload: Dict[str, Any]) -> None:
         self.shard: int = payload["shard"]
         trees = [parse_bracket(bracket) for bracket in payload["brackets"]]
-        handle: PlaneHandle = payload["plane"]
-        self.plane = SharedFeaturePlane.attach(handle)
-        store = self.plane.store(
-            payload["vocabulary"], payload["histogram_vocabularies"]
-        )
-        flt = self._fit_filter(payload["filter"], store, trees)
-        self.db = TreeDatabase(trees, flt=flt, feature_store=store)
-        #: corpus-level matrix planes over the attached store: branch and
-        #: label/degree histogram rows are scattered zero-copy out of the
-        #: shared-memory columns (np.frombuffer over the borrowed
-        #: memoryviews — no intermediate python lists)
-        self.matrices = store.matrices()
+        self.db = TreeDatabase(trees, flt=FILTERS[payload["filter"]]())
+        self.matrices = self.db.matrices()
         self.counter = EditDistanceCounter(
             UNIT_COSTS, cache=PreparedTreeCache(PREPARED_CACHE_SIZE)
         )
@@ -87,29 +77,6 @@ class _ShardState:
         self.started = time.monotonic()
         self.requests: Dict[str, int] = {}
         self.stage_seconds: Dict[str, float] = {"filter": 0.0, "refine": 0.0}
-
-    @staticmethod
-    def _fit_filter(
-        name: str, store: Any, trees: List[Any]
-    ) -> LowerBoundFilter:
-        """Fit the shard filter, zero-copy from the plane when possible.
-
-        Filters whose signatures are packed vectors (BiBranchCount) fit
-        straight off the attached store — no tree traversal at all, and
-        the store's vocabulary (the coordinator's) keeps query-side
-        interning identical across shards.  Filters needing artifacts the
-        plane does not carry (positional profiles, histogram signatures)
-        fall back to a local fit over the shard's trees; their signatures
-        are per-tree, so the bounds still match the single-process filter.
-        """
-        factory = FILTERS[name]
-        flt = factory()
-        if flt.supports_store:
-            try:
-                return flt.fit_from_store(store)
-            except InvalidParameterError:
-                flt = factory()  # discard the partially fitted instance
-        return flt.fit(trees)
 
     # ------------------------------------------------------------------
     # Ops
@@ -196,9 +163,6 @@ class _ShardState:
             "gated_distances": self.counter.gated,
         }
 
-    def close(self) -> None:
-        self.plane.close()
-
 
 def run_worker(conn: Connection, payload: Dict[str, Any]) -> None:
     """Process entry point: serve the shard until ``shutdown`` or EOF.
@@ -229,5 +193,4 @@ def run_worker(conn: Connection, payload: Dict[str, Any]) -> None:
             else:
                 conn.send(("ok", result))
     finally:
-        state.close()
         conn.close()

@@ -946,8 +946,9 @@ class ShardEquivalenceOracle(Oracle):
     member ids, distances, tie order — must be bit-identical to a cold
     single-process answer computed on a fresh database over the same
     trees with the same filter family.  Adds route through the
-    coordinator, so the check also covers post-mutation layouts where
-    the workers' vocabularies have diverged from the coordinator's.
+    coordinator, so the check also covers post-mutation layouts; every
+    worker interns its own rows, so the shards' vocabularies differ from
+    each other and from the reference database's.
     """
 
     name = "service:shard-equivalence"
@@ -955,7 +956,7 @@ class ShardEquivalenceOracle(Oracle):
 
     #: layouts under test: both partitioners, an uneven shard count, and
     #: two more filter families (count bound ⇒ different frontier orders;
-    #: the serving filter ⇒ histogram planes built off the shared segment)
+    #: the serving filter ⇒ each worker's own histogram planes)
     _CONFIGS = (
         (2, "round-robin", "bibranch"),
         (3, "size-banded", "bibranch"),
@@ -1180,7 +1181,7 @@ class VectorizedEquivalenceOracle(Oracle):
       order against the sort and ``BiBranchCount`` pins its ⌈L1/factor⌉
       kernel against the loop.
     * **sharded**: a :class:`~repro.sharding.coordinator.ShardedTreeService`
-      (planes scattered zero-copy from shared memory) against a fresh
+      (every worker's planes built from its own rows) against a fresh
       loop-path reference database at every schedule step; a k-NN's
       refined count against loop-path replays over each shard's rows,
       since every shard runs its own Algorithm 2.

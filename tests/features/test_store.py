@@ -105,24 +105,3 @@ class TestFeatureStore:
         assert stats["trees"] == len(FOREST)
         assert stats["extraction_passes"] == len(FOREST)
         assert stats["vocabulary_size"] == len(store.vocabulary)
-
-    def test_adopted_histogram_columns(self):
-        store = FeatureStore().fit(_forest())
-        vectors = store.packed_vectors()
-        columns = [store.histogram_columns("labels", i) for i in range(len(store))]
-        table = store.histogram_vocabulary("labels")
-        adopted = FeatureStore.from_packed(
-            store.vocabulary, {2: vectors}, (2,), {"labels": (table, columns)}
-        )
-        assert adopted.histogram_columns("labels", 1) == columns[1]
-        assert adopted.histogram_vocabulary("labels") is table
-        with pytest.raises(InvalidParameterError, match="without degrees"):
-            adopted.histogram_columns("degrees", 0)
-        with pytest.raises(InvalidParameterError, match="for 4 adopted trees"):
-            FeatureStore.from_packed(
-                store.vocabulary, {2: vectors}, (2,), {"labels": (table, [])}
-            )
-        with pytest.raises(InvalidParameterError, match="no histogram family"):
-            FeatureStore.from_packed(
-                store.vocabulary, {2: vectors}, (2,), {"heights": (table, columns)}
-            )

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.features.packed import PackedVector
 from repro.features.store import FeatureStore
-from repro.features.vocabulary import Vocabulary
 from repro.index import ExtendedInvertedFile
 from tests.strategies import trees
 
@@ -46,11 +45,25 @@ def _vector(counts: dict) -> PackedVector:
     )
 
 
-def _store(vectors) -> FeatureStore:
-    vocabulary = Vocabulary()
-    for dim in range(_DIMS):
-        assert vocabulary.intern(f"branch-{dim}") == dim
-    return FeatureStore.from_packed(vocabulary, {2: list(vectors)}, (2,))
+class _PackedRows:
+    """The part of a feature store the index reads, over given rows."""
+
+    q_levels = (2,)
+    generation = 0
+
+    def __init__(self, vectors) -> None:
+        self._vectors = list(vectors)
+
+    def __len__(self) -> int:
+        return len(self._vectors)
+
+    def packed_vector(self, index: int, q: int = 2) -> PackedVector:
+        assert q == 2
+        return self._vectors[index]
+
+
+def _store(vectors) -> _PackedRows:
+    return _PackedRows(vectors)
 
 
 class TestBranchInjection:

@@ -158,6 +158,57 @@ class TestComparator:
         assert comparison.ok
         assert any(entry.status == "new" for entry in comparison.entries)
 
+    def _slower(self, label="BENCH_B"):
+        """The baseline with every time 3x longer and every rate 3x lower."""
+        current = _record(label)
+        serve = current["suites"]["serve_throughput"]
+        serve["wall_seconds"] *= 3
+        serve["throughput_qps"] /= 3
+        for key in ("p50_seconds", "p95_seconds"):
+            serve["latency"][key] *= 3
+        return current
+
+    def test_cross_machine_timings_cannot_fail(self):
+        current = self._slower()
+        current["machine"] = dict(current["machine"], cpu_count=1024)
+        comparison = compare_records(_record(), current, noise=1.0)
+        assert comparison.machine_caveat
+        assert comparison.ok
+        unchecked = sorted(
+            entry.metric
+            for entry in comparison.entries
+            if entry.status == "unchecked"
+        )
+        assert unchecked == [
+            "serve_throughput.latency.p50_seconds",
+            "serve_throughput.latency.p95_seconds",
+            "serve_throughput.throughput_qps",
+            "serve_throughput.wall_seconds",
+        ]
+        # the rows are still printed, under the caveat
+        text = format_comparison(comparison)
+        assert "machines differ" in text
+        assert "UNCHECKED" in text and "wall_seconds" in text
+
+    def test_cross_machine_count_change_still_fails(self):
+        current = self._slower()
+        current["machine"] = dict(current["machine"], cpu_count=1024)
+        current["suites"]["index_candidates"]["ifi"]["refined"] += 1
+        comparison = compare_records(_record(), current, noise=1.0)
+        assert not comparison.ok
+        assert [entry.metric for entry in comparison.regressions] == [
+            "index_candidates.ifi.refined"
+        ]
+
+    def test_same_machine_timings_still_fail(self):
+        comparison = compare_records(_record(), self._slower(), noise=1.0)
+        assert not comparison.machine_caveat
+        assert not comparison.ok
+        assert {entry.kind for entry in comparison.regressions} == {
+            "time",
+            "rate",
+        }
+
     def test_corpus_mismatch_refused(self):
         current = _record("BENCH_B")
         current["corpus"] = {"kind": "synthetic", "count": 999, "seed": 0}

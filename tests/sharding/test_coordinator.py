@@ -8,6 +8,7 @@ import pytest
 
 from repro.datasets.dblp import generate_dblp_dataset
 from repro.exceptions import InvalidParameterError, QueryError, ShardError
+from repro.features.store import FeatureStore
 from repro.search.database import TreeDatabase
 from repro.service.engine import QueryRequest, TreeSearchService
 from repro.sharding import ShardedTreeService
@@ -65,6 +66,22 @@ class TestConstruction:
             trees, shards=2, partitioner=RoundRobinPartitioner(2)
         ) as service:
             assert len(service) == len(trees)
+
+    def test_coordinator_extracts_no_features(self, trees, monkeypatch):
+        # every worker indexes its own rows; a forked worker's fit calls
+        # land in its own copy of `calls`, never in this process's
+        calls = []
+        fit = FeatureStore.fit
+
+        def counting_fit(store, forest):
+            calls.append(len(forest))
+            return fit(store, forest)
+
+        monkeypatch.setattr(FeatureStore, "fit", counting_fit)
+        with ShardedTreeService(trees, shards=2) as service:
+            matches, _ = service.range(parse_bracket("a(b,c)"), 0.0)
+        assert matches == [(0, 0.0)]
+        assert calls == []
 
 
 class TestQueries:
