@@ -230,14 +230,19 @@ def search_lower_bound(
 ) -> int:
     """The optimistic edit-distance bound ``pr_opt`` (function SearchLBound).
 
-    Binary-searches the smallest positional range ``pr`` in
-    ``[||T1|−|T2||, max(|T1|,|T2|)]`` satisfying
-    ``PosBDist(pr) ≤ [4(q−1)+1]·pr``; that value lower-bounds
+    The smallest positional range ``pr`` in ``[||T1|−|T2||, max(|T1|,|T2|)]``
+    satisfying ``PosBDist(pr) ≤ [4(q−1)+1]·pr``; that value lower-bounds
     ``EDist(T1, T2)``.  The predicate is monotone because ``PosBDist`` is
     non-increasing and the right-hand side increasing in ``pr``.
 
-    Guaranteed to dominate the plain count bound: at the returned ``pr``,
-    ``factor·pr ≥ PosBDist(pr) ≥ BDist``, hence ``pr ≥ ⌈BDist/factor⌉``.
+    The search starts at ``max(size difference, ⌈BDist/factor⌉)``:
+    ``PosBDist(pr) ≥ BDist`` for every ``pr`` (positions only constrain
+    the matching), so no ``pr`` below ``⌈BDist/factor⌉`` satisfies the
+    predicate.  From there it gallops upward (``+1, +2, +4, …``) and
+    binary-searches the last gap, which by monotonicity finds the same
+    smallest ``pr`` as a binary search over the whole range
+    (``docs/THEORY.md`` §4).  The result therefore dominates the plain
+    count bound and the size difference by construction.
 
     >>> from repro.trees import parse_bracket
     >>> search_lower_bound(parse_bracket("a(b,c)"), parse_bracket("a(b,c)"))
@@ -251,16 +256,19 @@ def search_lower_bound(
 
     # The branches unique to one tree contribute a constant to PosBDist for
     # every pr; precompute it and keep only the shared branches' position
-    # sequences for the per-pr matching work (the binary search evaluates
-    # PosBDist O(log) times, so this hoisting matters on the query path).
+    # sequences for the per-pr matching work (the search evaluates PosBDist
+    # O(log) times, so this hoisting matters on the query path).  The same
+    # walk sums the count distance BDist that seeds the search.
     pre1, pre2 = profile1.pre_positions, profile2.pre_positions
     constant = 0
+    count_distance = 0
     shared: List[Tuple[List[int], List[int], List[int], List[int], int]] = []
     for key, positions in pre1.items():
         other = pre2.get(key)
         if other is None:
             constant += len(positions)
         else:
+            count_distance += abs(len(positions) - len(other))
             shared.append(
                 (
                     positions,
@@ -273,6 +281,7 @@ def search_lower_bound(
     for key, positions in pre2.items():
         if key not in pre1:
             constant += len(positions)
+    count_distance += constant
     shared_keys = [key for key in pre1 if key in pre2]
 
     def satisfied(pr: int) -> bool:
@@ -300,15 +309,28 @@ def search_lower_bound(
                 return False
         return distance <= factor * pr
 
-    low = abs(profile1.tree_size - profile2.tree_size)
-    high = max(profile1.tree_size, profile2.tree_size)
+    low = max(
+        abs(profile1.tree_size - profile2.tree_size),
+        -(-count_distance // factor),
+    )
     if satisfied(low):
         return low
     # invariant: satisfied(high) is true — at pr = max sizes every pair of
     # identical branches is within range, so PosBDist = BDist ≤ factor·high
     # (BDist ≤ |T1| + |T2| ≤ 2·high ≤ factor·high for factor ≥ 2).
-    result = high
+    high = max(profile1.tree_size, profile2.tree_size)
+    # gallop: satisfied(low) is false; find a satisfied probe above it
+    step = 1
+    while True:
+        probe = min(low + step, high)
+        if probe == high or satisfied(probe):
+            break
+        low = probe
+        step *= 2
+    # the answer lies in (low, probe]; satisfied(probe) holds
+    result = probe
     low += 1
+    high = probe - 1
     while low <= high:
         mid = (low + high) // 2
         if satisfied(mid):

@@ -427,9 +427,12 @@ class EditDistanceCounter:
     calls:
         Distance requests, :meth:`distance` and :meth:`distance_below`
         alike — a refined row counts once however it was decided.
+    rungs:
+        The budgeted attempts of :meth:`distance_below`: one per request
+        with a finite limit, one per doubling step with ``limit = inf``.
     gated:
-        The :meth:`distance_below` requests its traversal-string gate
-        answered without running Zhang–Shasha (a subset of ``calls``).
+        The rungs its traversal-string gate settled without running
+        Zhang–Shasha (a subset of ``rungs``).
     """
 
     def __init__(
@@ -441,6 +444,7 @@ class EditDistanceCounter:
         self.costs = costs
         self.calls = 0
         self.gated = 0
+        self.rungs = 0
         self._prepared = cache if cache is not None else PreparedTreeCache(cache_size)
 
     @property
@@ -460,10 +464,13 @@ class EditDistanceCounter:
         Exact up to ``budget`` — see :func:`tree_edit_distance`.
         """
         self.calls += 1
-        a = self.prepared(t1)
-        b = self.prepared(t2)
+        return self._kernel(self.prepared(t1), self.prepared(t2), budget)
+
+    def _kernel(self, a: PreparedTree, b: PreparedTree, budget: float) -> float:
+        """One Zhang–Shasha run at ``budget``, in an ``editdist.zhang_shasha``
+        span that carries the budget when tracing is on."""
         if not tracing.enabled():  # keep the hot path allocation-free
-            return tree_edit_distance(a, b, self.costs, budget)
+            return _distance(a, b, self.costs, budget)[0]
         with tracing.span(
             "editdist.zhang_shasha",
             n1=a.size,
@@ -474,34 +481,69 @@ class EditDistanceCounter:
             sp.set(distance=result, banded=banded, dp_pairs=pairs)
         return result
 
-    def distance_below(self, t1: TreeNode, t2: TreeNode, limit: float) -> float:
-        """The distance when it is ``< limit``, otherwise some value ``≥ limit``.
-
-        What a full k-NN heap asks of a row: it admits only a distance
-        strictly below its k-th (``limit``).  Unit-cost distances are
-        integers, so that is the exact distance up to the budget
-        ``b = ceil(limit) − 1``.  Guha et al.'s
-        ``max(SED(pre), SED(post)) ≤ EDist`` bound, decided at ``b``, first
-        settles the row without the DP when it exceeds ``b``
-        (``docs/THEORY.md`` §12); such a gated call counts in ``calls``
-        and ``gated`` and opens no ``editdist.zhang_shasha`` span.  Other
-        cost models have no integer gap, so they run :meth:`distance` at
-        ``limit`` — already exact below it.
-        """
-        if not self.costs.is_unit or not math.isfinite(limit):
-            return self.distance(t1, t2, limit)
-        budget = math.ceil(limit) - 1
-        a = self.prepared(t1)
-        b = self.prepared(t2)
+    def _gated(self, a: PreparedTree, b: PreparedTree, budget: int) -> bool:
+        """One rung: whether Guha et al.'s traversal-string bound shows the
+        distance exceeds ``budget`` (``docs/THEORY.md`` §12)."""
+        self.rungs += 1
         if traversal_strings_exceed(
             (a.pre_labels, a.labels), (b.pre_labels, b.labels), budget
         ):
-            self.calls += 1
             self.gated += 1
-            return float(budget + 1)
-        return self.distance(t1, t2, budget)
+            return True
+        return False
+
+    def distance_below(
+        self, t1: TreeNode, t2: TreeNode, limit: float, bound: float = 0.0
+    ) -> float:
+        """The distance when it is ``< limit``, otherwise some value ``≥ limit``.
+
+        What Alg. 2's heap asks of a row: a full heap admits only a
+        distance strictly below its k-th (``limit``).  Unit-cost distances
+        are integers, so that is the exact distance up to the budget
+        ``b = ceil(limit) − 1``.  Guha et al.'s ``max(SED(pre), SED(post))
+        ≤ EDist`` bound, decided at ``b``, first settles the row without
+        the DP when it exceeds ``b`` (``docs/THEORY.md`` §12).
+
+        With ``limit = inf`` (a heap not yet full) the distance is found
+        by budget doubling from ``bound``, any lower bound of it (the
+        row's filter bound): rungs at ``B = max(1, bound, |n − m|)``, then
+        ``2B + 1``, each one gate and, unless the gate settles it, one
+        budgeted kernel run, until a run returns a value ``≤ B`` (exact)
+        or the k-strip stops paying (:func:`_bands`), when one unbudgeted
+        run decides.  Every rung is exact below its budget, so the result
+        is exact whatever ``bound`` is (``docs/THEORY.md`` §10).
+
+        A request counts once in ``calls`` however many rungs it takes;
+        each rung counts in ``rungs``, each gate-settled one in ``gated``,
+        and each kernel run opens one ``editdist.zhang_shasha`` span.
+        Other cost models have no integer gap, so they run
+        :meth:`distance` at ``limit`` — already exact below it.
+        """
+        if not self.costs.is_unit:
+            return self.distance(t1, t2, limit)
+        a = self.prepared(t1)
+        b = self.prepared(t2)
+        if math.isfinite(limit):
+            budget = math.ceil(limit) - 1
+            if self._gated(a, b, budget):
+                self.calls += 1
+                return float(budget + 1)
+            return self.distance(t1, t2, budget)
+        n, m = a.size, b.size
+        budget = max(1, abs(n - m))
+        if bound > budget:
+            budget = math.ceil(min(bound, n + m))
+        while _bands(budget, n, m):
+            if not self._gated(a, b, budget):
+                value = self._kernel(a, b, budget)
+                if value <= budget:
+                    self.calls += 1
+                    return value
+            budget = 2 * budget + 1
+        return self.distance(t1, t2)
 
     def reset(self) -> None:
         """Zero the call counters (the preparation cache is kept)."""
         self.calls = 0
         self.gated = 0
+        self.rungs = 0

@@ -115,9 +115,9 @@ class BinaryBranchFilter(LowerBoundFilter[PositionalProfile]):
     ) -> Optional[Sequence[float]]:
         """The §3 count bound ``⌈BDist/factor⌉`` per row, or ``None``.
 
-        SearchLBound starts its binary search at ``max(⌈BDist/factor⌉,
-        size difference)`` and only ever moves up, so the count bound never
-        exceeds :meth:`bound` (the ``bound:dominance`` oracle checks this).
+        SearchLBound starts its search at ``max(⌈BDist/factor⌉, size
+        difference)`` and only ever moves up, so the count bound never
+        exceeds :meth:`bound`.
         ``None`` when the plane lacks this filter's ``q``.
         """
         try:

@@ -16,7 +16,11 @@ The Seidl–Kriegel multi-step strategy the paper adopts:
    refine asks only for a distance *below* the k-th
    (:meth:`~repro.editdist.zhang_shasha.EditDistanceCounter.distance_below`),
    which a traversal-string gate often settles without running
-   Zhang–Shasha; a gated row still counts as refined.
+   Zhang–Shasha; a gated row still counts as refined.  Until the heap is
+   full there is no k-th distance, and the row's bound seeds budget
+   doubling instead: the gate and Touzet's k-strip run at budgets
+   ``B, 2B + 1, …`` from the bound up, so the first ``k`` refines are
+   cheap as well.
 
 The number of refined objects is provably minimal for the given bound
 (Seidl & Kriegel, SIGMOD 1998), which makes the accessed-data percentage a
@@ -273,11 +277,14 @@ def knn_search(
         heap = KnnHeap(k)
         start = time.perf_counter()
         refined = 0
-        gated_before = counter.gated
+        gated_before, rungs_before = counter.gated, counter.rungs
         with tracing.span("search.refine") as refine_span:
             for bound, row in stream:
-                # only a distance below the k-th can enter a full heap
-                distance = counter.distance_below(query, trees[row], heap.kth)
+                # only a distance below the k-th can enter a full heap;
+                # until it is full, the row's bound seeds budget doubling
+                distance = counter.distance_below(
+                    query, trees[row], heap.kth, bound
+                )
                 heap.offer(distance, bound, row)
                 refined += 1
                 # optimal stopping: every unseen distance is at least its
@@ -286,6 +293,7 @@ def knn_search(
             refine_span.set(
                 refined=refined,
                 gated=counter.gated - gated_before,
+                rungs=counter.rungs - rungs_before,
                 results=len(heap),
             )
         stats.refine_seconds = time.perf_counter() - start

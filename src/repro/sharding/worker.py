@@ -26,7 +26,8 @@ tuples ``(op, *operands)``; replies are ``("ok", result)`` or
 ``add``                insert one tree (bracket form) into the shard
 ``health``             diagnostics: tree count, filter, per-op request
                        counts, cumulative per-stage seconds, distance
-                       computations (gated ones too), RSS, uptime
+                       computations (gated ones too), budgeted
+                       rungs, RSS, uptime
 ``shutdown``           acknowledge and exit the loop
 =====================  =================================================
 
@@ -161,6 +162,7 @@ class _ShardState:
             "stage_seconds": dict(self.stage_seconds),
             "distance_computations": self.counter.calls,
             "gated_distances": self.counter.gated,
+            "distance_rungs": self.counter.rungs,
         }
 
 

@@ -9,9 +9,9 @@ Each oracle audits one class of invariant over a
     q-level generalization), plus consistency of the ``refutes`` fast
     paths with the numeric bounds.
 ``bound:dominance``
-    The positional bound dominates both the plain count bound and the
-    size difference (the ``SearchLBound`` guarantee), and the exact
-    two-constraint matching never *weakens* the bound.
+    The positional bound equals its definition, the smallest range
+    ``pr`` with ``PosBDist(pr) ≤ factor·pr`` found by a linear scan, and
+    the exact two-constraint matching never *weakens* the bound.
 ``editdist:metamorphic``
     The reference distance itself, checked without a second
     implementation: ``EDist(T, apply_script(T, k ops)) ≤ k`` by
@@ -19,7 +19,8 @@ Each oracle audits one class of invariant over a
 ``refine:cutoff-equivalence``
     The budgeted unit-cost kernel keeps its contract against the
     independent memoized forest DP: exact whenever the distance is within
-    the budget, strictly above the budget otherwise.
+    the budget, strictly above the budget otherwise; budget doubling from
+    any valid lower bound is exact.
 ``metric:bdist``
     Metric properties of the binary branch distance (symmetry, identity,
     triangle inequality) — what makes BDist usable inside index structures.
@@ -76,7 +77,7 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.vectors import branch_distance
-from repro.core.positional import search_lower_bound
+from repro.core.positional import positional_branch_distance, search_lower_bound
 from repro.core.qlevel import qlevel_bound_factor
 from repro.editdist.costs import UNIT_COSTS, weighted_costs
 from repro.editdist.mapping import memoized_edit_distance
@@ -293,52 +294,65 @@ class CostScaledBoundOracle(PairOracle):
 
 
 class DominanceOracle(PairOracle):
-    """``SearchLBound`` dominance and exact-matching monotonicity (§4.2).
+    """``SearchLBound`` against its definition, and exact-matching
+    monotonicity (§4.2).
 
-    The positional bound must be at least ``⌈BDist/[4(q−1)+1]⌉`` and at
-    least the size difference; the exact two-constraint matching can only
-    match less than the per-dimension approximation, so the exact bound can
-    only be equal or larger.
+    The positional bound must equal the smallest ``pr`` in
+    ``[||T1|−|T2||, max(|T1|,|T2|)]`` with ``PosBDist(pr) ≤
+    [4(q−1)+1]·pr``, found here by a linear scan that shares nothing with
+    the seeded galloping search, for the greedy matching and (on small
+    trees) the exact one.  The exact two-constraint matching can only
+    match less than the per-dimension approximation, so the exact bound
+    can only be equal or larger.
     """
 
     name = "bound:dominance"
-    description = "positional bound dominates count bound and size difference"
+    description = "positional bound equals its definition; exact never weaker"
 
     #: exact bipartite matching is O(V·E) per branch — cap the input size
     _EXACT_LIMIT = 14
 
     def check_pair(self, t1: TreeNode, t2: TreeNode) -> Optional[Tuple[str, Dict]]:
+        small = t1.size <= self._EXACT_LIMIT and t2.size <= self._EXACT_LIMIT
         for q in (2, 3):
-            factor = qlevel_bound_factor(q)
-            positional = search_lower_bound(t1, t2, q=q)
-            count_bound = -(-branch_distance(t1, t2, q=q) // factor)
-            size_bound = abs(t1.size - t2.size)
-            if positional + _EPS < max(count_bound, size_bound):
-                return (
-                    f"positional bound {positional} at q={q} below "
-                    f"max(count {count_bound}, size {size_bound})",
-                    {
-                        "q": q,
-                        "positional": positional,
-                        "count_bound": count_bound,
-                        "size_bound": size_bound,
-                        "kind": "dominance",
-                    },
-                )
-            if t1.size <= self._EXACT_LIMIT and t2.size <= self._EXACT_LIMIT:
-                exact = search_lower_bound(t1, t2, q=q, exact=True)
-                if exact + _EPS < positional:
+            bounds = {}
+            for exact in (False, True) if small else (False,):
+                bound = search_lower_bound(t1, t2, q=q, exact=exact)
+                reference = self._smallest_range(t1, t2, q, exact)
+                if bound != reference:
                     return (
-                        f"exact positional bound {exact} at q={q} below "
-                        f"approximate bound {positional}",
+                        f"positional bound {bound} at q={q} (exact={exact}) "
+                        f"is not the smallest satisfying range {reference}",
                         {
                             "q": q,
                             "exact": exact,
-                            "approximate": positional,
-                            "kind": "exact-dominance",
+                            "positional": bound,
+                            "reference": reference,
+                            "kind": "definition",
                         },
                     )
+                bounds[exact] = bound
+            if small and bounds[True] < bounds[False]:
+                return (
+                    f"exact positional bound {bounds[True]} at q={q} below "
+                    f"approximate bound {bounds[False]}",
+                    {
+                        "q": q,
+                        "exact": bounds[True],
+                        "approximate": bounds[False],
+                        "kind": "exact-dominance",
+                    },
+                )
         return None
+
+    @staticmethod
+    def _smallest_range(t1: TreeNode, t2: TreeNode, q: int, exact: bool) -> int:
+        factor = qlevel_bound_factor(q)
+        high = max(t1.size, t2.size)
+        for pr in range(abs(t1.size - t2.size), high):
+            if positional_branch_distance(t1, t2, pr, q=q, exact=exact) <= factor * pr:
+                return pr
+        return high
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +423,9 @@ class RefineCutoffOracle(PairOracle):
     at the same values as limits must give exactly ``d`` when ``d < limit``
     and some value ``≥ limit`` otherwise — under unit costs, where the
     traversal-string gate runs, and under an asymmetric weighted model,
-    which has no gate.
+    which has no gate.  At ``limit = ∞`` with a lower bound
+    ``b ∈ {0, d−1, d}`` seeding its budget doubling, it must give exactly
+    ``d`` under unit costs.
     """
 
     name = "refine:cutoff-equivalence"
@@ -452,6 +468,20 @@ class RefineCutoffOracle(PairOracle):
                             "kind": "distance-below",
                         },
                     )
+        counter = EditDistanceCounter()
+        for bound in (0.0, reference - 1, reference):
+            value = counter.distance_below(t1, t2, math.inf, bound)
+            if value != reference:
+                return (
+                    f"distance_below(inf, bound={bound:g}): got {value:g}, "
+                    f"expected {reference:g}",
+                    {
+                        "bound": bound,
+                        "value": value,
+                        "edist": reference,
+                        "kind": "doubling",
+                    },
+                )
         return None
 
     @staticmethod

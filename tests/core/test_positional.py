@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     branch_distance,
+    qlevel_bound_factor,
     exact_position_matching,
     greedy_interval_matching,
     positional_branch_distance,
@@ -160,6 +161,17 @@ class TestPosBDist:
         assert exact >= approx  # fewer matches -> larger distance
 
 
+def smallest_satisfying_range(t1, t2, q=2, exact=False):
+    """SearchLBound's definition, by linear scan: the smallest ``pr`` in
+    ``[||T1|−|T2||, max(|T1|,|T2|)]`` with ``PosBDist(pr) ≤ factor·pr``."""
+    factor = qlevel_bound_factor(q)
+    high = max(t1.size, t2.size)
+    for pr in range(abs(t1.size - t2.size), high + 1):
+        if positional_branch_distance(t1, t2, pr, q=q, exact=exact) <= factor * pr:
+            return pr
+    return high
+
+
 class TestSearchLowerBound:
     def test_zero_for_identical(self):
         assert search_lower_bound(parse_bracket(T1), parse_bracket(T1)) == 0
@@ -192,6 +204,21 @@ class TestSearchLowerBound:
     def test_sound_for_higher_levels(self, pair, q):
         t1, t2 = pair
         assert search_lower_bound(t1, t2, q=q) <= tree_edit_distance(t1, t2)
+
+    @given(tree_pairs(), st.sampled_from([2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_seeded_search_equals_the_definition(self, pair, q):
+        """Starting at the count bound and galloping changes no value."""
+        t1, t2 = pair
+        assert search_lower_bound(t1, t2, q=q) == smallest_satisfying_range(t1, t2, q)
+
+    @given(tree_pairs(max_leaves=5))
+    @settings(max_examples=60, deadline=None)
+    def test_seeded_search_equals_the_definition_exact_matching(self, pair):
+        t1, t2 = pair
+        assert search_lower_bound(t1, t2, exact=True) == smallest_satisfying_range(
+            t1, t2, exact=True
+        )
 
     @given(tree_pairs())
     @settings(max_examples=60, deadline=None)

@@ -275,8 +275,10 @@ class TestCounter:
         counter = EditDistanceCounter()
         counter.distance(parse_bracket("a"), parse_bracket("b"))
         counter.distance_below(parse_bracket("a"), parse_bracket("b(c)"), 1)
+        counter.distance_below(parse_bracket("a(b,c)"), parse_bracket("a(c,b)"), math.inf)
+        assert counter.rungs > 0
         counter.reset()
-        assert counter.calls == 0 and counter.gated == 0
+        assert (counter.calls, counter.gated, counter.rungs) == (0, 0, 0)
 
     def test_gated_call_counts_once_and_runs_no_dp(self):
         tracer = tracing.set_tracer(Tracer())
@@ -306,6 +308,39 @@ class TestCounter:
             assert value == reference
         else:
             assert value >= limit
+
+    @given(tree_pairs(), st.floats(0, 1))
+    @settings(max_examples=150, deadline=None)
+    def test_doubling_is_exact_from_any_valid_bound(self, pair, fraction):
+        """``limit = inf``: the exact distance from every bound ``b ∈ [0, d]``,
+        one call per request however many rungs it takes."""
+        reference = tree_edit_distance(*pair)
+        counter = EditDistanceCounter()
+        for bound in {0.0, fraction * reference, max(reference - 1, 0), reference}:
+            calls = counter.calls
+            assert counter.distance_below(*pair, math.inf, bound) == reference
+            assert counter.calls == calls + 1
+
+    def test_doubling_climbs_budget_rungs_then_runs_unbudgeted(self):
+        """From bound 0 on a far pair: rungs at 1, 3, 7, … while the k-strip
+        pays, each gated or one budgeted kernel span, then one full run."""
+        t1 = parse_bracket("a(b(c,d,e),f(g,h),i(j,k,l),m(n,o),p(q,r),s(t,u),v)")
+        t2 = parse_bracket("z(y(x,w),v(u,t,s),r(q,p),o(n,m,l),k(j),i(h,g),f,e)")
+        n, m = t1.size, t2.size
+        tracer = tracing.set_tracer(Tracer())
+        try:
+            counter = EditDistanceCounter()
+            value = counter.distance_below(t1, t2, math.inf, 0)
+        finally:
+            tracing.set_tracer(None)
+        assert value == tree_edit_distance(t1, t2) > 7
+        budgets = [1, 3, 7]  # 3·15 ≥ min(n, m) = 22 stops the ladder
+        assert (n, m) == (22, 22)
+        assert (counter.calls, counter.rungs) == (1, len(budgets))
+        spans = [s.attributes["budget"] for s in tracer.finished_spans()]
+        assert spans[-1] is None  # the unbudgeted run decides
+        assert len(spans) - 1 == counter.rungs - counter.gated
+        assert spans[:-1] == sorted(set(spans[:-1]) & set(budgets))
 
     def test_distance_below_other_costs_keeps_the_kernel_budget(self):
         costs = weighted_costs(2.0, 3.0, 1.5)

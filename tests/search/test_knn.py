@@ -376,11 +376,13 @@ class TestBoundStreamStop:
         assert fewer
 
     def test_refine_span_counts_the_gated_refines(self):
-        """Every refine either runs the kernel (one ``editdist.zhang_shasha``
-        span) or is gated: ``refined − gated`` kernel spans."""
+        """One ``editdist.zhang_shasha`` span per kernel run: one per rung
+        the gate did not settle, plus one per unbudgeted run, and only the
+        first ``k`` refines of a query (empty heap) can run unbudgeted."""
         spec = SyntheticSpec(size_mean=8, size_stddev=2, label_count=8, decay=0.1)
         corpus = generate_dataset(spec, count=120, seed=5)
         database = TreeDatabase(corpus)
+        queries = corpus[:6]
         tracer = tracing.set_tracer(Tracer())
         try:
             candidates = sum(
@@ -388,7 +390,7 @@ class TestBoundStreamStop:
                     corpus, query, 5, database.filter,
                     matrices=database.matrices(),
                 )[1].candidates
-                for query in corpus[:6]
+                for query in queries
             )
         finally:
             tracing.set_tracer(None)
@@ -396,7 +398,16 @@ class TestBoundStreamStop:
         refines = [span for span in spans if span.name == "search.refine"]
         refined = sum(span.attributes["refined"] for span in refines)
         gated = sum(span.attributes["gated"] for span in refines)
-        kernel = sum(span.name == "editdist.zhang_shasha" for span in spans)
+        rungs = sum(span.attributes["rungs"] for span in refines)
+        budgets = [
+            span.attributes["budget"]
+            for span in spans
+            if span.name == "editdist.zhang_shasha"
+        ]
+        unbudgeted = budgets.count(None)
         assert refined == candidates
-        assert 0 < gated < refined
-        assert kernel == refined - gated
+        assert 0 < gated < rungs
+        assert len(budgets) - unbudgeted == rungs - gated
+        assert unbudgeted <= 5 * len(queries)
+        # every refine is settled by a rung or by the unbudgeted run
+        assert rungs + unbudgeted >= refined

@@ -224,15 +224,18 @@ class TestLifecycle:
 
     def test_health_counts_gated_refines(self):
         """A refine the traversal-string gate settles still counts as one
-        distance computation; ``gated_distances`` counts it again."""
+        distance computation; ``gated_distances`` counts it again, among
+        the budgeted attempts of ``distance_rungs``."""
         trees = generate_dblp_dataset(80)
         with ShardedTreeService(trees, shards=2, max_workers=2) as service:
             candidates = sum(service.knn(tree, 3)[1].candidates for tree in trees[:4])
             shards = service.health()["shards"]
         computed = sum(entry["distance_computations"] for entry in shards)
         gated = sum(entry["gated_distances"] for entry in shards)
+        rungs = sum(entry["distance_rungs"] for entry in shards)
         assert computed == candidates
         assert 0 < gated < computed
+        assert gated < rungs
 
 
 class TestMetrics:

@@ -31,6 +31,7 @@ _SNAPSHOT_KEYS = {
     "stage_seconds",
     "distance_computations",
     "gated_distances",
+    "distance_rungs",
 }
 
 
