@@ -7,8 +7,8 @@ a pinned synthetic corpus:
   through :class:`~repro.service.engine.TreeSearchService` on the serving
   default filter (cache off, no repeats, so every candidate count is a
   pure function of corpus and seed): throughput, exact latency
-  percentiles, and the per-kind cascade cost report (actual seconds,
-  measured speedup vs unfiltered);
+  percentiles, and the per-kind cascade cost report (refined and gated
+  counts, actual seconds, measured speedup vs unfiltered);
 * ``vectorized_filters`` — the same range-query stream answered by the
   per-candidate loop and by the matrix-plane cascade; records both
   filter-stage timings, their speedup, and the (identical) refined
@@ -92,6 +92,7 @@ def _serve_throughput(
     for kind, cost in sink.aggregate().cost_report().items():
         costs[kind] = {
             "refined": cost.refined,
+            "gated": cost.gated,
             "results": cost.results,
             "filter_seconds": cost.filter_seconds,
             "refine_seconds": cost.refine_seconds,

@@ -7,7 +7,7 @@ Two roles in the reproduction:
 * the Guha et al. (SIGMOD 2002) baseline filter lower-bounds the tree edit
   distance by the string edit distance of preorder/postorder label sequences
   (:mod:`repro.filters.traversal_string`); the same bound gates k-NN
-  refines (:func:`traversal_strings_exceed`).
+  and range refines (:func:`traversal_strings_exceed`).
 """
 
 from __future__ import annotations
@@ -58,16 +58,25 @@ def string_edit_distance_bounded(
     """Levenshtein distance, decided against ``bound``.
 
     Returns the distance when it is ``<= bound``, otherwise ``None``.  A
-    length gap above ``bound`` answers at once; otherwise the distance
-    comes from the bit-parallel program of Myers (J. ACM 1999) in Hyyrö's
-    edit-distance form (2001): one column of the DP per symbol of the
-    longer sequence, held as two bit vectors over the shorter one, so a
-    pair costs ``O(max(|a|, |b|))`` integer operations instead of
+    length gap above ``bound`` answers at once.  A shared prefix and suffix
+    are then dropped, since an optimal alignment matches them at no cost,
+    so near-identical sequences leave little to compare.  The distance of
+    the rest comes from the bit-parallel program of Myers (J. ACM 1999) in
+    Hyyrö's edit-distance form (2001): one column of the DP per symbol of
+    the longer sequence, held as two bit vectors over the shorter one, so
+    a pair costs ``O(max(|a|, |b|))`` integer operations instead of
     ``|a|·|b|`` cell updates.  :func:`string_edit_distance` stays the
     plain-DP reference.
     """
     if bound < 0 or abs(len(a) - len(b)) > bound:
         return None
+    start, end_a, end_b = 0, len(a), len(b)
+    while start < end_a and start < end_b and a[start] == b[start]:
+        start += 1
+    while end_a > start and end_b > start and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    a, b = a[start:end_a], b[start:end_b]
     if len(a) > len(b):
         a, b = b, a
     if not a:

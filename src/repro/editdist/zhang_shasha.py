@@ -498,8 +498,9 @@ class EditDistanceCounter:
         """The distance when it is ``< limit``, otherwise some value ``≥ limit``.
 
         What Alg. 2's heap asks of a row: a full heap admits only a
-        distance strictly below its k-th (``limit``).  Unit-cost distances
-        are integers, so that is the exact distance up to the budget
+        distance strictly below its k-th (``limit``).  A range query asks
+        the same at ``limit = ⌊τ⌋ + 1``.  Unit-cost distances are
+        integers, so that is the exact distance up to the budget
         ``b = ceil(limit) − 1``.  Guha et al.'s ``max(SED(pre), SED(post))
         ≤ EDist`` bound, decided at ``b``, first settles the row without
         the DP when it exceeds ``b`` (``docs/THEORY.md`` §12).

@@ -94,6 +94,8 @@ class FilterFunnel:
     #: candidates confirmed by refinement (the answer size)
     results: int = 0
     refine_seconds: float = 0.0
+    #: refine attempts the traversal-string gate settled without the DP
+    gated: int = 0
     #: the query parameter (range threshold or k)
     parameter: float = 0.0
 
@@ -171,6 +173,7 @@ class FilterFunnel:
             "false_positives": self.false_positives,
             "filter_seconds": self.filter_seconds,
             "refine_seconds": self.refine_seconds,
+            "gated": self.gated,
             "survivor_counts": self.survivor_counts(),
         }
 
@@ -253,9 +256,9 @@ def record_funnel(
 ) -> None:
     """Attach the funnel of a finished query to ``stats`` and hand it to ``sink``.
 
-    Corpus size, refined count, results and refine seconds come from
-    ``stats``; ``stages`` are the query's filter stages (none for a
-    sequential scan).  Callers decide whether anyone is observing.
+    Corpus size, refined count, results, refine seconds and gated count
+    come from ``stats``; ``stages`` are the query's filter stages (none
+    for a sequential scan).  Callers decide whether anyone is observing.
     """
     stats.funnel = FilterFunnel(
         kind=kind,
@@ -264,6 +267,7 @@ def record_funnel(
         refined=stats.candidates,
         results=stats.results,
         refine_seconds=stats.refine_seconds,
+        gated=stats.gated,
         parameter=parameter,
     )
     if sink is not None:
@@ -347,6 +351,7 @@ class FunnelAggregate:
                 "results": 0,
                 "false_positives": 0,
                 "refine_seconds": 0.0,
+                "gated": 0,
                 "stages": [],
             },
         )
@@ -356,6 +361,7 @@ class FunnelAggregate:
         entry["results"] += funnel.results
         entry["false_positives"] += funnel.false_positives
         entry["refine_seconds"] += funnel.refine_seconds
+        entry["gated"] += funnel.gated
         stages: List[_StageAggregate] = entry["stages"]
         for position, stage in enumerate(funnel.stages):
             if position == len(stages):
@@ -391,6 +397,7 @@ class FunnelAggregate:
                 "false_positives": entry["false_positives"],
                 "refined_fraction": entry["refined"] / corpus if corpus else 0.0,
                 "refine_seconds": entry["refine_seconds"],
+                "gated": entry["gated"],
                 "stages": [cell.to_dict() for cell in entry["stages"]],
             }
         return {"queries": self.queries, "kinds": kinds}

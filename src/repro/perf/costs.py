@@ -110,6 +110,8 @@ class CascadeCostReport:
     refined: int
     results: int
     refine_seconds: float
+    #: refine attempts the traversal-string gate settled without the DP
+    gated: int = 0
     stages: List[StageCost] = field(default_factory=list)
 
     @property
@@ -158,6 +160,7 @@ class CascadeCostReport:
             "results": self.results,
             "filter_seconds": self.filter_seconds,
             "refine_seconds": self.refine_seconds,
+            "gated": self.gated,
             "actual_seconds": self.actual_seconds,
             "refine_unit_cost_seconds": self.refine_unit_cost,
             "predicted_seconds": self.predicted_seconds,
@@ -185,6 +188,7 @@ def cost_reports(aggregate: _SupportsToDict) -> Dict[str, CascadeCostReport]:
             refined=entry["refined"],
             results=entry["results"],
             refine_seconds=entry["refine_seconds"],
+            gated=entry["gated"],
         )
         for cell in entry["stages"]:
             report.stages.append(
@@ -224,6 +228,7 @@ def format_cost_reports(reports: Dict[str, CascadeCostReport]) -> str:
             f"  refine {'':<17} "
             f"unit {report.refine_unit_cost * 1e6:9.3f} us  "
             f"refined {report.refined:>8}  "
+            f"gated {report.gated:>8}  "
             f"spent {report.refine_seconds:8.4f}s"
         )
         lines.append(

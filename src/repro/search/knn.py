@@ -290,10 +290,12 @@ def knn_search(
                 # optimal stopping: every unseen distance is at least its
                 # bound, and a full heap admits only a strictly smaller one
                 stream.stop = heap.kth
+            stats.gated = counter.gated - gated_before
+            stats.rungs = counter.rungs - rungs_before
             refine_span.set(
                 refined=refined,
-                gated=counter.gated - gated_before,
-                rungs=counter.rungs - rungs_before,
+                gated=stats.gated,
+                rungs=stats.rungs,
                 results=len(heap),
             )
         stats.refine_seconds = time.perf_counter() - start

@@ -3,9 +3,10 @@
 A range query returns every database tree within edit distance ``τ`` of the
 query.  Filtering discards objects whose lower bound already exceeds ``τ``
 (safe: the true distance can only be larger); the survivors are refined with
-the exact Zhang–Shasha distance.  Completeness is guaranteed by the
-lower-bound property — there are no false negatives by construction, which
-the integration tests verify against a sequential scan.
+the exact Zhang–Shasha distance, behind the same traversal-string gate as
+k-NN refines.  Completeness is guaranteed by the lower-bound property —
+there are no false negatives by construction, which the integration tests
+verify against a sequential scan.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ def range_query(
     query:
         The query tree ``Tq``.
     threshold:
-        The range ``τ`` (finite, ≥ 0); also the refine budget — each
-        candidate's distance is exact whenever it is ``≤ τ``.
+        The range ``τ`` (finite, ≥ 0).  Each survivor is refined by
+        :meth:`~repro.editdist.zhang_shasha.EditDistanceCounter.distance_below`
+        at the limit ``⌊τ⌋ + 1``: its distance comes back exact whenever
+        it is ``≤ τ``, and a row the traversal-string gate refutes skips
+        Zhang–Shasha (``docs/THEORY.md`` §12).
     flt:
         A fitted lower-bound filter.
     counter:
@@ -148,13 +152,21 @@ def range_query(
         stats.filter_seconds = time.perf_counter() - start
 
         matches: List[Tuple[int, float]] = []
+        # unit-cost distances are integers, so d ≤ τ ⟺ d < ⌊τ⌋ + 1; other
+        # cost models come back exact below the limit, hence at ≤ τ
+        limit = math.floor(threshold) + 1
         start = time.perf_counter()
+        gated_before, rungs_before = counter.gated, counter.rungs
         with tracing.span("search.refine", candidates=len(survivors)) as refine_span:
             for row in survivors:
-                distance = counter.distance(query, trees[row], threshold)
+                distance = counter.distance_below(query, trees[row], limit)
                 if distance <= threshold:
                     matches.append((row, distance))
-            refine_span.set(results=len(matches))
+            stats.gated = counter.gated - gated_before
+            stats.rungs = counter.rungs - rungs_before
+            refine_span.set(
+                gated=stats.gated, rungs=stats.rungs, results=len(matches)
+            )
         stats.refine_seconds = time.perf_counter() - start
         stats.candidates = len(survivors)
         stats.results = len(matches)

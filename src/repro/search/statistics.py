@@ -34,6 +34,11 @@ class SearchStats:
     results: int = 0
     filter_seconds: float = 0.0
     refine_seconds: float = 0.0
+    #: budgeted attempts of the refine calls (see
+    #: :class:`~repro.editdist.zhang_shasha.EditDistanceCounter`)
+    rungs: int = 0
+    #: the rungs the traversal-string gate settled without Zhang–Shasha
+    gated: int = 0
     #: the query's :class:`~repro.obs.funnel.FilterFunnel`, populated when
     #: funnel collection or tracing is active (see :mod:`repro.obs.funnel`)
     funnel: "Optional[FilterFunnel]" = None
@@ -70,6 +75,8 @@ class SearchStats:
             results=self.results + other.results,
             filter_seconds=self.filter_seconds + other.filter_seconds,
             refine_seconds=self.refine_seconds + other.refine_seconds,
+            rungs=self.rungs + other.rungs,
+            gated=self.gated + other.gated,
         )
 
     def copy(self) -> "SearchStats":
@@ -80,6 +87,8 @@ class SearchStats:
             results=self.results,
             filter_seconds=self.filter_seconds,
             refine_seconds=self.refine_seconds,
+            rungs=self.rungs,
+            gated=self.gated,
             funnel=self.funnel,
         )
 
@@ -98,6 +107,8 @@ class SearchStats:
             "filter_seconds": self.filter_seconds,
             "refine_seconds": self.refine_seconds,
             "total_seconds": self.total_seconds,
+            "rungs": self.rungs,
+            "gated": self.gated,
         }
         if self.funnel is not None:
             data["funnel"] = self.funnel.to_dict()

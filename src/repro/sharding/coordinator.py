@@ -417,6 +417,8 @@ class ShardedTreeService(QueryService):
             results=len(answer),
             filter_seconds=sum(reply["filter_seconds"] for reply in replies),
             refine_seconds=sum(reply["refine_seconds"] for reply in replies),
+            rungs=sum(reply["rungs"] for reply in replies),
+            gated=sum(reply["gated"] for reply in replies),
         )
         if want_funnel:
             stages = _merge_stages(replies)

@@ -124,6 +124,8 @@ class _ShardState:
             "candidates": stats.candidates,
             "filter_seconds": stats.filter_seconds,
             "refine_seconds": stats.refine_seconds,
+            "rungs": stats.rungs,
+            "gated": stats.gated,
             "stages": None,
         }
         if sink is not None:

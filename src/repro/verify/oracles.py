@@ -786,7 +786,8 @@ class SearchCompletenessOracle(Oracle):
         database = TreeDatabase(list(corpus.trees))
         for pair in corpus.pairs[:10]:
             query = pair.t2
-            for threshold in (1.0, 3.0):
+            # fractional τ: the refine limit ⌊τ⌋ + 1 must keep every d ≤ τ
+            for threshold in (1.0, 1.5, 2.5, 3.0):
                 outcome.checks += 1
                 filtered = database.range_query(query, threshold)[0]
                 sequential = database.sequential_range_query(query, threshold)[0]

@@ -1,6 +1,6 @@
 """Unit and property tests for string edit distance."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.editdist import string_edit_distance, string_edit_distance_bounded
@@ -75,6 +75,10 @@ class TestBoundedVariant:
 
     @given(short_strings, short_strings, st.integers(0, 12))
     @settings(max_examples=100, deadline=None)
+    # a shared prefix and suffix that overlap in the shorter sequence
+    @example("aa", "aaa", 1)
+    @example("aba", "aa", 1)
+    @example("abcab", "ab", 3)
     def test_agrees_with_unbounded(self, a, b, bound):
         exact = string_edit_distance(a, b)
         bounded = string_edit_distance_bounded(a, b, bound)

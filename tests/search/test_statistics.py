@@ -30,6 +30,14 @@ class TestSearchStats:
         assert merged.results == 3
         assert merged.filter_seconds == 0.4
 
+    def test_refine_counts_ride_along(self):
+        a = SearchStats(candidates=4, rungs=5, gated=2)
+        b = SearchStats(candidates=3, rungs=3, gated=1)
+        merged = a.merge(b)
+        assert (merged.rungs, merged.gated) == (8, 3)
+        assert (a.copy().rungs, a.copy().gated) == (5, 2)
+        assert {"rungs": 5, "gated": 2}.items() <= a.to_dict().items()
+
     def test_as_dict(self):
         stats = SearchStats(dataset_size=100, candidates=5, results=5)
         data = stats.as_dict()

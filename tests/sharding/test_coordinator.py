@@ -225,17 +225,23 @@ class TestLifecycle:
     def test_health_counts_gated_refines(self):
         """A refine the traversal-string gate settles still counts as one
         distance computation; ``gated_distances`` counts it again, among
-        the budgeted attempts of ``distance_rungs``."""
+        the budgeted attempts of ``distance_rungs``.  Both query kinds
+        refine through the gate, and the merged stats carry the shards'
+        gated and rung counts."""
         trees = generate_dblp_dataset(80)
         with ShardedTreeService(trees, shards=2, max_workers=2) as service:
-            candidates = sum(service.knn(tree, 3)[1].candidates for tree in trees[:4])
+            stats = [service.knn(tree, 3)[1] for tree in trees[:4]]
+            stats += [service.range(tree, 2.0)[1] for tree in trees[4:8]]
             shards = service.health()["shards"]
         computed = sum(entry["distance_computations"] for entry in shards)
         gated = sum(entry["gated_distances"] for entry in shards)
         rungs = sum(entry["distance_rungs"] for entry in shards)
-        assert computed == candidates
+        assert computed == sum(entry.candidates for entry in stats)
+        assert gated == sum(entry.gated for entry in stats)
+        assert rungs == sum(entry.rungs for entry in stats)
         assert 0 < gated < computed
         assert gated < rungs
+        assert any(entry.gated for entry in stats[4:])
 
 
 class TestMetrics:
