@@ -78,14 +78,17 @@ def test_service_throughput(benchmark):
     # identical answers, not merely similar ones
     assert served_answers == cold_answers
     # the cache must be exercised by a repeated-query workload ...
-    assert snapshot["cache"]["hits"] > 0
-    assert snapshot["cache"]["hit_rate"] > 0.0
+    assert snapshot["repro_cache_hits_total"]["value"] > 0
     # ... and batched+cached serving must beat the sum of cold wall-clocks
     assert served_report.wall_seconds < cold_total
-    # the snapshot reports the observability surface the ISSUE requires
-    assert snapshot["seconds"]["filter"] >= 0.0
-    assert snapshot["seconds"]["refine"] > 0.0
-    for kind_histogram in snapshot["latency"].values():
+    # the registry snapshot carries the phase seconds and latency histograms
+    phases = snapshot["repro_phase_seconds_total"]["value"]
+    assert all(seconds >= 0.0 for seconds in phases.values())
+    assert sum(
+        seconds for series, seconds in phases.items() if series.startswith("refine")
+    ) > 0.0
+    latency = snapshot["repro_query_latency_seconds"]["value"]
+    for kind_histogram in latency.values():
         assert kind_histogram["p50_seconds"] <= kind_histogram["p99_seconds"]
 
 

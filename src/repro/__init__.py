@@ -47,7 +47,6 @@ from repro.filters.histogram import HistogramFilter
 from repro.filters.traversal_string import TraversalStringFilter
 from repro.search.database import TreeDatabase
 from repro.service.engine import TreeSearchService
-from repro.service.metrics import ServiceMetrics
 from repro.search.join import similarity_join, similarity_self_join
 from repro.search.knn import knn_query
 from repro.search.range_query import range_query
@@ -87,7 +86,6 @@ __all__ = [
     "TraversalStringFilter",
     "TreeDatabase",
     "TreeSearchService",
-    "ServiceMetrics",
     "range_query",
     "knn_query",
     "similarity_self_join",

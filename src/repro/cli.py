@@ -822,7 +822,7 @@ def _cmd_serve_bench(args) -> int:
                 )
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(service.metrics.registry.prometheus_text())
+            handle.write(service.metrics.prometheus_text())
         print(f"wrote metrics to {args.metrics_out}", file=sys.stderr)
     if args.chrome_trace:
         with open(args.chrome_trace, "w", encoding="utf-8") as handle:
@@ -930,7 +930,6 @@ def _cmd_metrics(args) -> int:
     if args.file:
         from repro.search.database import TreeDatabase
         from repro.service import (
-            ServiceMetrics,
             TreeSearchService,
             WorkloadSpec,
             generate_workload,
@@ -945,7 +944,6 @@ def _cmd_metrics(args) -> int:
             queries=args.queries, k=min(3, len(trees)), seed=args.seed
         )
         workload = generate_workload(trees, spec)
-        metrics = ServiceMetrics(registry=registry)
         if args.shards != 1:
             from repro.sharding import ShardedTreeService
 
@@ -953,7 +951,7 @@ def _cmd_metrics(args) -> int:
                 trees,
                 shards=args.shards,
                 filter_name=args.filter,
-                metrics=metrics,
+                metrics=registry,
             ) as service:
                 replay(service, workload)
                 # publish the per-shard repro_shard_* gauges into the dump
@@ -962,7 +960,7 @@ def _cmd_metrics(args) -> int:
             # unfitted, as serve-bench does: the database fits from its
             # feature store, so the service serves off the matrix planes
             database = TreeDatabase(trees, flt=FILTERS[args.filter]())
-            with TreeSearchService(database, metrics=metrics) as service:
+            with TreeSearchService(database, metrics=registry) as service:
                 replay(service, workload)
     if args.json:
         print(registry.to_json(indent=2))

@@ -18,7 +18,7 @@ A zero-dependency observability layer threaded through the whole stack:
 * :mod:`repro.obs.metrics` — a process-wide
   :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
   histograms) with Prometheus text exposition and JSON snapshots; the
-  service layer's ``ServiceMetrics`` is implemented on top of it.
+  serving tiers record straight into one (``service.metrics``).
 
 See ``docs/OBSERVABILITY.md`` and the ``repro trace`` / ``repro metrics``
 CLI commands.

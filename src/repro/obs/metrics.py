@@ -15,9 +15,9 @@ Instrument registration is get-or-create: asking twice for the same name
 returns the same instrument (so independent modules can share counters),
 while re-registering a name with a different type or label set raises —
 that is always a bug.  :data:`the module-level default registry
-<get_registry>` plays the role of Prometheus' global registry; the serving
-layer's :class:`~repro.service.metrics.ServiceMetrics` builds its private
-registry by default and can be pointed at the global one.
+<get_registry>` plays the role of Prometheus' global registry; every
+serving tier (:class:`~repro.service.engine.QueryService`) records into a
+private registry by default and can be pointed at the global one.
 
 :class:`HistogramState` is the single-series histogram engine (log-bucketed
 counts with interpolated percentiles).
@@ -276,7 +276,9 @@ class Histogram(_Instrument):
 
     def observe(self, value: float, **labels) -> None:
         """Record one observation into the labelled series."""
-        self.state(**labels).record(value)
+        state = self.state(**labels)
+        with self._lock:
+            state.record(value)
 
     def state(self, **labels) -> HistogramState:
         """The labelled series' state, created on first access."""

@@ -6,9 +6,9 @@ package turns them into a *service*:
 * :class:`~repro.service.engine.TreeSearchService` — a thread-safe facade
   over :class:`~repro.search.database.TreeDatabase` with a bounded LRU
   result cache, a shared prepared-tree cache, and batch fan-out;
-* :class:`~repro.service.metrics.ServiceMetrics` — process-local counters
-  and latency histograms recorded into a metrics registry, with a
-  plain-``dict`` snapshot view;
+* ``service.metrics`` — the :class:`~repro.obs.metrics.MetricsRegistry`
+  every query is recorded into (counters and latency histograms, read by
+  instrument name);
 * :mod:`~repro.service.workload` — a deterministic synthetic traffic
   generator and replay driver (``repro serve-bench``).
 
@@ -17,7 +17,6 @@ on these interfaces.
 """
 
 from repro.service.engine import QueryRequest, TreeSearchService
-from repro.service.metrics import ServiceMetrics
 from repro.service.workload import (
     WorkloadReport,
     WorkloadSpec,
@@ -30,7 +29,6 @@ from repro.service.workload import (
 __all__ = [
     "TreeSearchService",
     "QueryRequest",
-    "ServiceMetrics",
     "percentile",
     "WorkloadSpec",
     "WorkloadReport",

@@ -14,8 +14,8 @@ The library's query functions are single-shot: one caller, one query, one
   are postorder-flattened once, not once per thread;
 * **batching** — ``batch_range`` / ``batch_knn`` fan a list of queries out
   over a ``ThreadPoolExecutor``;
-* **observability** — every query is folded into a
-  :class:`~repro.service.metrics.ServiceMetrics`.
+* **observability** — every query is recorded into the service's
+  :class:`~repro.obs.metrics.MetricsRegistry` (``service.metrics``).
 
 Consistency model: mutations are exclusive — they wait for in-flight
 queries to drain, and queries started after the mutation see the new tree.
@@ -43,8 +43,8 @@ Examples
 >>> [index for index, _ in matches]
 [0, 1]
 >>> matches, _ = service.range(parse_bracket("a(b,c)"), 1)  # cache hit
->>> service.metrics.snapshot()["cache"]["hits"]
-1
+>>> service.metrics.get("repro_cache_hits_total").value()
+1.0
 """
 
 from __future__ import annotations
@@ -61,11 +61,11 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 from repro.editdist.zhang_shasha import EditDistanceCounter, PreparedTreeCache
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.obs import tracing
+from repro.obs.metrics import MetricsRegistry
 from repro.search.database import TreeDatabase
 from repro.search.knn import check_k, knn_query
 from repro.search.range_query import range_query
 from repro.search.statistics import SearchStats
-from repro.service.metrics import ServiceMetrics
 from repro.trees.node import TreeNode
 from repro.trees.parse import to_bracket
 
@@ -235,17 +235,63 @@ class QueryService(abc.ABC):
         Thread-pool width for :meth:`batch`, :meth:`batch_range` and
         :meth:`batch_knn`.
     metrics:
-        Optional externally owned :class:`ServiceMetrics` (e.g. one shared
-        by several services); a private instance is created by default.
+        Optional :class:`~repro.obs.metrics.MetricsRegistry` to record
+        into — :func:`~repro.obs.metrics.get_registry` exposes the service
+        on the process-wide registry, and services sharing one registry
+        sum into one set of series.  A private registry is created by
+        default.
+
+    Work (objects, candidates, results, phase seconds) is counted on
+    cache misses only, so a computation is counted once however often
+    its answer is served; latency is recorded for every query.
     """
 
-    def __init__(self, max_workers: int, metrics: Optional[ServiceMetrics]) -> None:
+    def __init__(self, max_workers: int, metrics: Optional[MetricsRegistry]) -> None:
         if max_workers < 1:
             raise InvalidParameterError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
         self.max_workers = max_workers
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        r = self.metrics
+        self._queries = r.counter(
+            "repro_queries_total", "Queries served, by kind.", ("kind",)
+        )
+        self._cache_hits = r.counter("repro_cache_hits_total", "Result-cache hits.")
+        self._cache_misses = r.counter(
+            "repro_cache_misses_total", "Result-cache misses."
+        )
+        self._batches = r.counter("repro_batches_total", "Batch submissions.")
+        self._objects = r.counter(
+            "repro_dataset_objects_considered_total",
+            "Database objects scanned by the filter step.",
+        )
+        self._candidates = r.counter(
+            "repro_candidates_examined_total",
+            "Filter survivors refined with the exact edit distance.",
+        )
+        self._results = r.counter(
+            "repro_results_returned_total", "Objects in final answers."
+        )
+        self._phase_seconds = r.counter(
+            "repro_phase_seconds_total",
+            "CPU seconds per query phase, by phase and query kind.",
+            ("phase", "kind"),
+        )
+        self._invalidations = r.counter(
+            "repro_invalidations_total", "Cache invalidation passes (mutations)."
+        )
+        self._entries_retained = r.counter(
+            "repro_cache_entries_retained_total",
+            "Cache entries proven valid across a mutation.",
+        )
+        self._entries_evicted = r.counter(
+            "repro_cache_entries_evicted_total",
+            "Cache entries dropped by a mutation.",
+        )
+        self._latency = r.histogram(
+            "repro_query_latency_seconds", "End-to-end query latency.", ("kind",)
+        )
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._closed = False
@@ -253,6 +299,23 @@ class QueryService(abc.ABC):
     @abc.abstractmethod
     def execute(self, request: QueryRequest) -> QueryAnswer:
         """Serve one :class:`QueryRequest` of either kind."""
+
+    def _observe(
+        self, kind: str, stats: SearchStats, latency: float, cache_hit: bool
+    ) -> None:
+        """Record one served query; a hit's ``stats`` describe the
+        original computation, so only its latency is new work."""
+        self._queries.inc(kind=kind)
+        if cache_hit:
+            self._cache_hits.inc()
+        else:
+            self._cache_misses.inc()
+            self._objects.inc(stats.dataset_size)
+            self._candidates.inc(stats.candidates)
+            self._results.inc(stats.results)
+            self._phase_seconds.inc(stats.filter_seconds, phase="filter", kind=kind)
+            self._phase_seconds.inc(stats.refine_seconds, phase="refine", kind=kind)
+        self._latency.observe(latency, kind=kind)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -295,7 +358,7 @@ class QueryService(abc.ABC):
 
     def batch(self, requests: Sequence[QueryRequest]) -> List[QueryAnswer]:
         """Serve a mixed-kind batch concurrently; answers in input order."""
-        self.metrics.observe_batch()
+        self._batches.inc()
         if not requests:
             return []
         if len(requests) == 1:
@@ -351,7 +414,7 @@ class TreeSearchService(QueryService):
         database: TreeDatabase,
         max_workers: int = 4,
         cache_size: int = 1024,
-        metrics: Optional[ServiceMetrics] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(max_workers, metrics)
         self.database = database
@@ -400,7 +463,9 @@ class TreeSearchService(QueryService):
             finally:
                 self._rwlock.release_write()
             add_span.set(index=index, retained=retained, evicted=evicted)
-        self.metrics.observe_invalidation(retained=retained, evicted=evicted)
+        self._invalidations.inc()
+        self._entries_retained.inc(retained)
+        self._entries_evicted.inc(evicted)
         return index
 
     def _entry_survives_add(
@@ -459,7 +524,7 @@ class TreeSearchService(QueryService):
                 serve_span.set(
                     cache_hit=True, candidates=stats.candidates, results=stats.results
                 )
-                self.metrics.observe_query(
+                self._observe(
                     request.kind, stats, time.perf_counter() - start, cache_hit=True
                 )
                 return list(matches), stats.copy()
@@ -497,7 +562,7 @@ class TreeSearchService(QueryService):
             serve_span.set(
                 cache_hit=False, candidates=stats.candidates, results=stats.results
             )
-            self.metrics.observe_query(
+            self._observe(
                 request.kind, stats, time.perf_counter() - start, cache_hit=False
             )
             return matches, stats

@@ -7,10 +7,11 @@ repeatable workload to be comparable across runs.  This module provides
   range/k-NN query stream over a dataset, with a configurable *repetition*
   fraction (real query traffic is heavily repetitive, which is exactly what
   a result cache exploits);
-* :func:`replay` — a driver that fires the stream at a
-  :class:`~repro.service.engine.TreeSearchService` either serially or from
-  concurrent client threads, timing every query, and reports throughput,
-  exact latency percentiles, and the service's metrics snapshot.
+* :func:`replay` — a driver that fires the stream at any
+  :class:`~repro.service.engine.QueryService` (single-process or sharded)
+  either serially or from concurrent client threads, timing every query,
+  and reports throughput, exact latency percentiles, and the snapshot of
+  the service's metrics registry.
 
 Everything is deterministic given the spec's ``seed`` (the concurrent
 replay's *interleaving* is scheduler-dependent, but the query stream and
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import QueryError
-from repro.service.engine import QueryRequest, TreeSearchService
+from repro.service.engine import QueryRequest, QueryService
 from repro.trees.node import TreeNode
 
 __all__ = [
@@ -112,7 +113,12 @@ def generate_workload(
 
 @dataclass
 class WorkloadReport:
-    """What one replay measured."""
+    """What one replay measured.
+
+    ``metrics`` is the service registry's
+    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` at the end of the
+    replay, keyed by instrument name.
+    """
 
     mode: str
     queries: int
@@ -159,14 +165,17 @@ class WorkloadReport:
 
 
 def replay(
-    service: TreeSearchService,
+    service: QueryService,
     workload: Sequence[QueryRequest],
     clients: int = 1,
 ) -> Tuple[List[List[Tuple[int, float]]], WorkloadReport]:
     """Fire ``workload`` at ``service`` and measure it.
 
-    ``clients=1`` replays serially on the calling thread; ``clients>1``
-    simulates that many concurrent clients draining a shared queue.  Every
+    ``service`` is either serving tier — a
+    :class:`~repro.service.engine.TreeSearchService` or a
+    :class:`~repro.sharding.ShardedTreeService`.  ``clients=1`` replays
+    serially on the calling thread; ``clients>1`` simulates that many
+    concurrent clients draining a shared queue.  Every
     query's latency is measured around the service call itself, so the
     report's percentiles are exact.  Returns the per-query match lists (in
     workload order — the replay is answer-deterministic regardless of
@@ -218,8 +227,7 @@ def format_report(report: WorkloadReport) -> str:
     """Human-readable multi-line summary of one replay."""
     summary = report.to_dict()
     latency = summary["latency"]
-    cache = report.metrics.get("cache", {}) if report.metrics else {}
-    seconds = report.metrics.get("seconds", {}) if report.metrics else {}
+    metrics = report.metrics
     lines = [
         f"mode:            {report.mode}",
         f"queries:         {report.queries}",
@@ -233,14 +241,22 @@ def format_report(report: WorkloadReport) -> str:
             f"max {latency['max_seconds'] * 1000:.2f} ms"
         ),
     ]
-    if cache:
+    if "repro_cache_hits_total" in metrics:
+        hits = int(metrics["repro_cache_hits_total"]["value"])
+        misses = int(metrics["repro_cache_misses_total"]["value"])
+        hit_rate = hits / (hits + misses) if hits + misses else 0.0
         lines.append(
-            f"result cache:    {cache['hits']} hits / {cache['misses']} misses "
-            f"(hit rate {cache['hit_rate']:.1%})"
+            f"result cache:    {hits} hits / {misses} misses "
+            f"(hit rate {hit_rate:.1%})"
         )
-    if seconds:
+    if "repro_phase_seconds_total" in metrics:
+        # series keys are "phase,kind", as the registry snapshot labels them
+        phases = metrics["repro_phase_seconds_total"]["value"]
         lines.append(
-            f"cpu seconds:     filter {seconds['filter']:.4f} · "
-            f"refine {seconds['refine']:.4f}"
+            "cpu seconds:     "
+            + " · ".join(
+                f"{series.replace(',', ' ')} {seconds:.4f}"
+                for series, seconds in phases.items()
+            )
         )
     return "\n".join(lines)

@@ -56,6 +56,7 @@ from repro.exceptions import InvalidParameterError, QueryError, ShardError
 from repro.filters.registry import DEFAULT_FILTER, FILTERS
 from repro.obs import tracing
 from repro.obs.funnel import FunnelStage, active_sink, record_funnel
+from repro.obs.metrics import MetricsRegistry
 from repro.search.knn import KnnHeap, check_k
 from repro.search.statistics import SearchStats
 from repro.service.engine import (
@@ -64,7 +65,6 @@ from repro.service.engine import (
     QueryService,
     _ReadWriteLock,
 )
-from repro.service.metrics import ServiceMetrics
 from repro.sharding.partition import (
     Partitioner,
     ShardAssignment,
@@ -214,7 +214,7 @@ class ShardedTreeService(QueryService):
         filter_name: str = DEFAULT_FILTER,
         partitioner: Union[str, Partitioner] = "round-robin",
         max_workers: int = 4,
-        metrics: Optional[ServiceMetrics] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if shards < 2:
             raise InvalidParameterError(
@@ -239,7 +239,7 @@ class ShardedTreeService(QueryService):
                 f"service has {shards}"
             )
         self._partitioner = partitioner
-        self._shard_latency = self.metrics.registry.histogram(
+        self._shard_latency = self.metrics.histogram(
             "repro_shard_latency_seconds",
             "Coordinator-observed per-shard round-trip latency.",
             ("shard", "kind"),
@@ -247,17 +247,17 @@ class ShardedTreeService(QueryService):
         #: live per-shard load gauges, maintained around every RPC:
         #: queue depth counts callers waiting on the per-worker pipe lock,
         #: in-flight counts exchanges currently on the wire
-        self._queue_depth = self.metrics.registry.gauge(
+        self._queue_depth = self.metrics.gauge(
             "repro_shard_queue_depth",
             "Coordinator threads waiting for a worker's pipe lock.",
             ("shard",),
         )
-        self._inflight = self.metrics.registry.gauge(
+        self._inflight = self.metrics.gauge(
             "repro_shard_inflight_requests",
             "Requests currently on the wire to a worker.",
             ("shard",),
         )
-        self._imbalance_warnings = self.metrics.registry.counter(
+        self._imbalance_warnings = self.metrics.counter(
             "repro_shard_imbalance_warnings_total",
             "health() snapshots that flagged a shard imbalance.",
             ("dimension",),
@@ -423,7 +423,7 @@ class ShardedTreeService(QueryService):
         if want_funnel:
             stages = _merge_stages(replies)
             record_funnel(stats, request.kind, parameter, stages, sink)
-        self.metrics.observe_query(
+        self._observe(
             request.kind, stats, time.perf_counter() - start, cache_hit=False
         )
         return answer, stats
@@ -479,7 +479,7 @@ class ShardedTreeService(QueryService):
             self._rwlock.release_write()
         # no cross-process result cache at shards > 1: the invalidation
         # pass is counted for metric parity, with nothing to retain/evict
-        self.metrics.observe_invalidation(retained=0, evicted=0)
+        self._invalidations.inc()
         return global_index
 
     # ------------------------------------------------------------------
@@ -508,7 +508,7 @@ class ShardedTreeService(QueryService):
 
     def _publish_health(self, shards: List[Dict[str, object]]) -> List[str]:
         """Set the per-shard gauges and derive imbalance warnings."""
-        registry = self.metrics.registry
+        registry = self.metrics
         stage_gauge = registry.gauge(
             "repro_shard_stage_seconds",
             "Cumulative busy seconds per pipeline stage on the shard.",

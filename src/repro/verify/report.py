@@ -1,7 +1,6 @@
 """Verification reporting: per-oracle outcomes, violations, JSON snapshots.
 
-Mirrors the :class:`~repro.service.metrics.ServiceMetrics` surface: every
-oracle folds its work into an :class:`OracleOutcome` (checks performed,
+Every oracle folds its work into an :class:`OracleOutcome` (checks performed,
 violations found, wall time), the run aggregates them in a
 :class:`VerifyReport`, and ``snapshot()`` / ``to_json()`` produce the
 plain-dict / JSON views the CLI and the CI artifact uploader consume.
@@ -95,7 +94,7 @@ class OracleOutcome:
 
 
 class VerifyReport:
-    """Aggregate of one verification run (ServiceMetrics-style snapshots)."""
+    """Aggregate of one verification run, with plain-dict / JSON views."""
 
     def __init__(self, seed: int, budget: str) -> None:
         self.seed = seed

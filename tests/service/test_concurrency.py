@@ -5,14 +5,17 @@ the sequential-scan ground truth, no matter how many threads share the
 service or how often the result cache is hit.
 """
 
+import sys
 import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.search import SearchStats
 from repro.search.database import TreeDatabase
 from repro.service import TreeSearchService
 from repro.trees import parse_bracket
+from tests.metric_reads import metric
 from tests.strategies import trees as tree_strategy
 
 THREADS = 8
@@ -75,9 +78,12 @@ class TestConcurrentQueries:
                 thread.join()
         assert not failures
         # heavy repetition must actually exercise the cache
-        snapshot = service.metrics.snapshot()
-        assert snapshot["cache"]["hits"] > 0
-        assert snapshot["queries_served"] == THREADS * ROUNDS * len(queries)
+        assert metric(service, "repro_cache_hits_total") > 0
+        total = THREADS * ROUNDS * len(queries)
+        served = service.metrics.get("repro_queries_total").values()
+        assert sum(served.values()) == total
+        latency = service.metrics.get("repro_query_latency_seconds").states()
+        assert sum(state.total for state in latency.values()) == total
 
     def test_concurrent_batches_agree_with_ground_truth(self):
         dataset = _dataset()
@@ -130,6 +136,39 @@ class TestConcurrentQueries:
         assert len(database) == len(_dataset()) + 20
 
 
+class TestRecordingUnderContention:
+    def test_concurrent_observations_lose_no_update(self):
+        """Every series stays exact with only the per-instrument locks."""
+        service = TreeSearchService(TreeDatabase(_dataset()))
+        stats = SearchStats(dataset_size=10, candidates=3, results=1)
+        rounds = 2000
+        barrier = threading.Barrier(THREADS)
+
+        def worker():
+            barrier.wait()
+            for _ in range(rounds):
+                service._observe("range", stats, 1e-4, cache_hit=False)
+
+        threads = [threading.Thread(target=worker) for _ in range(THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = THREADS * rounds
+        assert metric(service, "repro_queries_total", kind="range") == total
+        assert metric(service, "repro_cache_misses_total") == total
+        assert metric(service, "repro_candidates_examined_total") == 3 * total
+        latency = service.metrics.get("repro_query_latency_seconds")
+        assert latency.state(kind="range").total == total
+        assert sum(latency.state(kind="range").counts) == total
+
+
 class TestCachedEqualsUncached:
     @given(
         forest=st.lists(tree_strategy(max_leaves=6), min_size=2, max_size=8),
@@ -146,7 +185,7 @@ class TestCachedEqualsUncached:
             warm, _ = cached_service.range(query, threshold)  # from cache
             plain, _ = uncached_service.range(query, threshold)
             assert cold == warm == plain
-            assert cached_service.metrics.snapshot()["cache"]["hits"] == 1
+            assert metric(cached_service, "repro_cache_hits_total") == 1
         finally:
             cached_service.close()
             uncached_service.close()

@@ -8,6 +8,7 @@ from repro.exceptions import InvalidParameterError, QueryError
 from repro.search.database import TreeDatabase
 from repro.service import QueryRequest, TreeSearchService
 from repro.trees import parse_bracket
+from tests.metric_reads import metric
 
 BRACKETS = ["a(b,c)", "a(b,d)", "x(y)", "a(b(c),d)", "x(y,z)", "a(b,c)"]
 
@@ -56,7 +57,7 @@ class TestSingleQueries:
         with pytest.raises(QueryError, match="finite"):
             service.range(parse_bracket("a(b,c)"), threshold)
         assert len(service._cache) == 0
-        assert service.metrics.snapshot()["cache"]["misses"] == 0
+        assert metric(service, "repro_cache_misses_total") == 0
 
 
     @pytest.mark.parametrize("k", [2.5, True])
@@ -74,25 +75,25 @@ class TestResultCache:
         first, _ = service.range(query, 1)
         second, _ = service.range(query, 1)
         assert first == second
-        assert service.metrics.snapshot()["cache"]["hits"] == 1
-        assert service.metrics.snapshot()["cache"]["misses"] == 1
+        assert metric(service, "repro_cache_hits_total") == 1
+        assert metric(service, "repro_cache_misses_total") == 1
 
     def test_cache_keyed_by_canonical_form_not_identity(self, service):
         service.range(parse_bracket("a(b,c)"), 1)
         service.range(parse_bracket("a(b,c)"), 1)  # distinct object, same tree
-        assert service.metrics.snapshot()["cache"]["hits"] == 1
+        assert metric(service, "repro_cache_hits_total") == 1
 
     def test_cache_distinguishes_parameters(self, service):
         query = parse_bracket("a(b,c)")
         service.range(query, 1)
         service.range(query, 2)
-        assert service.metrics.snapshot()["cache"]["hits"] == 0
+        assert metric(service, "repro_cache_hits_total") == 0
 
     def test_cache_distinguishes_kinds(self, service):
         query = parse_bracket("a(b,c)")
         service.range(query, 2)
         service.knn(query, 2)
-        assert service.metrics.snapshot()["cache"]["hits"] == 0
+        assert metric(service, "repro_cache_hits_total") == 0
 
     def test_cached_answer_is_a_private_copy(self, service):
         query = parse_bracket("a(b,c)")
@@ -111,7 +112,7 @@ class TestResultCache:
         assert index == len(BRACKETS)
         assert (index, 0.0) in after
         assert len(after) == len(before) + 1
-        assert service.metrics.snapshot()["cache"]["invalidations"] == 1
+        assert metric(service, "repro_invalidations_total") == 1
 
     def test_zero_cache_size_disables_caching(self, database):
         with TreeSearchService(database, cache_size=0) as svc:
@@ -119,8 +120,8 @@ class TestResultCache:
             first, _ = svc.range(query, 1)
             second, _ = svc.range(query, 1)
             assert first == second
-            assert svc.metrics.snapshot()["cache"]["hits"] == 0
-            assert svc.metrics.snapshot()["cache"]["misses"] == 2
+            assert metric(svc, "repro_cache_hits_total") == 0
+            assert metric(svc, "repro_cache_misses_total") == 2
 
     def test_cache_is_lru_bounded(self, database):
         with TreeSearchService(database, cache_size=2) as svc:
@@ -161,7 +162,7 @@ class TestBatches:
 
     def test_batch_counts_in_metrics(self, service):
         service.batch_range([parse_bracket("a(b,c)")], 1)
-        assert service.metrics.snapshot()["batches"] == 1
+        assert metric(service, "repro_batches_total") == 1
 
 
 class TestLifecycle:

@@ -1,11 +1,38 @@
-"""Unit tests for the serving metrics layer."""
+"""Unit tests for what a serving tier records into its metrics registry."""
 
 import json
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.search import SearchStats
-from repro.service import ServiceMetrics, percentile
+from repro.search.database import TreeDatabase
+from repro.service import (
+    QueryRequest,
+    TreeSearchService,
+    WorkloadReport,
+    format_report,
+    percentile,
+)
+from repro.trees import parse_bracket
+from tests.metric_reads import metric
+
+BRACKETS = ["a(b,c)", "a(b,d)", "x(y(z),w)", "a(b(c,d),e(f))", "x(y,w)"]
+
+
+def _service(metrics=None):
+    database = TreeDatabase([parse_bracket(text) for text in BRACKETS])
+    return TreeSearchService(database, metrics=metrics)
+
+
+def _phase_seconds(service):
+    """``{"phase,kind": seconds}`` as the registry snapshot keys them."""
+    return service.metrics.snapshot()["repro_phase_seconds_total"]["value"]
+
+
+def _latency_counts(service):
+    states = service.metrics.get("repro_query_latency_seconds").states()
+    return {labels[0]: state.total for labels, state in states.items()}
 
 
 class TestPercentile:
@@ -37,17 +64,17 @@ class TestPercentile:
 
 
 class TestLatencyHistogram:
-    """The per-kind latency histogram a ``ServiceMetrics`` records into."""
+    """The per-kind latency histogram a service records into."""
 
     def _record(self, latencies):
-        metrics = ServiceMetrics()
+        service = _service()
         stats = SearchStats(dataset_size=10, candidates=1, results=1)
         for latency in latencies:
-            metrics.observe_query("range", stats, latency, cache_hit=False)
-        return metrics
+            service._observe("range", stats, latency, cache_hit=False)
+        return service
 
-    def _histogram(self, metrics):
-        return metrics.registry.get("repro_query_latency_seconds").state(
+    def _histogram(self, service):
+        return service.metrics.get("repro_query_latency_seconds").state(
             kind="range"
         )
 
@@ -68,117 +95,135 @@ class TestLatencyHistogram:
         assert histogram.min <= p50 and p99 <= histogram.max
 
     def test_to_dict_is_json_serialisable(self):
-        metrics = self._record((0.002,))
-        data = self._histogram(metrics).to_dict()
+        service = self._record((0.002,))
+        data = self._histogram(service).to_dict()
         assert json.loads(json.dumps(data)) == data
         assert data["count"] == 1
-        assert metrics.snapshot()["latency"]["range"] == data
+        snapshot = service.metrics.snapshot()
+        assert snapshot["repro_query_latency_seconds"]["value"]["range"] == data
 
 
-class TestServiceMetrics:
-    def _stats(self):
-        return SearchStats(dataset_size=100, candidates=10, results=2,
-                           filter_seconds=0.01, refine_seconds=0.05)
-
+class TestServiceRecording:
     def test_observe_miss_accumulates_work(self):
-        metrics = ServiceMetrics()
-        metrics.observe_query("range", self._stats(), 0.06, cache_hit=False)
-        snapshot = metrics.snapshot()
-        assert snapshot["queries_served"] == 1
-        assert snapshot["work"]["candidates_examined"] == 10
-        assert snapshot["seconds"]["filter"] == pytest.approx(0.01)
-        assert snapshot["seconds"]["refine"] == pytest.approx(0.05)
+        with _service() as service:
+            _, stats = service.range(parse_bracket("a(b,c)"), 1)
+            assert metric(service, "repro_queries_total", kind="range") == 1
+            assert metric(service, "repro_cache_misses_total") == 1
+            assert (
+                metric(service, "repro_dataset_objects_considered_total")
+                == stats.dataset_size
+            )
+            assert (
+                metric(service, "repro_candidates_examined_total")
+                == stats.candidates
+            )
+            assert metric(service, "repro_results_returned_total") == stats.results
+            phases = _phase_seconds(service)
+            assert phases["filter,range"] == pytest.approx(stats.filter_seconds)
+            assert phases["refine,range"] == pytest.approx(stats.refine_seconds)
+            assert _latency_counts(service) == {"range": 1}
 
     def test_observe_hit_skips_work_counters(self):
-        metrics = ServiceMetrics()
-        metrics.observe_query("range", self._stats(), 0.06, cache_hit=False)
-        metrics.observe_query("range", self._stats(), 0.0001, cache_hit=True)
-        snapshot = metrics.snapshot()
-        assert snapshot["cache"]["hit_rate"] == 0.5
-        # the hit does not double-count filter/refine work
-        assert snapshot["work"]["candidates_examined"] == 10
+        with _service() as service:
+            query = parse_bracket("a(b,c)")
+            _, stats = service.range(query, 1)
+            service.range(query, 1)  # from cache
+            assert metric(service, "repro_cache_hits_total") == 1
+            assert metric(service, "repro_cache_misses_total") == 1
+            # the hit does not double-count filter/refine work ...
+            assert (
+                metric(service, "repro_candidates_examined_total")
+                == stats.candidates
+            )
+            assert (
+                metric(service, "repro_dataset_objects_considered_total")
+                == stats.dataset_size
+            )
+            # ... but its latency is recorded
+            assert _latency_counts(service) == {"range": 2}
 
-    def test_snapshot_schema(self):
-        metrics = ServiceMetrics()
-        metrics.observe_query("knn", self._stats(), 0.06, cache_hit=False)
-        metrics.observe_batch()
-        metrics.observe_invalidation()
-        snapshot = metrics.snapshot()
-        assert snapshot["queries_served"] == 1
-        assert snapshot["queries_by_kind"] == {"knn": 1}
-        assert snapshot["batches"] == 1
-        assert snapshot["cache"]["invalidations"] == 1
-        assert snapshot["work"]["accessed_percentage"] == pytest.approx(10.0)
-        assert snapshot["seconds"]["total"] == pytest.approx(0.06)
-        assert set(snapshot["latency"]) == {"knn"}
+    def test_series_by_instrument_name(self):
+        with _service() as service:
+            query = parse_bracket("a(b,c)")
+            [(_, stats)] = service.batch([QueryRequest("knn", query, k=2)])
+            service.add(parse_bracket("z(w(v,u),t(s,r),p,o,n)"))
+            snapshot = service.metrics.snapshot()
+        assert snapshot["repro_queries_total"]["value"] == {"knn": 1.0}
+        assert snapshot["repro_batches_total"]["value"] == 1
+        assert snapshot["repro_invalidations_total"]["value"] == 1
+        candidates = snapshot["repro_candidates_examined_total"]["value"]
+        considered = snapshot["repro_dataset_objects_considered_total"]["value"]
+        assert 100.0 * candidates / considered == pytest.approx(
+            stats.accessed_percentage
+        )
+        latency = snapshot["repro_query_latency_seconds"]["value"]
+        assert set(latency) == {"knn"}
         for key in ("count", "p50_seconds", "p90_seconds", "p99_seconds"):
-            assert key in snapshot["latency"]["knn"]
+            assert key in latency["knn"]
 
     def test_idle_hit_rate_is_zero(self):
-        assert ServiceMetrics().snapshot()["cache"]["hit_rate"] == 0.0
+        service = _service()
+        assert metric(service, "repro_cache_hits_total") == 0
+        assert metric(service, "repro_cache_misses_total") == 0
+        report = WorkloadReport(
+            mode="serial",
+            queries=0,
+            clients=1,
+            wall_seconds=0.0,
+            metrics=service.metrics.snapshot(),
+        )
+        assert "(hit rate 0.0%)" in format_report(report)
 
 
 class TestPerKindSeconds:
-    """Regression: snapshot() must break filter/refine time down per kind."""
-
-    @staticmethod
-    def _stats(filter_seconds, refine_seconds):
-        return SearchStats(dataset_size=50, candidates=5, results=1,
-                           filter_seconds=filter_seconds,
-                           refine_seconds=refine_seconds)
+    """Filter/refine seconds are split per query kind, on misses only."""
 
     def test_seconds_by_kind(self):
-        metrics = ServiceMetrics()
-        metrics.observe_query("range", self._stats(0.01, 0.04), 0.05,
-                              cache_hit=False)
-        metrics.observe_query("range", self._stats(0.01, 0.04), 0.05,
-                              cache_hit=False)
-        metrics.observe_query("knn", self._stats(0.002, 0.008), 0.01,
-                              cache_hit=False)
-        by_kind = metrics.snapshot()["seconds"]["by_kind"]
-        assert by_kind["range"]["filter"] == pytest.approx(0.02)
-        assert by_kind["range"]["refine"] == pytest.approx(0.08)
-        assert by_kind["range"]["total"] == pytest.approx(0.10)
-        assert by_kind["knn"]["filter"] == pytest.approx(0.002)
-        assert by_kind["knn"]["refine"] == pytest.approx(0.008)
+        with _service() as service:
+            _, first = service.range(parse_bracket("a(b,c)"), 1)
+            _, second = service.range(parse_bracket("x(y,w)"), 1)
+            _, knn = service.knn(parse_bracket("a(b,c)"), 2)
+            phases = _phase_seconds(service)
+        assert phases["filter,range"] == pytest.approx(
+            first.filter_seconds + second.filter_seconds
+        )
+        assert phases["refine,range"] == pytest.approx(
+            first.refine_seconds + second.refine_seconds
+        )
+        assert phases["filter,knn"] == pytest.approx(knn.filter_seconds)
+        assert phases["refine,knn"] == pytest.approx(knn.refine_seconds)
 
     def test_snapshot_carries_by_kind_and_totals_agree(self):
-        metrics = ServiceMetrics()
-        metrics.observe_query("range", self._stats(0.01, 0.04), 0.05,
-                              cache_hit=False)
-        metrics.observe_query("knn", self._stats(0.002, 0.008), 0.01,
-                              cache_hit=False)
-        snapshot = metrics.snapshot()
-        by_kind = snapshot["seconds"]["by_kind"]
-        assert set(by_kind) == {"range", "knn"}
-        assert sum(entry["filter"] for entry in by_kind.values()) == pytest.approx(
-            snapshot["seconds"]["filter"]
+        with _service() as service:
+            _, ranged = service.range(parse_bracket("a(b,c)"), 1)
+            _, knn = service.knn(parse_bracket("a(b,c)"), 2)
+            phases = _phase_seconds(service)
+        assert set(phases) == {
+            "filter,range", "refine,range", "filter,knn", "refine,knn"
+        }
+        filter_total = sum(v for k, v in phases.items() if k.startswith("filter"))
+        refine_total = sum(v for k, v in phases.items() if k.startswith("refine"))
+        assert filter_total == pytest.approx(
+            ranged.filter_seconds + knn.filter_seconds
         )
-        assert sum(entry["refine"] for entry in by_kind.values()) == pytest.approx(
-            snapshot["seconds"]["refine"]
+        assert refine_total == pytest.approx(
+            ranged.refine_seconds + knn.refine_seconds
         )
 
     def test_cache_hits_do_not_accrue_phase_seconds(self):
-        metrics = ServiceMetrics()
-        metrics.observe_query("range", self._stats(0.01, 0.04), 0.05,
-                              cache_hit=False)
-        metrics.observe_query("range", self._stats(0.01, 0.04), 0.0001,
-                              cache_hit=True)
-        by_kind = metrics.snapshot()["seconds"]["by_kind"]
-        assert by_kind["range"]["filter"] == pytest.approx(0.01)
+        with _service() as service:
+            query = parse_bracket("a(b,c)")
+            _, stats = service.range(query, 1)
+            service.range(query, 1)  # from cache
+            phases = _phase_seconds(service)
+        assert phases["filter,range"] == pytest.approx(stats.filter_seconds)
 
 
 class TestPrometheusExport:
-    @staticmethod
-    def _stats():
-        return SearchStats(dataset_size=100, candidates=10, results=2,
-                           filter_seconds=0.01, refine_seconds=0.05)
-
     def test_exposes_serving_series(self):
-        metrics = ServiceMetrics()
-        metrics.observe_query("range", self._stats(), 0.06, cache_hit=False)
-        metrics.observe_batch()
-        text = metrics.registry.prometheus_text()
+        with _service() as service:
+            service.batch([QueryRequest("range", parse_bracket("a(b,c)"), 1)])
+            text = service.metrics.prometheus_text()
         assert "# TYPE repro_queries_total counter" in text
         assert 'repro_queries_total{kind="range"} 1.0' in text
         assert 'repro_phase_seconds_total{phase="filter",kind="range"}' in text
@@ -186,12 +231,14 @@ class TestPrometheusExport:
         assert "repro_batches_total 1.0" in text
 
     def test_shared_registry_aggregates_two_services(self):
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
-        first = ServiceMetrics(registry=registry)
-        second = ServiceMetrics(registry=registry)
-        first.observe_query("range", self._stats(), 0.06, cache_hit=False)
-        second.observe_query("range", self._stats(), 0.06, cache_hit=False)
+        query = parse_bracket("a(b,c)")
+        with _service(registry) as first, _service(registry) as second:
+            first.range(query, 1)
+            second.range(query, 1)  # a miss: the result caches are private
+            second.range(query, 1)
+        assert first.metrics is second.metrics is registry
         counter = registry.get("repro_queries_total")
-        assert counter.value(kind="range") == 2
+        assert counter.value(kind="range") == 3
+        assert registry.get("repro_cache_misses_total").value() == 2
+        assert registry.get("repro_cache_hits_total").value() == 1

@@ -14,6 +14,7 @@ from repro.filters import BranchCountFilter
 from repro.search.database import TreeDatabase
 from repro.service import TreeSearchService
 from repro.trees import parse_bracket
+from tests.metric_reads import metric
 from tests.strategies import trees
 
 
@@ -31,10 +32,9 @@ class TestSelectiveInvalidation:
         service.add(parse_bracket("z(w(v,u),t(s,r),p,o,n)"))
         second, _ = service.range(query, 1)
         assert second == first
-        cache = service.metrics.snapshot()["cache"]
-        assert cache["hits"] == 1
-        assert cache["entries_retained"] == 1
-        assert cache["entries_evicted"] == 0
+        assert metric(service, "repro_cache_hits_total") == 1
+        assert metric(service, "repro_cache_entries_retained_total") == 1
+        assert metric(service, "repro_cache_entries_evicted_total") == 0
 
     def test_affected_range_entry_is_evicted_and_recomputed(self):
         service = _service(["a(b,c)", "x(y)"])
@@ -43,9 +43,8 @@ class TestSelectiveInvalidation:
         index = service.add(parse_bracket("a(b,c)"))  # exact duplicate
         matches, _ = service.range(query, 1)
         assert (index, 0.0) in matches
-        cache = service.metrics.snapshot()["cache"]
-        assert cache["hits"] == 0
-        assert cache["entries_evicted"] == 1
+        assert metric(service, "repro_cache_hits_total") == 0
+        assert metric(service, "repro_cache_entries_evicted_total") == 1
 
     def test_full_knn_entry_with_distant_add_is_retained(self):
         service = _service(["a(b,c)", "a(b,d)", "x(y)"])
@@ -54,7 +53,7 @@ class TestSelectiveInvalidation:
         service.add(parse_bracket("z(w(v,u),t(s,r),p,o,n)"))
         second, _ = service.knn(query, 2)
         assert second == first
-        assert service.metrics.snapshot()["cache"]["hits"] == 1
+        assert metric(service, "repro_cache_hits_total") == 1
 
     def test_knn_entry_improved_by_add_is_evicted(self):
         """A new tree closer than the k-th neighbor must enter the answer."""
@@ -65,7 +64,7 @@ class TestSelectiveInvalidation:
         index = service.add(parse_bracket("a(e,c)"))  # closer than that
         second, _ = service.knn(query, 2)
         # the entry could not be proven safe
-        assert service.metrics.snapshot()["cache"]["hits"] == 0
+        assert metric(service, "repro_cache_hits_total") == 0
         assert {i for i, _ in second} == {0, index}
 
     def test_knn_entry_with_close_add_is_evicted(self):
@@ -90,9 +89,8 @@ class TestSelectiveInvalidation:
         assert flt.bound(flt.signature(query), flt.signature(added)) == kth
         service.add(added)
         second, stats = service.knn(query, 2)
-        cache = service.metrics.snapshot()["cache"]
-        assert cache["entries_retained"] == 1
-        assert cache["hits"] == 1
+        assert metric(service, "repro_cache_entries_retained_total") == 1
+        assert metric(service, "repro_cache_hits_total") == 1
         cold_answer, cold_stats = TreeDatabase(
             list(service.database.trees)
         ).knn(query, 2)
@@ -104,10 +102,9 @@ class TestSelectiveInvalidation:
         service.range(parse_bracket("a(b,c)"), 1)
         service.range(parse_bracket("x(y)"), 0)
         service.add(parse_bracket("z(w(v,u),t(s,r),p,o,n)"))
-        snapshot = service.metrics.snapshot()["cache"]
-        assert snapshot["invalidations"] == 1
-        assert snapshot["entries_retained"] == 2
-        assert snapshot["entries_evicted"] == 0
+        assert metric(service, "repro_invalidations_total") == 1
+        assert metric(service, "repro_cache_entries_retained_total") == 2
+        assert metric(service, "repro_cache_entries_evicted_total") == 0
 
     def test_out_of_band_mutation_forces_miss(self):
         """Generation stamps catch database.add() calls bypassing the service."""
@@ -117,7 +114,7 @@ class TestSelectiveInvalidation:
         index = service.database.add(parse_bracket("a(b,c)"))  # bypass
         matches, _ = service.range(query, 1)
         assert (index, 0.0) in matches
-        assert service.metrics.snapshot()["cache"]["hits"] == 0
+        assert metric(service, "repro_cache_hits_total") == 0
 
     def test_retained_entries_equal_cold_queries_after_add(self):
         """Every entry surviving an add answers exactly like a cold database."""
@@ -133,7 +130,7 @@ class TestSelectiveInvalidation:
             else:
                 service.knn(query, parameter)
         service.add(parse_bracket("z(w(v,u),t(s,r),p,o,n)"))
-        assert service.metrics.snapshot()["cache"]["entries_retained"] > 0
+        assert metric(service, "repro_cache_entries_retained_total") > 0
         cold = TreeDatabase(list(service.database.trees))
         for (kind, bracket, parameter), entry in service._cache._entries.items():
             # surviving entries are re-stamped to the current generation …
@@ -163,7 +160,7 @@ class TestSelectiveInvalidation:
         service.knn(query, 1)
         # a distant add keeps both entries (and lets a memo form) …
         service.add(parse_bracket("z(w(v,u),t(s,r),p,o,n)"))
-        assert service.metrics.snapshot()["cache"]["entries_retained"] == 2
+        assert metric(service, "repro_cache_entries_retained_total") == 2
         # … then an add interns the query's branches and answers both
         index = service.add(parse_bracket("a(b(c,d),e)"))
         cold = TreeDatabase(list(service.database.trees), flt=BranchCountFilter())
@@ -189,7 +186,7 @@ class TestSelectiveInvalidation:
         matches, _ = service.range(query, 1)
         assert matches == first
         assert ("poison", -1.0) not in matches
-        assert service.metrics.snapshot()["cache"]["hits"] == 0
+        assert metric(service, "repro_cache_hits_total") == 0
 
     @given(
         forest=st.lists(trees(max_leaves=5), min_size=1, max_size=4),

@@ -85,7 +85,7 @@ class TestReplay:
         assert report.mode == "serial"
         assert report.throughput_qps > 0
         assert len(report.latencies) == 25
-        assert report.metrics["cache"]["hits"] > 0
+        assert report.metrics["repro_cache_hits_total"]["value"] > 0
 
     def test_concurrent_replay_same_answers_as_serial(self, trees):
         workload = generate_workload(

@@ -14,6 +14,7 @@ from repro.service.engine import QueryRequest, TreeSearchService
 from repro.sharding import ShardedTreeService
 from repro.sharding.partition import RoundRobinPartitioner
 from repro.trees import parse_bracket
+from tests.metric_reads import metric
 
 BRACKETS = [
     "a(b,c)",
@@ -246,8 +247,8 @@ class TestLifecycle:
 
 class TestMetrics:
     def test_queries_are_observed(self, service):
-        before = service.metrics.snapshot()["queries_by_kind"].get("range", 0)
+        before = metric(service, "repro_queries_total", kind="range")
         service.range(parse_bracket("a(b,c)"), 1.0)
-        snapshot = service.metrics.snapshot()
-        assert snapshot["queries_by_kind"]["range"] == before + 1
-        assert snapshot["queries_served"] >= before + 1
+        assert metric(service, "repro_queries_total", kind="range") == before + 1
+        served = service.metrics.get("repro_queries_total").values()
+        assert sum(served.values()) >= before + 1

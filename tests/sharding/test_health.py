@@ -86,7 +86,7 @@ class TestHealthGauges:
     def test_gauges_land_in_registry(self, service, trees):
         service.range(trees[0], 1.0)
         service.health()
-        text = service.metrics.registry.prometheus_text()
+        text = service.metrics.prometheus_text()
         for name in (
             "repro_shard_trees",
             "repro_shard_uptime_seconds",
@@ -101,7 +101,7 @@ class TestHealthGauges:
 
     def test_load_gauges_registered_on_rpc_path(self, service, trees):
         service.range(trees[0], 1.0)
-        text = service.metrics.registry.prometheus_text()
+        text = service.metrics.prometheus_text()
         # queue depth / in-flight return to zero once the query completes
         assert 'repro_shard_queue_depth{shard="0"} 0.0' in text
         assert 'repro_shard_inflight_requests{shard="0"} 0.0' in text
@@ -125,7 +125,7 @@ class TestImbalanceWarnings:
             snapshots[1]["trees"] = 1
             warnings = service._publish_health(snapshots)
             assert any("tree placement skew" in warning for warning in warnings)
-            counter = service.metrics.registry.counter(
+            counter = service.metrics.counter(
                 "repro_shard_imbalance_warnings_total",
                 "health() snapshots that flagged a shard imbalance.",
                 ("dimension",),

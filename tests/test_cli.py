@@ -244,7 +244,7 @@ class TestServeBench:
         ) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["queries"] == 15
-        assert report["metrics"]["cache"]["hits"] >= 0
+        assert report["metrics"]["repro_cache_hits_total"]["value"] >= 0
         assert report["latency"]["p50_seconds"] <= report["latency"]["p99_seconds"]
 
     def test_empty_dataset(self, tmp_path, capsys):
