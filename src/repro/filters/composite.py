@@ -8,7 +8,16 @@ compose freely; Kailing et al. combine their three histograms this way, and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    overload,
+)
 
 from repro.exceptions import InvalidParameterError
 from repro.features.matrix import elementwise_max, keep_at_most, size_bounds
@@ -19,10 +28,57 @@ if TYPE_CHECKING:
     from repro.features.matrix import FeatureMatrices
     from repro.features.store import FeatureStore
 
-#: A composite signature: one opaque component signature per sub-filter.
-CompositeSignature = Tuple[Any, ...]
+#: A composite signature: one opaque component signature per sub-filter,
+#: read by position.  Indexed rows hold tuples; a query's is a
+#: :class:`LazySignature`.
+CompositeSignature = Sequence[Any]
 
-__all__ = ["MaxCompositeFilter", "SizeDifferenceFilter"]
+__all__ = ["LazySignature", "MaxCompositeFilter", "SizeDifferenceFilter"]
+
+#: marks a part of a :class:`LazySignature` that nothing has read yet
+_MISSING = object()
+
+
+class LazySignature(Sequence[Any]):
+    """A composite query signature whose parts are computed on first read.
+
+    Part ``i`` is ``filters[i].signature(tree)``, computed through the
+    child's public ``signature`` the first time something reads it and
+    kept from then on.  A cascade stage entered with no rows never reads
+    its part, so a query an earlier stage refutes completely never pays
+    for a later child's signature.  Two threads filling the same part
+    both compute it and one value is kept; the values are equal (a
+    child's query signature is a function of the tree and the index, and
+    the index does not change under a running query), so the race is
+    harmless.
+    """
+
+    __slots__ = ("_filters", "_tree", "_parts")
+
+    def __init__(
+        self, filters: Sequence[LowerBoundFilter[Any]], tree: TreeNode
+    ) -> None:
+        self._filters = filters
+        self._tree = tree
+        self._parts: List[Any] = [_MISSING] * len(filters)
+
+    @overload
+    def __getitem__(self, position: int) -> Any: ...
+
+    @overload
+    def __getitem__(self, position: slice) -> Tuple[Any, ...]: ...
+
+    def __getitem__(self, position: Union[int, slice]) -> Any:
+        if isinstance(position, slice):
+            return tuple(self[index] for index in range(len(self))[position])
+        part = self._parts[position]
+        if part is _MISSING:
+            part = self._filters[position].signature(self._tree)
+            self._parts[position] = part
+        return part
+
+    def __len__(self) -> int:
+        return len(self._parts)
 
 
 class SizeDifferenceFilter(LowerBoundFilter[int]):
@@ -104,8 +160,9 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
         for child in self.filters:
             child._bind_store(store)
 
-    def signature(self, tree: TreeNode) -> CompositeSignature:
-        return tuple(child.signature(tree) for child in self.filters)
+    def signature(self, tree: TreeNode) -> LazySignature:
+        """The children's query signatures, each computed on first read."""
+        return LazySignature(self.filters, tree)
 
     def _index_signature(self, tree: TreeNode) -> CompositeSignature:
         return tuple(child._index_signature(tree) for child in self.filters)
@@ -117,17 +174,18 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
 
     def bound(self, query: CompositeSignature, data: CompositeSignature) -> float:
         return max(
-            child.bound(q, d)
-            for child, q, d in zip(self.filters, query, data)
+            child.bound(query[position], data[position])
+            for position, child in enumerate(self.filters)
         )
 
     def refutes(
         self, query: CompositeSignature, data: CompositeSignature, threshold: float
     ) -> bool:
-        """Short-circuit: any component refutation suffices."""
+        """Short-circuit in child order: any component refutation suffices,
+        and the children after the first refuting one are never read."""
         return any(
-            child.refutes(q, d, threshold)
-            for child, q, d in zip(self.filters, query, data)
+            child.refutes(query[position], data[position], threshold)
+            for position, child in enumerate(self.filters)
         )
 
     def order_keys(
@@ -192,7 +250,9 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
 
         Stage names are position-prefixed so two children of the same
         class stay distinguishable.  A stage entered with no rows (an
-        earlier one refuted them all) returns them untouched.
+        earlier one refuted them all) returns them untouched, before it
+        reads its part of the query signature, so that part is never
+        computed.
         """
         components: List[Tuple[str, RowStage[CompositeSignature]]] = []
         for position, child in enumerate(self.filters):

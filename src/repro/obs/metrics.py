@@ -95,10 +95,13 @@ class _Instrument:
         self.name = name
         self.help = help
         self.labelnames: Tuple[str, ...] = tuple(labelnames)
+        self._labelset = frozenset(self.labelnames)
         self._lock = threading.Lock()
 
     def _key(self, labels: Dict[str, object]) -> Tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
+        if not labels and not self.labelnames:
+            return ()
+        if labels.keys() != self._labelset:
             raise ValueError(
                 f"metric {self.name!r} takes labels {list(self.labelnames)}, "
                 f"got {sorted(labels)}"

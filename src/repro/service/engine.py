@@ -144,7 +144,8 @@ class _CacheEntry:
     ``query`` is the original query tree; ``generation`` is the database
     generation the answer was computed at.  ``signature`` memoizes the
     query's filter signature, computed the first time an :meth:`add`
-    needs it — unless the filter's ``signature_depends_on_index``: a
+    needs it (a composite's parts fill as later adds read them) — unless
+    the filter's ``signature_depends_on_index``: a
     signature frozen then could under-count overlap with branches
     interned later, which would overestimate the bound and unsoundly
     retain the entry, so those filters recompute it on every add.

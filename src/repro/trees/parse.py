@@ -15,6 +15,7 @@ The format round-trips: ``parse_bracket(to_bracket(t)) == t``.
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.exceptions import TreeParseError
@@ -24,9 +25,14 @@ __all__ = ["parse_bracket", "to_bracket", "parse_forest", "forest_to_bracket"]
 
 _SPECIAL = set("(),\"")
 
+#: a label needs quoting when it is empty or holds a special character or
+#: whitespace (``re``'s ``\s`` agrees with ``str.isspace`` on every code
+#: point)
+_NEEDS_QUOTING = re.compile(r'[(),"\s]')
+
 
 def _needs_quoting(label: str) -> bool:
-    return label == "" or any(ch in _SPECIAL or ch.isspace() for ch in label)
+    return label == "" or _NEEDS_QUOTING.search(label) is not None
 
 
 def _quote(label: str) -> str:

@@ -228,6 +228,30 @@ def test_matrices_sync_after_add():
     assert int(matrices.size_column()[2]) == 3
 
 
+def test_reading_one_plane_syncs_every_built_plane(monkeypatch):
+    """The planes grow together, branch planes first, even when a cascade
+    reads the label plane first."""
+    store = FeatureStore((2,)).fit([parse_bracket("a(b)"), parse_bracket("c")])
+    matrices = store.matrices()
+    branch = matrices.branch_plane(2)
+    labels = matrices.histogram_plane("labels")
+    grown = []
+    extend = MatrixPlane.extend
+
+    def recording(plane, dims, counts, totals=None):
+        if len(dims):
+            grown.append(plane.kind)
+        extend(plane, dims, counts, totals)
+
+    monkeypatch.setattr(MatrixPlane, "extend", recording)
+    store.add(parse_bracket("x(y(z),w)"))
+    assert matrices.histogram_plane("labels") is labels
+    assert grown == ["branch-q2", "histogram-labels"]
+    assert (branch.rows, labels.rows) == (3, 3)
+    assert branch.generation == labels.generation == store.generation
+    assert branch.width == len(store.vocabulary)
+    assert labels.width == len(store.histogram_vocabulary("labels"))
+
 def test_stats_reports_every_family():
     store = FeatureStore((2,)).fit(
         [parse_bracket("a(b,c)"), parse_bracket("a(b(d))")]

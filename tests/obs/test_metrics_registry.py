@@ -58,6 +58,48 @@ class TestGauge:
         assert gauge.value() == -7
 
 
+def _record(instrument, **labels):
+    if isinstance(instrument, Histogram):
+        instrument.observe(0.5, **labels)
+    else:
+        instrument.inc(**labels)
+
+
+class TestLabelSets:
+    """Every instrument takes exactly its declared label names."""
+
+    KINDS = (Counter, Gauge, Histogram)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unlabelled_rejects_any_label(self, kind):
+        instrument = kind("plain_total")
+        _record(instrument)
+        with pytest.raises(ValueError):
+            _record(instrument, kind="range")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "labels",
+        [{}, {"kind": "range"}, {"shard": "0"}, {"kind": "range", "phase": "x"},
+         {"kind": "range", "shard": "0", "phase": "x"}],
+    )
+    def test_wrong_missing_or_extra_labels_rejected(self, kind, labels):
+        instrument = kind("split_total", labelnames=("kind", "shard"))
+        with pytest.raises(ValueError, match="takes labels"):
+            _record(instrument, **labels)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_label_order_is_free_and_series_are_keyed_by_value(self, kind):
+        instrument = kind("split_total", labelnames=("kind", "shard"))
+        _record(instrument, kind="range", shard=0)
+        _record(instrument, shard="0", kind="range")
+        _record(instrument, kind="knn", shard="1")
+        if isinstance(instrument, Histogram):
+            assert instrument.state(kind="range", shard="0").total == 2
+        else:
+            assert instrument.values() == {("range", "0"): 2, ("knn", "1"): 1}
+
+
 class TestHistogramState:
     def test_identical_to_latency_histogram_contract(self):
         state = HistogramState()

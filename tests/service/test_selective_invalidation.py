@@ -7,10 +7,17 @@ and the overall soundness property: every answer served after any sequence
 of adds equals a freshly computed one.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.filters import BranchCountFilter
+from repro.filters import (
+    BranchCountFilter,
+    LabelHistogramFilter,
+    MaxCompositeFilter,
+)
+from repro.filters.composite import LazySignature
+from repro.filters.registry import bibranch_label_filter
 from repro.search.database import TreeDatabase
 from repro.service import TreeSearchService
 from repro.trees import parse_bracket
@@ -211,3 +218,72 @@ class TestSelectiveInvalidation:
             knn_answer, _ = service.knn(query, k)
             assert range_answer == oracle.range_query(query, threshold)[0]
             assert knn_answer == oracle.knn(query, k)[0]
+
+
+def _label_count_filter():
+    return MaxCompositeFilter([LabelHistogramFilter(), BranchCountFilter()])
+
+
+class TestLazySignatureMemo:
+    """A composite memoizes a query signature whose parts fill on first
+    read; invalidation must decide exactly as with a fresh signature."""
+
+    @pytest.mark.parametrize("factory", [bibranch_label_filter, _label_count_filter])
+    @given(
+        forest=st.lists(trees(max_leaves=5), min_size=2, max_size=5),
+        queries=st.lists(trees(max_leaves=5), min_size=1, max_size=3),
+        additions=st.lists(trees(max_leaves=5), min_size=1, max_size=4),
+        threshold=st.integers(0, 3),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_memo_retains_and_evicts_like_a_fresh_signature(
+        self, factory, forest, queries, additions, threshold
+    ):
+        memo = TreeSearchService(TreeDatabase(list(forest), flt=factory()))
+        fresh = TreeSearchService(TreeDatabase(list(forest), flt=factory()))
+        for service in (memo, fresh):
+            for query in queries:
+                service.range(query, threshold)
+                service.knn(query, 2)
+        depends = memo.database.filter.signature_depends_on_index
+        for added in additions:
+            for entry in fresh._cache._entries.values():
+                entry.signature = None  # every add recomputes from scratch
+            memo.add(added)
+            fresh.add(added)
+            assert list(memo._cache._entries) == list(fresh._cache._entries)
+            for name in (
+                "repro_cache_entries_retained_total",
+                "repro_cache_entries_evicted_total",
+            ):
+                assert metric(memo, name) == metric(fresh, name)
+            for entry in memo._cache._entries.values():
+                if depends:  # recomputed on every add, never frozen
+                    assert entry.signature is None
+                else:
+                    assert isinstance(entry.signature, LazySignature)
+        cold = TreeDatabase(list(memo.database.trees), flt=factory())
+        for (kind, bracket, parameter), entry in memo._cache._entries.items():
+            query = parse_bracket(bracket)
+            expected = (
+                cold.range_query(query, parameter)[0]
+                if kind == "range"
+                else cold.knn(query, int(parameter))[0]
+            )
+            assert entry.answer[0] == expected
+
+    def test_branch_count_part_is_recomputed_after_an_add(self):
+        """The label-first composite over BranchCount must see branches an
+        add interned, as the bare BranchCount filter does above."""
+        database = TreeDatabase(
+            [parse_bracket(text) for text in ["a(c,d,e)", "x(y(z),w)", "p(q,r)"]],
+            flt=_label_count_filter(),
+        )
+        service = TreeSearchService(database)
+        query = parse_bracket("a(b(c,d),e)")
+        service.range(query, 1)
+        service.knn(query, 1)
+        service.add(parse_bracket("a(b(c,e),d)"))  # same labels, new branches
+        index = service.add(parse_bracket("a(b(c,d),e)"))
+        assert (index, 0.0) in service.range(query, 1)[0]
+        assert service.knn(query, 1)[0] == [(index, 0.0)]

@@ -1,6 +1,10 @@
 """Unit tests for bracket notation parsing/serialization."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import TreeParseError
 from repro.trees import (
@@ -9,6 +13,27 @@ from repro.trees import (
     parse_bracket,
     parse_forest,
     to_bracket,
+)
+from repro.trees.parse import _needs_quoting
+
+_SPECIAL = set('(),"')
+
+
+def _needs_quoting_reference(label):
+    """The per-character predicate the compiled search replaced."""
+    return label == "" or any(ch in _SPECIAL or ch.isspace() for ch in label)
+
+
+#: labels made of what quoting must protect: the special characters, a
+#: backslash and Unicode whitespace, plus two zero-width characters that
+#: ``isspace`` rejects and so must stay unquoted
+_tricky_labels = st.text(
+    alphabet=st.sampled_from(
+        list('(),"\\ab')
+        + ["\t", "\n", "\x0b", "\x1c", "\x85", "\xa0", "\u1680", "\u2003",
+           "\u2028", "\u3000", "\u200b", "\ufeff"]
+    ),
+    max_size=6,
 )
 
 
@@ -77,6 +102,27 @@ class TestSerialize:
         tree = TreeNode("a,b", [TreeNode('q"q')])
         text = to_bracket(tree)
         assert parse_bracket(text) == tree
+
+    def test_quoting_predicate_matches_the_reference_on_every_code_point(self):
+        mismatches = [
+            hex(code)
+            for code in range(sys.maxunicode + 1)
+            if _needs_quoting(chr(code)) != _needs_quoting_reference(chr(code))
+        ]
+        assert mismatches == []
+        assert _needs_quoting("") and _needs_quoting("ab c")
+        assert not _needs_quoting("ab_c")
+
+    @given(
+        root=_tricky_labels,
+        children=st.lists(_tricky_labels, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tricky_labels_round_trip(self, root, children):
+        tree = TreeNode(root, [TreeNode(label) for label in children])
+        text = to_bracket(tree)
+        assert parse_bracket(text) == tree
+        assert to_bracket(parse_bracket(text)) == text
 
     def test_non_string_labels_stringified(self):
         tree = TreeNode(1, [TreeNode(2)])
