@@ -30,7 +30,7 @@ matcher (Kuhn's algorithm) is provided for validation (``exact=True``).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Hashable, List, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, List, Sequence, Tuple, Union
 
 from repro.core.branches import iter_positional_branches
 from repro.core.qlevel import iter_positional_qlevel_branches, qlevel_bound_factor
@@ -43,6 +43,7 @@ __all__ = [
     "greedy_interval_matching",
     "exact_position_matching",
     "positional_branch_distance",
+    "positional_refutes",
     "search_lower_bound",
 ]
 
@@ -222,6 +223,105 @@ def positional_branch_distance(
     return total
 
 
+def _split_branches(
+    profile1: PositionalProfile, profile2: PositionalProfile, exact: bool
+) -> Tuple[int, int, List[Tuple[Any, ...]]]:
+    """Split ``PosBDist`` into its range-free and range-dependent parts.
+
+    Returns ``(constant, count_distance, shared)``.  ``constant`` counts
+    the occurrences of branches only one tree holds, which add to
+    ``PosBDist`` at every range; ``count_distance`` is ``BDist``; and
+    ``shared`` holds, per branch both trees hold, what matching it at a
+    range needs (both trees' sorted preorder and postorder positions, or
+    with ``exact`` their ``(pre, post)`` pairs) followed by its total
+    occurrence count.
+    """
+    pre1, pre2 = profile1.pre_positions, profile2.pre_positions
+    constant = 0
+    count_distance = 0
+    shared: List[Tuple[Any, ...]] = []
+    for key, positions in pre1.items():
+        other = pre2.get(key)
+        if other is None:
+            constant += len(positions)
+            continue
+        count_distance += abs(len(positions) - len(other))
+        total = len(positions) + len(other)
+        if exact:
+            shared.append((profile1.pairs[key], profile2.pairs[key], total))
+        else:
+            shared.append(
+                (
+                    positions,
+                    other,
+                    profile1.post_positions[key],
+                    profile2.post_positions[key],
+                    total,
+                )
+            )
+    for key, positions in pre2.items():
+        if key not in pre1:
+            constant += len(positions)
+    return constant, count_distance + constant, shared
+
+
+def _distance_exceeds(
+    constant: int,
+    shared: List[Tuple[Any, ...]],
+    pr: int,
+    budget: float,
+    exact: bool,
+) -> bool:
+    """``PosBDist(pr) > budget`` over a :func:`_split_branches` split.
+
+    The capped form of Proposition 4.2's test, and its one definition:
+    every branch adds ``c1 + c2 − 2·|M| ≥ 0``, so the running sum only
+    grows and the walk stops at the branch that carries it past
+    ``budget``.
+    """
+    distance = constant
+    if distance > budget:
+        return True
+    if exact:
+        for pairs1, pairs2, total in shared:
+            distance += total - 2 * exact_position_matching(pairs1, pairs2, pr)
+            if distance > budget:
+                return True
+        return False
+    for seq_pre1, seq_pre2, seq_post1, seq_post2, total in shared:
+        matched = greedy_interval_matching(seq_pre1, seq_pre2, pr)
+        matched_post = greedy_interval_matching(seq_post1, seq_post2, pr)
+        if matched_post < matched:
+            matched = matched_post
+        distance += total - 2 * matched
+        if distance > budget:
+            return True
+    return False
+
+
+def positional_refutes(
+    p1: PositionalProfile, p2: PositionalProfile, pr: int, exact: bool = False
+) -> bool:
+    """Proposition 4.2 at one range: ``PosBDist(pr) > [4(q−1)+1]·pr``.
+
+    True proves ``EDist > pr``.  One distance evaluation, stopped as soon
+    as the sum passes the budget; :func:`search_lower_bound` runs the
+    same test at every range it probes.
+
+    >>> from repro.trees import parse_bracket
+    >>> a = positional_profile(parse_bracket("a(b,c)"))
+    >>> b = positional_profile(parse_bracket("x(y,z)"))
+    >>> positional_refutes(a, b, 1), positional_refutes(a, b, 2)
+    (True, False)
+    """
+    if p1.q != p2.q:
+        raise SignatureMismatchError("profiles built with different branch levels")
+    constant, _, shared = _split_branches(p1, p2, exact)
+    return _distance_exceeds(
+        constant, shared, pr, qlevel_bound_factor(p1.q) * pr, exact
+    )
+
+
 def search_lower_bound(
     p1: Union[TreeNode, PositionalProfile],
     p2: Union[TreeNode, PositionalProfile],
@@ -255,59 +355,14 @@ def search_lower_bound(
     factor = qlevel_bound_factor(profile1.q)
 
     # The branches unique to one tree contribute a constant to PosBDist for
-    # every pr; precompute it and keep only the shared branches' position
+    # every pr; split it off once and keep only the shared branches' position
     # sequences for the per-pr matching work (the search evaluates PosBDist
     # O(log) times, so this hoisting matters on the query path).  The same
     # walk sums the count distance BDist that seeds the search.
-    pre1, pre2 = profile1.pre_positions, profile2.pre_positions
-    constant = 0
-    count_distance = 0
-    shared: List[Tuple[List[int], List[int], List[int], List[int], int]] = []
-    for key, positions in pre1.items():
-        other = pre2.get(key)
-        if other is None:
-            constant += len(positions)
-        else:
-            count_distance += abs(len(positions) - len(other))
-            shared.append(
-                (
-                    positions,
-                    other,
-                    profile1.post_positions[key],
-                    profile2.post_positions[key],
-                    len(positions) + len(other),
-                )
-            )
-    for key, positions in pre2.items():
-        if key not in pre1:
-            constant += len(positions)
-    count_distance += constant
-    shared_keys = [key for key in pre1 if key in pre2]
+    constant, count_distance, shared = _split_branches(profile1, profile2, exact)
 
     def satisfied(pr: int) -> bool:
-        if exact:
-            distance = constant
-            for key in shared_keys:
-                matched = exact_position_matching(
-                    profile1.pairs[key], profile2.pairs[key], pr
-                )
-                distance += (
-                    len(pre1[key]) + len(pre2[key]) - 2 * matched
-                )
-            return distance <= factor * pr
-        budget = factor * pr - constant
-        if budget < 0:
-            return False
-        distance = constant
-        for seq_pre1, seq_pre2, seq_post1, seq_post2, total in shared:
-            matched = greedy_interval_matching(seq_pre1, seq_pre2, pr)
-            matched_post = greedy_interval_matching(seq_post1, seq_post2, pr)
-            if matched_post < matched:
-                matched = matched_post
-            distance += total - 2 * matched
-            if distance > factor * pr:
-                return False
-        return distance <= factor * pr
+        return not _distance_exceeds(constant, shared, pr, factor * pr, exact)
 
     low = max(
         abs(profile1.tree_size - profile2.tree_size),

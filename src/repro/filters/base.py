@@ -194,6 +194,21 @@ class LowerBoundFilter(ABC, Generic[Signature]):
         """
         return self.bound(query, data) > threshold
 
+    def reaches(self, query: Signature, data: Signature, target: float) -> bool:
+        """True iff ``bound(query, data) >= target``.
+
+        A threshold decision, not a bound search: a caller that only
+        compares the bound with a target (the service's k-NN cache entries
+        on ``add``) asks this instead.  Default: compare the numeric bound,
+        so a filter without an override is exact by construction.
+        Overrides must agree with that comparison at every target,
+        fractional and non-positive ones included, and may stop as soon
+        as the answer is settled (the label histogram's capped L1 walk,
+        BiBranch's single Proposition 4.2 test, a composite's first child
+        that reaches the target).
+        """
+        return self.bound(query, data) >= target
+
     # ------------------------------------------------------------------
     # Row-set filtering (range cascade) and k-NN ordering keys
     # ------------------------------------------------------------------

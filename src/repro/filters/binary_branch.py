@@ -19,14 +19,15 @@ corpus (``fit_from_store``).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.core.branches import iter_branches
 from repro.core.positional import (
     PositionalProfile,
-    positional_branch_distance,
     positional_profile,
+    positional_refutes,
     search_lower_bound,
 )
 from repro.core.qlevel import iter_qlevel_branches, qlevel_bound_factor
@@ -92,10 +93,28 @@ class BinaryBranchFilter(LowerBoundFilter[PositionalProfile]):
         linear-time distance evaluation instead of a binary search.
         """
         pr = int(threshold)  # unit-cost distances are integers
-        distance = positional_branch_distance(
-            query, data, pr, exact=self.exact_matching
-        )
-        return distance > self.factor * pr
+        return positional_refutes(query, data, pr, exact=self.exact_matching)
+
+    def reaches(
+        self, query: PositionalProfile, data: PositionalProfile, target: float
+    ) -> bool:
+        """``SearchLBound ≥ target`` with one Proposition 4.2 test, no search.
+
+        SearchLBound is ``max(||T1|−|T2||, r)`` for ``r`` the smallest range
+        whose predicate ``PosBDist(r) ≤ factor·r`` holds, and it never
+        exceeds ``max(|T1|, |T2|)``.  The predicate is monotone, so for the
+        integer ``t = ⌈target⌉ ≥ 1``: ``bound ≥ t`` iff the size difference
+        reaches ``t`` or the predicate fails at ``t − 1``
+        (``docs/THEORY.md`` §14).
+        """
+        if target <= 0:
+            return True
+        if target > max(query.tree_size, data.tree_size):
+            return False
+        needed = math.ceil(target)
+        if abs(query.tree_size - data.tree_size) >= needed:
+            return True
+        return positional_refutes(query, data, needed - 1, exact=self.exact_matching)
 
     def _branch_l1(
         self,

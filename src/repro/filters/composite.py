@@ -188,6 +188,17 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
             for position, child in enumerate(self.filters)
         )
 
+    def reaches(
+        self, query: CompositeSignature, data: CompositeSignature, target: float
+    ) -> bool:
+        """A max reaches ``target`` iff some child's bound does: asked in
+        child order, and the children after the first that reaches it are
+        never read."""
+        return any(
+            child.reaches(query[position], data[position], target)
+            for position, child in enumerate(self.filters)
+        )
+
     def order_keys(
         self, query: CompositeSignature, matrices: "FeatureMatrices"
     ) -> Optional[Sequence[float]]:

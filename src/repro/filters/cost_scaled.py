@@ -81,6 +81,11 @@ class CostScaledFilter(LowerBoundFilter[Signature]):
     def bound(self, query: Signature, data: Signature) -> float:
         return self.inner.bound(query, data) * self.costs.min_operation_cost
 
+    # ``reaches`` keeps the base comparison of the scaled bound: handing
+    # the inner filter ``target / c_min`` can round differently from the
+    # product at the boundary (``3·0.1 ≥ 3·0.1`` holds, yet
+    # ``(3·0.1)/0.1 > 3``), and ``reaches`` must equal ``bound ≥ target``.
+
     def refutes(self, query: Signature, data: Signature, threshold: float) -> bool:
         """Refute ``EDist_general <= threshold`` via the unit-cost filter.
 

@@ -35,6 +35,7 @@ friendly proof.
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
@@ -153,15 +154,21 @@ def _fold_signature(
     return HistogramSignature(labels, degrees, heights, features.size)
 
 
-def _l1(a: Dict, b: Dict) -> int:
+def _l1(a: Dict, b: Dict, cap: float = math.inf) -> int:
+    """L1 distance of two count dicts, or, once the running sum reaches
+    ``cap``, that partial sum (``≥ cap``) without walking the rest."""
     if len(a) > len(b):
         a, b = b, a
     total = 0
     for key, count in a.items():
         total += abs(count - b.get(key, 0))
+        if total >= cap:
+            return total
     for key, count in b.items():
         if key not in a:
             total += count
+            if total >= cap:
+                return total
     return total
 
 
@@ -396,6 +403,34 @@ class LabelHistogramFilter(_UnfoldedHistogramFilter):
 
     def bound(self, query: HistogramSignature, data: HistogramSignature) -> float:
         return label_histogram_bound(query, data)
+
+    def reaches(
+        self, query: HistogramSignature, data: HistogramSignature, target: float
+    ) -> bool:
+        """``⌈L1/2⌉ ≥ target`` from a walk that stops at the cap.
+
+        The bound is an integer, so for ``target > 0`` it reaches
+        ``target`` iff it reaches ``t = ⌈target⌉``, iff ``L1 ≥ 2t − 1``
+        (``docs/THEORY.md`` §14).  ``L1 ≥ |n₁ − n₂|`` settles many pairs
+        in O(1); the rest walk the dicts only until the sum reaches
+        ``2t − 1``.  The bound never exceeds ``max(n₁, n₂)``.
+        """
+        if target <= 0:
+            return True
+        if target > max(query.size, data.size):
+            return False
+        cap = 2 * math.ceil(target) - 1
+        return (
+            abs(query.size - data.size) >= cap
+            or _l1(query.labels, data.labels, cap) >= cap
+        )
+
+    def refutes(
+        self, query: HistogramSignature, data: HistogramSignature, threshold: float
+    ) -> bool:
+        """``⌈L1/2⌉ > τ``: an integer bound exceeds ``τ`` iff it reaches
+        ``⌊τ⌋ + 1``, so the same capped walk decides it."""
+        return self.reaches(query, data, math.floor(threshold) + 1)
 
 
 class DegreeHistogramFilter(_UnfoldedHistogramFilter):

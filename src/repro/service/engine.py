@@ -474,6 +474,13 @@ class TreeSearchService(QueryService):
     ) -> Callable[[CacheKey, _CacheEntry], bool]:
         """Build the keep-predicate for :meth:`add` of tree ``index``.
 
+        A range entry stays when ``flt.refutes`` proves the new tree is
+        beyond its threshold; a full k-NN entry stays when
+        ``flt.reaches(query, new, kth)``, which is exactly ``bound ≥ kth``
+        but decided without computing the bound where the filter can
+        (the label histogram's capped walk settles most entries, and
+        BiBranch needs one Proposition 4.2 test instead of SearchLBound).
+
         The cached query's signature is memoized on its entry, or, when
         the filter's signatures depend on index state, recomputed against
         the *current* filter state (vocabularies may have grown since the
@@ -497,7 +504,7 @@ class TreeSearchService(QueryService):
             if len(matches) < int(parameter):
                 return False  # the new tree completes an under-full answer
             kth_distance = matches[-1][1]
-            return flt.bound(query_signature, new_signature) >= kth_distance
+            return flt.reaches(query_signature, new_signature, kth_distance)
 
         return keep
 

@@ -172,13 +172,37 @@ class PairOracle(Oracle):
 # ----------------------------------------------------------------------
 # bound:* — filter lower-bound soundness
 # ----------------------------------------------------------------------
+#: targets of the ``reaches(t) ⟺ bound ≥ t`` check, beside the bound
+#: itself and the bound plus 0.5 and 1: fractional ones catch a cap that
+#: forgets the bound is an integer
+_REACH_TARGETS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+def _reaches_mismatch(
+    flt: LowerBoundFilter, query: object, data: object, bound: float
+) -> Optional[Tuple[str, Dict]]:
+    """The first target where ``flt.reaches`` disagrees with ``bound ≥ t``."""
+    for target in (*_REACH_TARGETS, bound, bound + 0.5, bound + 1.0):
+        reached = flt.reaches(query, data, target)
+        if reached != (bound >= target):
+            return (
+                f"{flt.name}: reaches(t={target:g}) is {reached} "
+                f"but the bound is {bound:g}",
+                {"target": target, "bound": bound, "kind": "reaches"},
+            )
+    return None
+
+
 class FilterBoundOracle(PairOracle):
-    """``filter.bound(q, d) ≤ EDist`` and ``refutes ⟹ EDist > τ``.
+    """``filter.bound(q, d) ≤ EDist``, ``refutes ⟹ EDist > τ`` and
+    ``reaches(t) ⟺ bound ≥ t``.
 
     The filter is exercised exactly as deployed: a fresh instance is fitted
     on the data tree, the query signature comes from :meth:`signature`, and
     both the numeric bound and the range-refutation fast path are compared
-    against the reference distance.
+    against the reference distance.  The threshold test ``reaches`` is
+    compared with the bound itself, on a query signature nothing has read
+    yet (a composite's parts then fill as ``reaches`` reads them).
     """
 
     def __init__(self, factory: Callable[[], LowerBoundFilter], label: str) -> None:
@@ -209,7 +233,7 @@ class FilterBoundOracle(PairOracle):
                             "kind": "refutes",
                         },
                     )
-        return None
+        return _reaches_mismatch(flt, flt.signature(t1), data_signature, bound)
 
     def run(self, corpus: VerifyCorpus, distance: DistanceFn) -> OracleOutcome:
         outcome = super().run(corpus, distance)
@@ -251,7 +275,8 @@ class CostScaledBoundOracle(PairOracle):
     exceed ``EDist_unit`` (that is the point of the scaling).  The contract
     is ``c_min · unit_bound ≤ EDist_general``, so this oracle fits the
     wrapped filter and compares against ``tree_edit_distance`` under the
-    same weighted cost model, including the ``refutes`` fast path.
+    same weighted cost model, including the ``refutes`` fast path, and
+    checks ``reaches(t) ⟺ bound ≥ t`` on the scaled bound.
     """
 
     name = "bound:CostScaled"
@@ -290,7 +315,7 @@ class CostScaledBoundOracle(PairOracle):
                             "kind": "refutes",
                         },
                     )
-        return None
+        return _reaches_mismatch(flt, flt.signature(t1), data_signature, bound)
 
 
 class DominanceOracle(PairOracle):

@@ -13,6 +13,7 @@ from repro.core import (
     positional_profile,
     search_lower_bound,
 )
+from repro.core.positional import positional_refutes
 from repro.editdist import tree_edit_distance
 from repro.trees import parse_bracket
 from tests.strategies import tree_pairs
@@ -133,6 +134,8 @@ class TestPosBDist:
             positional_branch_distance(p2, p3, 1)
         with pytest.raises(ValueError):
             search_lower_bound(p2, p3)
+        with pytest.raises(ValueError):
+            positional_refutes(p2, p3, 1)
 
     @given(tree_pairs(), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
@@ -159,6 +162,28 @@ class TestPosBDist:
         approx = positional_branch_distance(t1, t2, pr)
         exact = positional_branch_distance(t1, t2, pr, exact=True)
         assert exact >= approx  # fewer matches -> larger distance
+
+
+class TestPositionalRefutes:
+    """The capped Proposition 4.2 test stops early but decides exactly
+    what the full distance decides."""
+
+    @given(tree_pairs(), st.integers(-1, 8), st.sampled_from([2, 3]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_uncapped_distance(self, pair, pr, q):
+        t1, t2 = pair
+        p1, p2 = positional_profile(t1, q), positional_profile(t2, q)
+        factor = qlevel_bound_factor(q)
+        expected = positional_branch_distance(p1, p2, pr) > factor * pr
+        assert positional_refutes(p1, p2, pr) == expected
+
+    @given(tree_pairs(max_leaves=5), st.integers(-1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_uncapped_distance_exact_matching(self, pair, pr):
+        t1, t2 = pair
+        p1, p2 = positional_profile(t1), positional_profile(t2)
+        expected = positional_branch_distance(p1, p2, pr, exact=True) > 5 * pr
+        assert positional_refutes(p1, p2, pr, exact=True) == expected
 
 
 def smallest_satisfying_range(t1, t2, q=2, exact=False):

@@ -7,10 +7,16 @@ and the overall soundness property: every answer served after any sequence
 of adds equals a freshly computed one.
 """
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.filters.binary_branch as binary_branch_module
+from repro.datasets import generate_dblp_dataset
+from repro.datasets.dblp import make_variant
 from repro.filters import (
     BranchCountFilter,
     LabelHistogramFilter,
@@ -287,3 +293,93 @@ class TestLazySignatureMemo:
         index = service.add(parse_bracket("a(b(c,d),e)"))
         assert (index, 0.0) in service.range(query, 1)[0]
         assert service.knn(query, 1)[0] == [(index, 0.0)]
+
+
+def _reference_keep(flt, new_signature, key, entry):
+    """Keep predicate comparing the whole bound with the k-th distance."""
+    kind, _, parameter = key
+    query = flt.signature(entry.query)
+    if kind == "range":
+        return flt.refutes(query, new_signature, parameter)
+    matches = entry.answer[0]
+    if len(matches) < int(parameter):
+        return False
+    return flt.bound(query, new_signature) >= matches[-1][1]
+
+
+class TestInvalidationWork:
+    """A full k-NN entry survives an ``add`` iff ``bound ≥ kth``, decided
+    through ``flt.reaches``: the label histogram's capped walk first, then
+    at most one Proposition 4.2 test, never a SearchLBound."""
+
+    @pytest.fixture
+    def lbound_calls(self, monkeypatch):
+        calls = []
+        original = binary_branch_module.search_lower_bound
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(binary_branch_module, "search_lower_bound", counting)
+        return calls
+
+    @staticmethod
+    def _replay(corpus, additions, seed, lbound_calls):
+        """Reads then one add, per addition; checks every keep decision
+        against :func:`_reference_keep`.  Returns the per-kind
+        ``(kind, kept)`` tallies, the SearchLBound calls made inside
+        ``add``, and how many full k-NN entries the label bound alone
+        left below their k-th distance."""
+        rng = random.Random(seed)
+        service = TreeSearchService(TreeDatabase(list(corpus)))
+        flt = service.database.filter
+        label = flt.filters[0]
+        assert isinstance(label, LabelHistogramFilter)
+        tallies = Counter()
+        add_calls = 0
+        label_unsettled = 0
+        for added in additions:
+            for query in rng.sample(corpus, 3):
+                service.range(query, 1)
+                service.knn(query, 3)
+            before = dict(service._cache._entries)
+            calls = len(lbound_calls)
+            index = service.add(added)
+            add_calls += len(lbound_calls) - calls
+            new = flt.data_signature(index)
+            kept = set(service._cache._entries)
+            for key, entry in before.items():
+                assert (key in kept) == _reference_keep(flt, new, key, entry), key
+                tallies[key[0], key in kept] += 1
+                matches = entry.answer[0]
+                if key[0] == "knn" and len(matches) == int(key[2]):
+                    query = flt.signature(entry.query)
+                    if label.bound(query[0], new[0]) < matches[-1][1]:
+                        label_unsettled += 1
+        return tallies, add_calls, label_unsettled
+
+    def test_label_settled_adds_run_no_search_lower_bound(self, lbound_calls):
+        corpus = generate_dblp_dataset(80, seed=3)
+        additions = generate_dblp_dataset(12, seed=4)
+        tallies, add_calls, label_unsettled = self._replay(
+            corpus, additions, 0, lbound_calls
+        )
+        assert label_unsettled == 0  # every k-NN entry is label-settled
+        assert tallies["knn", True] > 0
+        assert add_calls == 0
+
+    def test_near_duplicate_adds_keep_what_the_bound_keeps(self, lbound_calls):
+        """Near-duplicates of cached queries leave the label bound below
+        many k-th distances; BiBranch's single test decides those, and
+        every decision still equals the whole-bound comparison."""
+        corpus = generate_dblp_dataset(60, seed=5)
+        rng = random.Random(6)
+        additions = [make_variant(rng.choice(corpus), rng) for _ in range(12)]
+        tallies, add_calls, label_unsettled = self._replay(
+            corpus, additions, 1, lbound_calls
+        )
+        assert label_unsettled > 0
+        for kind in ("range", "knn"):
+            assert tallies[kind, True] > 0 and tallies[kind, False] > 0, tallies
+        assert add_calls == 0
