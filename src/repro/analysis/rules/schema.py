@@ -108,10 +108,10 @@ class SchemaDriftRule(ProjectRule):
         "Every persistent artifact carries a 'format': 'repro-*' marker "
         "and a version. Writers and loaders drift independently: a key "
         "written but never read is dead weight in every artifact on disk "
-        "(the bench ledger and feature sidecars are written per-shard, "
-        "per-run); a key read but never written is a latent KeyError or "
-        "silent None default that only fires on artifacts produced by a "
-        "different version of the code - precisely the failure the "
+        "(the bench ledger is written per-run); a key read but never "
+        "written is a latent KeyError or silent None default that only "
+        "fires on artifacts produced by a different version of the code "
+        "- precisely the failure the "
         "version stamp exists to prevent. The rule cross-checks the key "
         "vocabulary of each writer (dict-literal keys, through its "
         "same-module helpers) against its loader (.get/[...] string "

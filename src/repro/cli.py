@@ -8,10 +8,10 @@ Commands
 ``generate``   synthetic (§5) or DBLP-like datasets to a ``.trees`` file
 ``stats``      structural summary of a dataset file
 ``search``     range or k-NN query over a dataset file
-``features``   build (``features build``) or inspect (``features stats``)
-               a dataset's shared feature plane
+``features``   inspect (``features stats``) the shared feature plane
+               extracted from a dataset file
 ``index``      inspect (``index stats``) the inverted-file candidate
-               index built over a feature plane
+               index built over a dataset file's feature plane
 ``serve-bench``  replay synthetic query traffic through TreeSearchService
 ``bench``      run (``bench run``) the declared perf-ledger suite to a
                ``BENCH_<n>.json`` record, or diff two records with
@@ -161,47 +161,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     features = commands.add_parser(
-        "features", help="build or inspect a shared feature plane"
+        "features", help="inspect a dataset's shared feature plane"
     )
     features_commands = features.add_subparsers(
         dest="features_command", required=True
     )
-    features_build = features_commands.add_parser(
-        "build",
-        help="one-pass extraction of a dataset file to a feature-plane JSON",
+    features_stats = features_commands.add_parser(
+        "stats", help="summary counters of a dataset file's feature plane"
     )
-    features_build.add_argument("file", help="input .trees dataset file")
-    features_build.add_argument("--out", required=True, help="output JSON path")
-    features_build.add_argument(
+    features_stats.add_argument("file", help="input .trees dataset file")
+    features_stats.add_argument(
         "--q",
         type=int,
         nargs="+",
         default=[2],
         help="branch levels to extract (each >= 2)",
     )
-    features_stats = features_commands.add_parser(
-        "stats", help="summary counters of a feature-plane JSON file"
-    )
-    features_stats.add_argument("file", help="feature-plane JSON file")
 
     index_cmd = commands.add_parser(
         "index",
-        help="inspect the inverted-file candidate index over a feature plane",
+        help="inspect the inverted-file candidate index over a dataset",
     )
     index_commands = index_cmd.add_subparsers(dest="index_command", required=True)
     index_stats = index_commands.add_parser(
         "stats",
         help="structural counters of the inverted file built over a "
-        "feature-plane JSON",
+        "dataset file's feature plane",
     )
+    index_stats.add_argument("file", help="input .trees dataset file")
     index_stats.add_argument(
-        "file", help="feature-plane JSON file (see `features build`)"
-    )
-    index_stats.add_argument(
-        "--q",
-        type=int,
-        default=None,
-        help="branch level to index (default: the plane's first level)",
+        "--q", type=int, default=2, help="branch level to index (>= 2)"
     )
 
     serve_bench = commands.add_parser(
@@ -713,19 +702,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    from repro.features import FeatureStore, load_feature_plane, save_feature_plane
+    from repro.features import FeatureStore
 
-    if args.features_command == "build":
-        trees = load_forest(args.file)
-        store = FeatureStore(tuple(args.q)).fit(trees)
-        save_feature_plane(store, args.out)
-        print(
-            f"wrote feature plane for {len(store)} trees "
-            f"({len(store.vocabulary)} interned branches, "
-            f"q_levels={list(store.q_levels)}) to {args.out}"
-        )
-        return 0
-    store = load_feature_plane(args.file)
+    store = FeatureStore(tuple(args.q)).fit(load_forest(args.file))
     for key, value in store.stats().items():
         print(f"{key}: {value}")
     for family, shape in store.matrices().stats().items():
@@ -737,11 +716,11 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    from repro.features import load_feature_plane
+    from repro.features import FeatureStore
     from repro.index import ExtendedInvertedFile
 
-    index = ExtendedInvertedFile(load_feature_plane(args.file), args.q)
-    for key, value in index.stats().items():
+    store = FeatureStore((args.q,)).fit(load_forest(args.file))
+    for key, value in ExtendedInvertedFile(store).stats().items():
         print(f"{key}: {value}")
     return 0
 

@@ -5,12 +5,12 @@ vectors, positional profiles, histograms, traversal strings — is computed
 by a single traversal per tree (:func:`extract_features`), interned against
 a corpus-wide :class:`Vocabulary`, packed into integer-array vectors
 (:class:`PackedVector`), and owned by one :class:`FeatureStore` that the
-filters, the database, the serving layer and the persistence code all
-share.  See ``docs/FEATURES.md``.
+filters, the database and the serving layer all share.  The plane is
+derived state: it is rebuilt from the trees, never read from disk.  See
+``docs/FEATURES.md``.
 """
 
 from repro.features.extract import TreeFeatures, extract_features
-from repro.features.io import load_feature_plane, save_feature_plane
 from repro.features.matrix import FeatureMatrices, MatrixPlane
 from repro.features.packed import PackedVector, pack_counts
 from repro.features.store import FeatureStore
@@ -24,7 +24,5 @@ __all__ = [
     "TreeFeatures",
     "Vocabulary",
     "extract_features",
-    "load_feature_plane",
     "pack_counts",
-    "save_feature_plane",
 ]

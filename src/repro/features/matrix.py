@@ -11,10 +11,10 @@ result stay ``int64``.
 
 Row ``i`` of every plane is tree ``i`` of the owning
 :class:`~repro.features.store.FeatureStore`; a sync appends every new
-row in one batch (one capacity-doubling allocation, one scatter;
-generation-stamped) and widens by zero-padded columns when the
-vocabulary grows — sound because the vocabulary is append-only, so no
-existing row can contain a newly-interned dimension.
+row in one batch (one capacity-doubling allocation, one scatter) and
+widens by zero-padded columns when the vocabulary grows — sound because
+the vocabulary is append-only, so no existing row can contain a
+newly-interned dimension.
 
 The L1 kernel is a *column gather*, not a dense ``np.abs(M - q)`` pass:
 for sparse count vectors,
@@ -106,17 +106,15 @@ class MatrixPlane:
     ``row_totals[i]`` (int64) caches ``matrix[i].sum()`` (plus any mass
     the packed source carried outside its in-vocabulary dims) so the L1
     kernel never re-reduces full rows.  Appends amortize via capacity
-    doubling in both axes; :attr:`generation` records the store
-    generation the plane was last synced at.
+    doubling in both axes.
     """
 
-    __slots__ = ("kind", "rows", "width", "generation", "_matrix", "_totals")
+    __slots__ = ("kind", "rows", "width", "_matrix", "_totals")
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self.rows = 0
         self.width = 0
-        self.generation = -1
         self._matrix = np.zeros((0, 0), dtype=_COUNT_DTYPE)
         self._totals = np.zeros(0, dtype=np.int64)
 
@@ -202,18 +200,6 @@ class MatrixPlane:
         """Append one tree's sparse (dims, counts) as the next dense row."""
         self.extend([dims], [counts], None if total is None else [total])
 
-    def adopt(self, matrix: "np.ndarray", totals: "np.ndarray") -> None:
-        """Install persisted dense contents (the sidecar load path)."""
-        if matrix.ndim != 2 or matrix.shape[0] != len(totals):
-            raise InvalidParameterError(
-                f"matrix sidecar misaligned for {self.kind!r}: "
-                f"{matrix.shape} rows vs {len(totals)} totals"
-            )
-        # sidecars written before planes were int32 hold int64 counts
-        self._matrix = np.asfortranarray(matrix, dtype=_COUNT_DTYPE)
-        self._totals = np.array(totals, dtype=np.int64)
-        self.rows, self.width = self._matrix.shape
-
     def l1(
         self,
         dims: "np.ndarray",
@@ -252,10 +238,7 @@ class MatrixPlane:
         }
 
     def __repr__(self) -> str:
-        return (
-            f"MatrixPlane({self.kind!r}, {self.rows}x{self.width}, "
-            f"generation={self.generation})"
-        )
+        return f"MatrixPlane({self.kind!r}, {self.rows}x{self.width})"
 
 
 class FeatureMatrices:
@@ -263,12 +246,10 @@ class FeatureMatrices:
 
     Planes are built on first use, and every built plane is re-synced
     (row appends + column widening) against the store before every
-    kernel call, so incremental :meth:`FeatureStore.add` just works: the
-    generation stamp moves forward and only the new suffix of trees is
-    packed into rows.  All
-    sync runs under one lock; the service layer only queries under its
-    read lock (adds take the write lock), so sync never races a
-    mutation.
+    kernel call, so incremental :meth:`FeatureStore.add` just works: only
+    the new suffix of trees is packed into rows.  All sync runs under one
+    lock; the service layer only queries under its read lock (adds take
+    the write lock), so sync never races a mutation.
     """
 
     def __init__(self, store: "FeatureStore") -> None:
@@ -311,7 +292,6 @@ class FeatureMatrices:
                 [vector.total for vector in fresh],
             )
             plane.ensure_width(len(store.vocabulary))
-            plane.generation = store.generation
         for family, plane in self._histograms.items():
             columns = [
                 store.histogram_columns(family, row)
@@ -321,24 +301,6 @@ class FeatureMatrices:
                 [dims for dims, _ in columns], [counts for _, counts in columns]
             )
             plane.ensure_width(len(store.histogram_vocabulary(family)))
-            plane.generation = store.generation
-
-    def adopt_branch_plane(
-        self, q: int, matrix: "np.ndarray", totals: "np.ndarray"
-    ) -> None:
-        """Install a persisted branch plane (see :mod:`repro.features.io`)."""
-        store = self._store
-        level = store._check_q(q)
-        if matrix.shape[0] != len(store):
-            raise InvalidParameterError(
-                f"matrix sidecar has {matrix.shape[0]} rows for a "
-                f"{len(store)}-tree store"
-            )
-        with self._lock:
-            plane = MatrixPlane(f"branch-q{level}")
-            plane.adopt(matrix, totals)
-            plane.generation = store.generation
-            self._branch[level] = plane
 
     def size_column(self, rows: Optional[Sequence[int]] = None) -> "np.ndarray":
         """Tree sizes as an int64 column."""

@@ -13,10 +13,11 @@ The layers above consume it instead of re-traversing the corpus:
 * :class:`~repro.search.database.TreeDatabase` owns a store and extends it
   incrementally on ``add``,
 * :class:`~repro.service.engine.TreeSearchService` uses the store's
-  :attr:`generation` counter for selective result-cache invalidation, and
-* :mod:`repro.features.io` / :func:`repro.storage.save_database` persist
-  the plane so a reloaded database skips extraction entirely (observable
-  via :attr:`extraction_passes`).
+  :attr:`generation` counter for selective result-cache invalidation.
+
+The plane is derived state and is never persisted: a database loaded
+from disk extracts it from its forest, one pass per tree (observable via
+:attr:`extraction_passes`).
 """
 
 from __future__ import annotations
@@ -82,9 +83,8 @@ class FeatureStore:
         #: bumped once per mutation *after* the initial fit; consumers (the
         #: service result cache) key freshness decisions off this counter.
         self.generation = 0
-        #: number of one-pass tree traversals performed by this store; a
-        #: plane restored from disk starts at 0 and stays there until the
-        #: next `add` — the round-trip tests assert on exactly this.
+        #: number of one-pass tree traversals performed by this store:
+        #: one per fitted or added tree
         self.extraction_passes = 0
         #: lazily-built corpus-level matrix planes (vectorized kernels)
         self._matrices: Optional["FeatureMatrices"] = None
@@ -120,10 +120,6 @@ class FeatureStore:
                 features = extract_features(tree, self.q_levels)
                 sp.set(nodes=features.size)
         self.extraction_passes += 1
-        return self._append(features)
-
-    def _append(self, features: TreeFeatures) -> int:
-        """Install one tree's features (shared by extraction and load)."""
         index = len(self._features)
         self._features.append(features)
         for q in self.q_levels:

@@ -1,7 +1,7 @@
 """Shared integer vocabulary for branch keys.
 
 Every derived artifact in the feature plane that refers to a branch — packed
-vectors, the persisted feature plane, benchmark dumps — speaks in small
+vectors, matrix plane columns, the candidate index — speaks in small
 integer dimension ids instead of repeating the (hash-heavy, tuple-shaped)
 branch keys.  One :class:`Vocabulary` is shared across a whole corpus, so
 identical branches in different trees intern to the same id and packed

@@ -59,11 +59,10 @@ class TreeDatabase:
         extraction pass per tree.
     costs:
         Edit-operation cost model for the refinement distance.
-    feature_store:
-        A prebuilt :class:`~repro.features.store.FeatureStore` covering
-        exactly ``trees`` (e.g. restored from disk by
-        :func:`repro.storage.load_database`).  When given, fitting the
-        filter performs **no** tree traversals.
+
+    The feature plane (:attr:`features`) is extracted here from ``trees``
+    and nowhere else; a database loaded by
+    :func:`repro.storage.load_database` is built the same way.
     """
 
     def __init__(
@@ -71,7 +70,6 @@ class TreeDatabase:
         trees: Iterable[TreeNode],
         flt: Optional[LowerBoundFilter] = None,
         costs: CostModel = UNIT_COSTS,
-        feature_store: Optional[FeatureStore] = None,
     ) -> None:
         self.trees: List[TreeNode] = list(trees)
         self.counter = EditDistanceCounter(costs)
@@ -79,13 +77,6 @@ class TreeDatabase:
             flt if flt is not None else FILTERS[DEFAULT_FILTER]()
         )
         self._features: Optional[FeatureStore] = None
-        if feature_store is not None:
-            if len(feature_store) != len(self.trees):
-                raise InvalidParameterError(
-                    f"feature store covers {len(feature_store)} trees, "
-                    f"database has {len(self.trees)}"
-                )
-            self._features = feature_store
         if self.filter.size != len(self.trees):
             self._fit_filter()
         self._mutations = 0
@@ -94,18 +85,9 @@ class TreeDatabase:
     def _store_q_levels(self) -> Tuple[int, ...]:
         return self.filter.required_q_levels() or (getattr(self.filter, "q", 2),)
 
-    def _store_usable(self) -> bool:
-        """Whether the filter can be served from the feature plane."""
-        if not self.filter.supports_store:
-            return False
-        if self._features is None:
-            return True  # a compatible store can still be built
-        return all(q in self._features.q_levels for q in self._store_q_levels())
-
     def _fit_filter(self) -> None:
-        if self._store_usable():
-            if self._features is None:
-                self._features = FeatureStore(self._store_q_levels()).fit(self.trees)
+        if self.filter.supports_store:
+            self._features = FeatureStore(self._store_q_levels()).fit(self.trees)
             self.filter.fit_from_store(self._features)
         else:
             self.filter.fit(self.trees)
@@ -123,12 +105,10 @@ class TreeDatabase:
         """
         index = len(self.trees)
         self.trees.append(tree)
-        if self._features is not None and self._store_usable():
+        if self._features is not None:
             self._features.add(tree)
             self.filter.add_from_store(self._features, index)
         else:
-            if self._features is not None:
-                self._features.add(tree)
             self.filter.add(tree)
         self._mutations += 1
         return index
@@ -188,11 +168,8 @@ class TreeDatabase:
                 )
             from repro.index.inverted import ExtendedInvertedFile
 
-            q = getattr(self.filter, "q", None)
-            if q is not None and q not in self._features.q_levels:
-                q = None  # index at the store's default level instead
             index = self._candidate_index = ExtendedInvertedFile(
-                self._features, q
+                self._features, getattr(self.filter, "q", None)
             )
         return index
 

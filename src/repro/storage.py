@@ -7,16 +7,14 @@ arbitrarily deep trees.  A loader for directories of XML documents covers
 the paper's XML-repository use case.
 
 :func:`save_database` / :func:`load_database` persist a whole
-:class:`~repro.search.database.TreeDatabase` as the forest file **plus**
-its feature plane (:mod:`repro.features.io`), so reloading fits the filter
-without a single tree traversal (``database.features.extraction_passes``
-is 0 after a load — asserted by the round-trip tests).
+:class:`~repro.search.database.TreeDatabase` as its forest file alone.
+The feature plane is derived state: a loaded database extracts it from the
+forest exactly as ``TreeDatabase(trees)`` does, one pass per tree.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
@@ -86,68 +84,25 @@ def load_forest(path: PathLike) -> List[TreeNode]:
     return trees
 
 
-def _features_path(forest_path: PathLike) -> str:
-    return f"{os.fspath(forest_path)}.features.json"
-
-
 def save_database(database, path: PathLike, header: Optional[str] = None) -> int:
     """Persist a :class:`~repro.search.database.TreeDatabase` to disk.
 
-    Writes the forest to ``path`` (bracket notation, one tree per line) and
-    the database's feature plane — built on demand if the filter never
-    needed one — to ``<path>.features.json``.  Returns the number of trees
-    written.
+    Writes the database's forest to ``path`` with :func:`save_forest`;
+    returns the number of trees written.
     """
-    from repro.features.io import save_feature_plane
-    from repro.features.store import FeatureStore
-
-    count = save_forest(database.trees, path, header=header)
-    store = database.features
-    if store is None:
-        q = getattr(database.filter, "q", 2)
-        store = FeatureStore((q,)).fit(database.trees)
-    save_feature_plane(store, _features_path(path))
-    return count
+    return save_forest(database.trees, path, header=header)
 
 
 def load_database(path: PathLike, flt=None, **database_options):
     """Restore a database written by :func:`save_database`.
 
-    The feature plane at ``<path>.features.json`` is loaded alongside the
-    forest and handed to :class:`~repro.search.database.TreeDatabase`, so a
-    store-capable filter is fitted without re-extracting any tree.  When
-    the sidecar file is missing (e.g. a forest written by
-    :func:`save_forest`), the database is built from scratch; a sidecar
-    that fails to load — truncated write, foreign format, or covering a
-    different number of trees than the forest — degrades the same way with
-    a :class:`UserWarning` instead of refusing to open the dataset (the
-    sidecar is a pure cache: correctness never depends on it).
+    Reads the forest and builds ``TreeDatabase(trees, flt, **options)``,
+    which extracts the feature plane from the trees; no other file next
+    to the forest (such as a ``<path>.features.json``) is read.
     """
-    from repro.features.io import load_feature_plane
     from repro.search.database import TreeDatabase
 
-    trees = load_forest(path)
-    store = None
-    features_path = _features_path(path)
-    if os.path.exists(features_path):
-        try:
-            store = load_feature_plane(features_path)
-        except (ValueError, KeyError, IndexError, TypeError, OSError) as exc:
-            warnings.warn(
-                f"ignoring unreadable feature sidecar {features_path}: {exc}; "
-                "features will be re-extracted",
-                stacklevel=2,
-            )
-        else:
-            if len(store) != len(trees):
-                warnings.warn(
-                    f"ignoring stale feature sidecar {features_path}: covers "
-                    f"{len(store)} trees but the forest has {len(trees)}; "
-                    "features will be re-extracted",
-                    stacklevel=2,
-                )
-                store = None
-    return TreeDatabase(trees, flt=flt, feature_store=store, **database_options)
+    return TreeDatabase(load_forest(path), flt, **database_options)
 
 
 def load_xml_directory(

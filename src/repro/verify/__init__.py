@@ -5,7 +5,7 @@ branch distance over 5 lower-bounds the unit-cost tree edit distance
 (Theorem 4.2), q-level branches obey the ``[4(q-1)+1]·k`` bound, and the
 positional refinement tightens but never exceeds soundness.  The layers
 added on top of the core algorithms — the shared feature plane, the packed
-vectors, the serving cache, the persistence sidecar — each claim to be
+vectors, the serving cache, save/load persistence — each claim to be
 *transparent*: faster, but answer-identical.
 
 This package checks all of it systematically.  A seedable corpus generator

@@ -709,7 +709,7 @@ class StoreIdentityOracle(Oracle):
 # storage:roundtrip — persistence is answer-identical
 # ----------------------------------------------------------------------
 class RoundTripOracle(Oracle):
-    """save/load round-trip: zero re-extraction, identical answers."""
+    """save/load round-trip: one extraction pass per tree, identical answers."""
 
     name = "storage:roundtrip"
     description = "save_database/load_database round-trips answer-identically"
@@ -728,18 +728,16 @@ class RoundTripOracle(Oracle):
             save_database(original, path)
             loaded = load_database(path)
             outcome.checks += 1
-            if loaded.features is None or loaded.features.extraction_passes != 0:
-                passes = (
-                    None
-                    if loaded.features is None
-                    else loaded.features.extraction_passes
-                )
+            passes = (
+                None if loaded.features is None else loaded.features.extraction_passes
+            )
+            if passes != len(corpus.trees):
                 outcome.record(
                     Violation(
                         oracle=self.name,
                         message=(
-                            "loaded database re-extracted features "
-                            f"(extraction_passes={passes})"
+                            f"loaded database made {passes} extraction passes "
+                            f"over {len(corpus.trees)} trees"
                         ),
                         details={"extraction_passes": passes},
                     )

@@ -13,13 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import InvalidParameterError
-from repro.features.io import (
-    load_feature_plane,
-    load_matrix_sidecar,
-    matrix_sidecar_path,
-    save_feature_plane,
-)
 from repro.features.matrix import FeatureMatrices, MatrixPlane
 from repro.features.store import FeatureStore
 from repro.filters.binary_branch import BinaryBranchFilter, BranchCountFilter
@@ -114,11 +107,6 @@ class TestMatrixPlane:
         # row-subset gather agrees with the full pass
         got_subset = plane.l1(dims, counts, total=6, rows=[2, 0])
         assert list(got_subset) == [expected[2], expected[0]]
-
-    def test_adopt_rejects_misaligned(self):
-        plane = MatrixPlane("t")
-        with pytest.raises(InvalidParameterError):
-            plane.adopt(np.zeros((3, 2)), np.zeros(2))
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +236,6 @@ def test_reading_one_plane_syncs_every_built_plane(monkeypatch):
     assert matrices.histogram_plane("labels") is labels
     assert grown == ["branch-q2", "histogram-labels"]
     assert (branch.rows, labels.rows) == (3, 3)
-    assert branch.generation == labels.generation == store.generation
     assert branch.width == len(store.vocabulary)
     assert labels.width == len(store.histogram_vocabulary("labels"))
 
@@ -264,73 +251,6 @@ def test_stats_reports_every_family():
         assert shape["rows"] == 2
         assert shape["dtype"] == ("int64" if kind == "sizes" else "int32")
         assert shape["bytes"] > 0
-
-
-# ----------------------------------------------------------------------
-# Sidecar persistence
-# ----------------------------------------------------------------------
-def test_sidecar_roundtrip(tmp_path):
-    corpus = [parse_bracket(b) for b in ["a(b,c)", "a(b(d),c)", "x(y,z(w))"]]
-    store = FeatureStore((2,)).fit(corpus)
-    fresh = store.matrices().branch_plane(2)
-    path = tmp_path / "plane.json"
-    save_feature_plane(store, str(path))
-    assert (tmp_path / "plane.json.matrices.npz").exists()
-    assert matrix_sidecar_path(str(path)).endswith(".matrices.npz")
-
-    restored = load_feature_plane(str(path))
-    adopted = restored.matrices().branch_plane(2)
-    assert np.array_equal(adopted.matrix, fresh.matrix)
-    assert np.array_equal(adopted.row_totals, fresh.row_totals)
-    # incremental add keeps working on an adopted plane
-    restored.add(parse_bracket("q(r)"))
-    assert restored.matrices().branch_plane(2).rows == 4
-
-
-def test_stale_sidecar_is_rejected(tmp_path):
-    corpus = [parse_bracket(b) for b in ["a(b)", "c(d)"]]
-    store = FeatureStore((2,)).fit(corpus)
-    path = tmp_path / "plane.json"
-    save_feature_plane(store, str(path))
-    other = FeatureStore((2,)).fit(corpus + [parse_bracket("e")])
-    assert load_matrix_sidecar(other, str(path)) is False
-
-
-def test_missing_sidecar_rebuilds_lazily(tmp_path):
-    corpus = [parse_bracket(b) for b in ["a(b)", "c(d)"]]
-    store = FeatureStore((2,)).fit(corpus)
-    path = tmp_path / "plane.json"
-    save_feature_plane(store, str(path))
-    (tmp_path / "plane.json.matrices.npz").unlink()
-    restored = load_feature_plane(str(path))
-    rebuilt = restored.matrices().branch_plane(2)
-    assert np.array_equal(rebuilt.matrix, store.matrices().branch_plane(2).matrix)
-
-
-def test_int64_sidecar_still_loads(tmp_path):
-    """Sidecars written when planes were int64 load into int32 planes."""
-    corpus = [parse_bracket(b) for b in ["a(b,c)", "a(b(d),c)", "x(y,z(w))"]]
-    store = FeatureStore((2,)).fit(corpus)
-    fresh = store.matrices().branch_plane(2)
-    path = tmp_path / "plane.json"
-    save_feature_plane(store, str(path))
-    sidecar = matrix_sidecar_path(str(path))
-    with np.load(sidecar) as data:
-        widened = {key: data[key].astype(np.int64) for key in data.files}
-    assert widened["branch_q2"].dtype == np.int64
-    with open(sidecar, "wb") as handle:
-        np.savez_compressed(handle, **widened)
-
-    restored = load_feature_plane(str(path))
-    adopted = restored.matrices().branch_plane(2)
-    assert adopted.matrix.dtype == np.int32
-    assert adopted.describe()["dtype"] == "int32"
-    assert np.array_equal(adopted.matrix, fresh.matrix)
-    assert np.array_equal(adopted.row_totals, fresh.row_totals)
-    query = {key: 1 for key in restored.vocabulary}
-    assert list(restored.matrices().branch_l1(2, query)) == list(
-        store.matrices().branch_l1(2, query)
-    )
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 An empty ``.trees`` file is a legal corpus: every read-only command must
 report zeros (exit 0) rather than raising, and only ``search`` — which
 has nothing meaningful to answer — may refuse, with a clear message and
-exit 1.  This pins the degenerate end of the corpus-size axis so sidecar
-and index plumbing can assume "no rows" is always representable.
+exit 1.  This pins the degenerate end of the corpus-size axis so feature
+plane and index plumbing can assume "no rows" is always representable.
 """
 
 from __future__ import annotations
@@ -22,14 +22,6 @@ def empty_dataset(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def empty_plane(tmp_path, empty_dataset, capsys):
-    plane = str(tmp_path / "empty.plane.json")
-    assert main(["features", "build", empty_dataset, "--out", plane]) == 0
-    capsys.readouterr()  # discard build chatter
-    return plane
-
-
 class TestStatsCommands:
     def test_stats_reports_zero_trees(self, empty_dataset, capsys):
         assert main(["stats", empty_dataset]) == 0
@@ -39,8 +31,8 @@ class TestStatsCommands:
         assert main(["stats", empty_dataset, "--avg-distance"]) == 0
         assert "0.000" in capsys.readouterr().out
 
-    def test_features_stats_all_zero(self, empty_plane, capsys):
-        assert main(["features", "stats", empty_plane]) == 0
+    def test_features_stats_all_zero(self, empty_dataset, capsys):
+        assert main(["features", "stats", empty_dataset]) == 0
         out = capsys.readouterr().out
         assert "trees: 0" in out
         assert "vocabulary_size: 0" in out
@@ -51,8 +43,8 @@ class TestStatsCommands:
 
 
 class TestIndexCommands:
-    def test_index_stats(self, empty_plane, capsys):
-        assert main(["index", "stats", empty_plane]) == 0
+    def test_index_stats(self, empty_dataset, capsys):
+        assert main(["index", "stats", empty_dataset]) == 0
         assert "rows: 0" in capsys.readouterr().out
 
 

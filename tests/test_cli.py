@@ -312,32 +312,24 @@ class TestShardedCli:
 
 
 class TestFeaturesCommands:
-    def test_build_and_stats(self, dataset_file, tmp_path, capsys):
-        out_path = str(tmp_path / "plane.json")
-        assert main(["features", "build", dataset_file, "--out", out_path]) == 0
-        assert "wrote feature plane for 4 trees" in capsys.readouterr().out
-        assert main(["features", "stats", out_path]) == 0
+    def test_stats_reads_a_dataset(self, dataset_file, capsys):
+        assert main(["features", "stats", dataset_file]) == 0
         out = capsys.readouterr().out
         assert "trees: 4" in out
-        assert "extraction_passes: 0" in out
+        assert "q_levels: [2]" in out
+        assert "extraction_passes: 4" in out
 
-    def test_build_multiple_q_levels(self, dataset_file, tmp_path, capsys):
-        out_path = str(tmp_path / "plane.json")
-        code = main(
-            ["features", "build", dataset_file, "--out", out_path, "--q", "2", "3"]
-        )
-        assert code == 0
-        assert "q_levels=[2, 3]" in capsys.readouterr().out
+    def test_stats_multiple_q_levels(self, dataset_file, capsys):
+        assert main(["features", "stats", dataset_file, "--q", "2", "3"]) == 0
+        assert "q_levels: [2, 3]" in capsys.readouterr().out
 
-    def test_build_invalid_q_level_errors_cleanly(self, dataset_file, tmp_path):
-        code = main(
-            ["features", "build", dataset_file,
-             "--out", str(tmp_path / "x.json"), "--q", "1"]
-        )
-        assert code == 2
+    def test_stats_invalid_q_level_errors_cleanly(self, dataset_file):
+        assert main(["features", "stats", dataset_file, "--q", "1"]) == 2
 
-    def test_stats_rejects_foreign_file(self, dataset_file):
-        assert main(["features", "stats", dataset_file]) == 2
+    def test_stats_rejects_foreign_file(self, tmp_path):
+        foreign = tmp_path / "plane.json"
+        foreign.write_text('{"format": "repro-features", "trees": []}')
+        assert main(["features", "stats", str(foreign)]) == 2
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -80,15 +80,16 @@ class TestSaveLoadDatabase:
 
         return TreeDatabase([parse_bracket(text) for text in self.FOREST])
 
-    def test_round_trip_skips_extraction(self, tmp_path):
+    def test_round_trip_extracts_once_per_tree(self, tmp_path):
         from repro.storage import load_database, save_database
 
         path = tmp_path / "db.trees"
         assert save_database(self._database(), path) == len(self.FOREST)
+        assert [entry.name for entry in tmp_path.iterdir()] == ["db.trees"]
         loaded = load_database(path)
         assert len(loaded) == len(self.FOREST)
         assert loaded.features is not None
-        assert loaded.features.extraction_passes == 0
+        assert loaded.features.extraction_passes == len(self.FOREST)
         assert loaded.filter.size == len(self.FOREST)
 
     def test_loaded_database_answers_match(self, tmp_path):
@@ -109,7 +110,7 @@ class TestSaveLoadDatabase:
         save_database(self._database(), path)
         loaded = load_database(path)
         index = loaded.add(parse_bracket("q(r,s)"))
-        assert loaded.features.extraction_passes == 1  # only the added tree
+        assert loaded.features.extraction_passes == len(self.FOREST) + 1
         assert (index, 0.0) in loaded.range_query(parse_bracket("q(r,s)"), 0)[0]
 
     def test_missing_sidecar_falls_back_to_fresh_fit(self, tmp_path):
@@ -121,73 +122,22 @@ class TestSaveLoadDatabase:
         assert loaded.features is not None
         assert loaded.features.extraction_passes == len(self.FOREST)
 
-    def test_corrupt_sidecar_warns_and_reextracts(self, tmp_path):
+    def test_garbage_features_json_is_never_read(self, tmp_path):
+        """A ``<forest>.features.json`` next to the forest is ignored:
+        no warning, and the answers are a fresh database's."""
+        import warnings
+
         from repro.storage import load_database, save_database
 
         original = self._database()
         path = tmp_path / "db.trees"
         save_database(original, path)
-        sidecar = tmp_path / "db.trees.features.json"
-        sidecar.write_text("{ not json at all")
-        with pytest.warns(UserWarning, match="unreadable feature sidecar"):
-            loaded = load_database(path)
-        # fell back to a from-scratch fit, answers unaffected
-        assert loaded.features is not None
-        assert loaded.features.extraction_passes == len(self.FOREST)
-        query = parse_bracket(self.FOREST[0])
-        assert loaded.knn(query, 2)[0] == original.knn(query, 2)[0]
-
-    def test_foreign_json_sidecar_warns_and_reextracts(self, tmp_path):
-        from repro.storage import load_database, save_database
-
-        path = tmp_path / "db.trees"
-        save_database(self._database(), path)
-        (tmp_path / "db.trees.features.json").write_text('{"other": "format"}')
-        with pytest.warns(UserWarning, match="unreadable feature sidecar"):
+        (tmp_path / "db.trees.features.json").write_text("{ not json at all")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             loaded = load_database(path)
         assert loaded.features.extraction_passes == len(self.FOREST)
-
-    def test_stale_sidecar_length_mismatch_warns_and_reextracts(self, tmp_path):
-        from repro.search.database import TreeDatabase
-        from repro.storage import load_database, save_database
-
-        path = tmp_path / "db.trees"
-        save_database(self._database(), path)
-        # overwrite the sidecar with a plane covering fewer trees (e.g. the
-        # forest was edited by hand after the save)
-        shorter = TreeDatabase([parse_bracket(self.FOREST[0])])
-        save_database(shorter, tmp_path / "other.trees")
-        (tmp_path / "db.trees.features.json").write_text(
-            (tmp_path / "other.trees.features.json").read_text()
-        )
-        with pytest.warns(UserWarning, match="stale feature sidecar"):
-            loaded = load_database(path)
-        assert len(loaded) == len(self.FOREST)
-        assert loaded.features.extraction_passes == len(self.FOREST)
-
-    def test_intact_sidecar_does_not_warn(self, tmp_path, recwarn):
-        from repro.storage import load_database, save_database
-
-        path = tmp_path / "db.trees"
-        save_database(self._database(), path)
-        loaded = load_database(path)
-        assert loaded.features.extraction_passes == 0
-        assert not [w for w in recwarn if "sidecar" in str(w.message)]
-
-    def test_sidecar_written_for_storeless_filter(self, tmp_path):
-        from repro.search.database import TreeDatabase
-        from repro.storage import load_database, save_database
-
-        from repro.filters import SizeDifferenceFilter
-
-        flt = SizeDifferenceFilter()
-        flt.supports_store = False  # force the legacy path
-        database = TreeDatabase(
-            [parse_bracket(text) for text in self.FOREST], flt=flt
-        )
-        assert database.features is None
-        path = tmp_path / "db.trees"
-        save_database(database, path)
-        loaded = load_database(path)
-        assert loaded.features is not None
-        assert loaded.features.extraction_passes == 0
+        for text in self.FOREST:
+            query = parse_bracket(text)
+            assert loaded.range_query(query, 2)[0] == original.range_query(query, 2)[0]
+            assert loaded.knn(query, 2)[0] == original.knn(query, 2)[0]
